@@ -35,7 +35,7 @@ import numpy as np
 
 from .claims import ClaimTolerances, ClaimVerdict, NOT_APPLICABLE, evaluate_claims
 from .diagnostics import DiagnosticsRecord
-from .flow import FlowConfig, evolve, validate_initial
+from .flow import FlowConfig, evolve, next_record_index, validate_initial
 from .geometry import BundleKind, MetricProfile, curvature_field
 
 __all__ = [
@@ -341,30 +341,28 @@ class _SnapshotSchedule:
     def __init__(self, out: Path, every: float, t_start: float):
         self.out = out
         self.every = every
-        self.next_k = math.floor(t_start / every + 1e-9) + 1
+        self.next_k = next_record_index(t_start, every)
         self.last_t: float | None = None
 
     def offer(self, profile: MetricProfile, force: bool = False) -> None:
         crossed = profile.t >= self.next_k * self.every - 1e-12 * max(1.0, abs(profile.t))
-        if not (force or crossed):
-            return
-        if self.last_t == profile.t:
-            return
-        save_snapshot(profile, self.out / f"snap_{profile.t!r}.json")
-        self.last_t = profile.t
-        while profile.t >= self.next_k * self.every - 1e-12 * max(1.0, abs(profile.t)):
-            self.next_k += 1
+        if (force or crossed) and self.last_t != profile.t:
+            save_snapshot(profile, self.out / f"snap_{profile.t!r}.json")
+            self.last_t = profile.t
+            self.next_k = next_record_index(profile.t, self.every)
+
+
+def _claim_line(v: ClaimVerdict) -> str:
+    """One verdict as written to claims.txt and printed by `check`."""
+    status = "n/a" if v.status == NOT_APPLICABLE else v.status
+    return (
+        f"{v.claim_id} {status} measured={_fmt(v.measured)} "
+        f"tol={_fmt(v.tolerance)} # {v.note}"
+    )
 
 
 def _write_claims(path: Path, verdicts: list[ClaimVerdict]) -> None:
-    lines = []
-    for v in verdicts:
-        status = "n/a" if v.status == NOT_APPLICABLE else v.status
-        lines.append(
-            f"{v.claim_id} {status} measured={_fmt(v.measured)} "
-            f"tol={_fmt(v.tolerance)} # {v.note}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(map(_claim_line, verdicts)) + "\n", encoding="utf-8")
 
 
 def _claims_exit_status(verdicts: list[ClaimVerdict]) -> int:
@@ -486,11 +484,7 @@ def check_series(
     tol = tolerances if tolerances is not None else ClaimTolerances(dx=period / n)
     verdicts = evaluate_claims(records, kind, tol)
     for v in verdicts:
-        status = "n/a" if v.status == NOT_APPLICABLE else v.status
-        print(
-            f"{v.claim_id} {status} measured={_fmt(v.measured)} "
-            f"tol={_fmt(v.tolerance)} # {v.note}"
-        )
+        print(_claim_line(v))
     return _claims_exit_status(verdicts)
 
 

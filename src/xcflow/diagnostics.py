@@ -4,7 +4,8 @@ Integrals over the base circle are taken against arc length, ds = f dx,
 by the periodic trapezoid rule (node weights f[i] * dx; midpoint and
 trapezoid coincide on a uniform periodic grid). Higher arc-length
 derivatives are built by repeated application of the first-derivative
-stencil.
+stencil, once per record: `functionals` takes g_s and g_ss from the
+curvature field and passes the whole chain on to `rate_formulas`.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def count_sign_changes(values: np.ndarray) -> int:
     s = s[s != 0.0]
     if s.size < 2:
         return 0
-    return int(np.count_nonzero(s != np.roll(s, 1)))
+    return int(np.count_nonzero(s[1:] != s[:-1])) + int(s[0] != s[-1])
 
 
 def _derivative_chain(
@@ -100,8 +101,15 @@ def _derivative_chain(
     return w, gss, gsss, gssss
 
 
-def rate_formulas(profile: MetricProfile, kind: BundleKind) -> RateFormulas:
+def rate_formulas(
+    profile: MetricProfile,
+    kind: BundleKind,
+    chain: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> RateFormulas:
     """Evaluate the closed-form rates of L, V, E2 and the l2 norm of g_sss.
+
+    chain = (g_s, g_ss, g_sss, g_ssss) lets a caller that already holds
+    the derivatives skip their recomputation.
 
     Each rate is the quadrature of a pointwise integrand in g and its
     arc-length derivatives up to fourth order:
@@ -116,7 +124,7 @@ def rate_formulas(profile: MetricProfile, kind: BundleKind) -> RateFormulas:
                         + 12 g^-6 g_s^2 (1-g_s^2) g_ss^2 ds
       d/dt l2_gsss (sphere) = nine-term integrand in g_s..g_ssss.
     """
-    w, gss, gsss, gssss = _derivative_chain(profile)
+    w, gss, gsss, gssss = _derivative_chain(profile) if chain is None else chain
     g = profile.g
     e2 = integrate_ds(gss**2 / (g * g), profile)
     dL = kind.flow_sign * e2
@@ -169,7 +177,7 @@ def functionals(profile: MetricProfile, kind: BundleKind) -> DiagnosticsRecord:
     vol = integrate_ds(g * g, profile)
     if kind is BundleKind.SPHERE:
         vol *= 4.0 * math.pi
-    rates = rate_formulas(profile, kind)
+    rates = rate_formulas(profile, kind, (w, gss, gsss, s_derivative(profile, gsss)))
     return DiagnosticsRecord(
         t=profile.t,
         L=integrate_ds(np.ones(profile.n), profile),

@@ -22,22 +22,28 @@ d/dt log f = +/- (1/g^2) g_ss^2 (+ torus, - sphere) holds node-wise up
 to discretisation error.
 
 Steps are classical 4-stage Runge-Kutta under a safety-scaled parabolic
-stability cap. Runs are strictly sequential; distinct runs share no
-state and may execute in parallel.
+stability cap, differentiating with the periodic operator of `_periodic`
+that geometry and diagnostics share. `step` is one fused kernel: one
+np.errstate block, stage sums updated in place, positivity checked by
+reductions, and the result built by the trusted `MetricProfile._trusted`.
+Its work buffers are allocated per call and no array is written once
+returned or handed to a sink, so distinct runs share no state and may
+execute in parallel.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .claims import ClaimTolerances, SLOPE_BOUND
+from ._periodic import ddx, first_nonfinite
 from .diagnostics import DiagnosticsRecord, functionals
-from .geometry import BundleKind, MetricProfile, NumericOverflowError, _ddx, _first_nonfinite, s_derivative
+from .geometry import BundleKind, MetricProfile, NumericOverflowError, s_derivative
 
 __all__ = [
     "FlowConfig",
@@ -49,6 +55,7 @@ __all__ = [
     "rhs",
     "stable_dt",
     "step",
+    "next_record_index",
     "evolve",
 ]
 
@@ -149,20 +156,19 @@ def _rhs_arrays(
     kind: BundleKind,
     epsilon: float,
     t: float,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # overflow is detected below and reported with the node; silence numpy
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = _ddx(g, dx) / f
-        dxw = _ddx(w, dx)
-        fg2 = f * g * g
-        if kind is BundleKind.TORUS:
-            df = dxw * dxw / fg2
-            dg = (w * w + epsilon) * dxw / fg2
-        else:
-            df = -(dxw * dxw) / fg2
-            dg = -((w * w - 1.0) * dxw) / fg2
+    """(df/dt, dg/dt) per node, into the rows of a (2, n) out if given; call under np.errstate."""
+    if out is None:
+        out = np.empty((2, f.size))
+    w = ddx(g, dx) / f
+    dxw = ddx(w, dx)
+    den = kind.flow_sign * f * g * g  # +/- f g^2; the sign is exact
+    shift = epsilon if kind is BundleKind.TORUS else -1.0
+    df = np.divide(dxw * dxw, den, out=out[0])
+    dg = np.divide((w * w + shift) * dxw, den, out=out[1])
     for name, arr in (("df/dt", df), ("dg/dt", dg)):
-        node = _first_nonfinite(arr)
+        node = first_nonfinite(arr)
         if node is not None:
             raise NumericOverflowError(name, node, t)
     return df, dg
@@ -176,7 +182,9 @@ def rhs(
     epsilon regularises the torus diffusion coefficient (w^2 + eps) and
     is ignored for the sphere family.
     """
-    return _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t)
+    # overflow is detected and reported with the node; silence numpy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t)
 
 
 def stable_dt(
@@ -192,7 +200,7 @@ def stable_dt(
     largest diffusion coefficient over the grid; dt_max when the
     coefficient degenerates to zero everywhere.
     """
-    w = s_derivative(profile, profile.g)
+    w = ddx(profile.g, profile.dx) / profile.f
     g2 = profile.g * profile.g
     if kind is BundleKind.TORUS:
         coeff = (w * w + epsilon) / g2
@@ -211,34 +219,48 @@ def step(
     """Advance (f, g) together by one classical Runge-Kutta step.
 
     Raises StepFailureError if f or g loses positivity at any stage or
-    in the result; the caller may retry with a smaller dt.
+    is not finite and positive in the result; the caller may retry with
+    a smaller dt.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    f0, g0 = profile.f, profile.g
     dx, t = profile.dx, profile.t
+    y0 = np.array((profile.f, profile.g))
+    k, y, acc = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
 
-    def stage(f, g):
-        if np.any(f <= 0.0) or np.any(g <= 0.0):
+    def stage(y):
+        if y.min() <= 0.0:
             raise StepFailureError(t, dt, "positivity lost at an internal stage")
-        return _rhs_arrays(f, g, dx, kind, epsilon, t)
+        _rhs_arrays(y[0], y[1], dx, kind, epsilon, t, out=k)
 
-    k1f, k1g = stage(f0, g0)
-    k2f, k2g = stage(f0 + 0.5 * dt * k1f, g0 + 0.5 * dt * k1g)
-    k3f, k3g = stage(f0 + 0.5 * dt * k2f, g0 + 0.5 * dt * k2g)
-    k4f, k4g = stage(f0 + dt * k3f, g0 + dt * k3g)
-    f1 = f0 + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-    g1 = g0 + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-    if np.any(f1 <= 0.0) or np.any(g1 <= 0.0):
+    # overflow is detected in _rhs_arrays and reported with the node; silence numpy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stage(y0)
+        np.copyto(acc, k)
+        # stage inputs y0 + c k, and acc sums k1 + 2 k2 + 2 k3 + k4 in order
+        for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+            np.multiply(k, c, out=y)
+            y += y0
+            stage(y)
+            acc += weight * k
+        acc *= dt / 6.0
+        acc += y0
+        ok = acc.min() > 0.0 and acc.max() < math.inf
+    if not ok:
         raise StepFailureError(t, dt)
-    return MetricProfile(profile.n, profile.period, t + dt, f1, g1)
+    return MetricProfile._trusted(profile.n, profile.period, t + dt, acc[0], acc[1])
 
 
-def _next_record_time(t: float, every: float) -> float:
-    # boundary times are global multiples of `every`, so a resumed run
-    # lands on exactly the grid of the original run
-    m = math.floor(t / every + 1e-9) + 1
-    return m * every
+def next_record_index(t: float, every: float) -> int:
+    """Index k of the first record time k * every after t (or 1e-9 gaps before it).
+
+    Record times are global multiples of `every`, so a resumed run lands
+    on exactly the grid of the original run.
+    """
+    k = math.floor(t / every + 1e-9) + 1
+    while k * every <= t:  # t / every can round low at long horizons
+        k += 1
+    return k
 
 
 def evolve(
@@ -261,7 +283,8 @@ def evolve(
     """
     validate_initial(profile, config.kind)
     summary = RunSummary()
-    t_end = config.t_end
+    t_end, every = config.t_end, config.record_every
+    k = next_record_index(profile.t, every)
     eps_t = 1e-12 * max(1.0, abs(t_end))
 
     def emit(prof: MetricProfile) -> DiagnosticsRecord:
@@ -275,7 +298,7 @@ def evolve(
     stopped = stop_when is not None and stop_when(rec)
 
     while not stopped and t_end - profile.t > eps_t:
-        target = min(_next_record_time(profile.t, config.record_every), t_end)
+        target = min(k * every, t_end)
         gap = target - profile.t
         base_dt = stable_dt(
             profile, config.kind, config.epsilon, config.safety, config.dt_max
@@ -299,14 +322,18 @@ def evolve(
         summary.steps += 1
         summary.dt_min = min(summary.dt_min, dt)
         summary.dt_max = max(summary.dt_max, dt)
-        if lands:
+        # a step shorter than the gap can still reach the boundary by rounding
+        if lands or advanced.t >= target:
             # assign the boundary time exactly so record times stay on the
             # global grid regardless of floating-point accumulation
-            advanced = replace(advanced, t=target)
-        profile = advanced
-        if lands:
+            profile = MetricProfile._trusted(
+                advanced.n, advanced.period, target, advanced.f, advanced.g
+            )
+            k += 1
             rec = emit(profile)
             stopped = stop_when is not None and stop_when(rec)
+        else:
+            profile = advanced
 
     summary.t_final = profile.t
     return profile, summary

@@ -30,8 +30,12 @@ so it stays valid where P is singular, and it doubles as an evaluation
 path independent of the P-based route (`cross_curvature_oracle`).
 
 Profiles are sampled on the uniform periodic grid x_i = i * period / n;
-all index arithmetic is modulo n and derivatives use centred
-second-order differences.
+all index arithmetic is modulo n. Derivatives use the centred
+second-order difference of `_periodic`, which flow and diagnostics share.
+`MetricProfile(...)` copies and validates its samples at the API edges;
+the stepper, which has checked its fresh result arrays already, builds
+profiles through the trusted `MetricProfile._trusted` instead. No buffer
+is shared: the package never writes an array that a profile holds.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from ._periodic import ddx, first_nonfinite
 
 __all__ = [
     "BundleKind",
@@ -120,6 +126,15 @@ class MetricProfile:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
 
+    @classmethod
+    def _trusted(
+        cls, n: int, period: float, t: float, f: np.ndarray, g: np.ndarray
+    ) -> MetricProfile:
+        """A profile of checked (n,) arrays that nothing writes afterwards; no copy."""
+        self = object.__new__(cls)
+        vars(self).update(n=n, period=period, t=t, f=f, g=g)
+        return self
+
     @property
     def dx(self) -> float:
         return self.period / self.n
@@ -153,16 +168,6 @@ class CurvatureField:
     g: np.ndarray
 
 
-def _ddx(values: np.ndarray, dx: float) -> np.ndarray:
-    """Centred periodic x-derivative, second order."""
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * dx)
-
-
-def _first_nonfinite(arr: np.ndarray) -> int | None:
-    bad = np.flatnonzero(~np.isfinite(arr))
-    return int(bad[0]) if bad.size else None
-
-
 def s_derivative(profile: MetricProfile, values: np.ndarray) -> np.ndarray:
     """Arc-length derivative (1/f) d/dx of periodic samples.
 
@@ -175,7 +180,7 @@ def s_derivative(profile: MetricProfile, values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {profile.n} periodic samples, got shape {v.shape}"
         )
-    return _ddx(v, profile.dx) / profile.f
+    return ddx(v, profile.dx) / profile.f
 
 
 def curvature_field(profile: MetricProfile, kind: BundleKind) -> CurvatureField:
@@ -188,7 +193,7 @@ def curvature_field(profile: MetricProfile, kind: BundleKind) -> CurvatureField:
     # overflow is detected below and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = s_derivative(profile, g)
-        dxw = _ddx(w, profile.dx)
+        dxw = ddx(w, profile.dx)
         w_s = dxw / f
         K12 = -w_s / g
         K23 = -(w * w - kind.kappa) / (g * g)
@@ -199,14 +204,14 @@ def curvature_field(profile: MetricProfile, kind: BundleKind) -> CurvatureField:
         P22 = dxw / (f * g)
         h11 = (w_s / g) ** 2
         h22 = (w * w - kind.kappa) * w_s / g**3
-    field = CurvatureField(
-        w=w, w_s=w_s, K12=K12, K23=K23, Ric11=Ric11, Ric22=Ric22, R=R,
-        P11=P11, P22=P22, h11=h11, h22=h22, f=f, g=g,
-    )
-    for name in ("w", "w_s", "K12", "K23", "Ric11", "Ric22", "R", "P11", "P22", "h11", "h22"):
-        node = _first_nonfinite(getattr(field, name))
-        if node is not None:
-            raise NumericOverflowError(f"curvature component {name}", node, profile.t)
+        field = CurvatureField(
+            w=w, w_s=w_s, K12=K12, K23=K23, Ric11=Ric11, Ric22=Ric22, R=R,
+            P11=P11, P22=P22, h11=h11, h22=h22, f=f, g=g,
+        )
+        for name in ("w", "w_s", "K12", "K23", "Ric11", "Ric22", "R", "P11", "P22", "h11", "h22"):
+            node = first_nonfinite(getattr(field, name))
+            if node is not None:
+                raise NumericOverflowError(f"curvature component {name}", node, profile.t)
     return field
 
 

@@ -178,6 +178,21 @@ class TestStep:
         with pytest.raises(StepFailureError):
             step(profile_a, TORUS, 0.0, 1e8)
 
+    def test_nonfinite_result_is_a_step_failure(self, profile_a, monkeypatch):
+        def huge(f, g, dx, kind, epsilon, t, out):
+            out[:] = 1e308  # finite slopes whose weighted sum overflows
+            return out[0], out[1]
+
+        monkeypatch.setattr(flow_mod, "_rhs_arrays", huge)
+        with pytest.raises(StepFailureError):
+            step(profile_a, TORUS, 0.0, 1.0)
+
+    def test_result_shares_no_memory_with_input(self, profile_a, kind):
+        out = step(profile_a, kind, 0.0, stable_dt(profile_a, kind))
+        for new in (out.f, out.g):
+            for old in (profile_a.f, profile_a.g):
+                assert not np.shares_memory(new, old)
+
 
 class TestEvolve:
     def test_stationary_run(self):
@@ -223,6 +238,46 @@ class TestEvolve:
         for prof in seen:
             assert np.all(prof.f > 0.0)
             assert np.all(prof.g > 0.0)
+
+    def test_sink_profiles_unchanged_after_run(self, profile_a, kind):
+        # profiles handed out must not be reused as work buffers later on
+        before = (profile_a.f.copy(), profile_a.g.copy())
+        seen = []
+
+        def sink(rec, prof):
+            seen.append((prof, prof.t, prof.f.copy(), prof.g.copy()))
+
+        cfg = FlowConfig(kind=kind, t_end=0.2, record_every=0.02)
+        evolve(profile_a, cfg, sink=sink)
+        assert len(seen) == 11
+        for prof, t, f, g in seen:
+            assert prof.t == t
+            assert np.array_equal(prof.f, f)
+            assert np.array_equal(prof.g, g)
+        assert np.array_equal(profile_a.f, before[0])
+        assert np.array_equal(profile_a.g, before[1])
+
+    def test_long_horizon_start(self, profile_a):
+        # t / every rounds below the record index of t itself here
+        t0 = 0.07 * 2.6e8
+        start = MetricProfile(profile_a.n, profile_a.period, t0, profile_a.f, profile_a.g)
+        cfg = FlowConfig(kind=TORUS, t_end=t0 + 0.21, epsilon=1e-2, record_every=0.07)
+        records = []
+        final, _ = evolve(start, cfg, sink=lambda r, _: records.append(r))
+        assert [r.t for r in records] == [t0] + [k * 0.07 for k in (260000001, 260000002)] + [
+            t0 + 0.21
+        ]
+        assert final.t == t0 + 0.21
+
+    def test_step_rounding_onto_record_time_is_recorded(self, monkeypatch):
+        # at t = 2^20 a step of 0.5 - 2^-40 rounds onto the next record time
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: 0.5 - 2.0**-40)
+        t0 = 2.0**20
+        cfg = FlowConfig(kind=TORUS, t_end=t0 + 1.5, record_every=0.5)
+        records = []
+        with pytest.warns(StationaryFlowWarning):
+            evolve(make_profile(n=64, g=2.0, t=t0), cfg, sink=lambda r, _: records.append(r.t))
+        assert records == [t0, t0 + 0.5, t0 + 1.0, t0 + 1.5]
 
     def test_stop_when(self, profile_a):
         cfg = FlowConfig(kind=TORUS, t_end=10.0, record_every=0.1)

@@ -11,6 +11,8 @@ from xcflow import (
     s_derivative,
 )
 
+from xcflow._periodic import ddx, first_nonfinite
+
 from conftest import TWO_PI, make_profile, random_trig_profile
 
 
@@ -83,6 +85,19 @@ class TestSDerivative:
             d = s_derivative(p, np.sin(p.x))
             errs.append(np.max(np.abs(d - np.cos(p.x))))
         assert errs[0] / errs[1] > 3.5
+
+
+class TestPeriodicOperator:
+    def test_difference_matches_roll_reference(self):
+        v = np.random.default_rng(3).standard_normal(37)
+        assert np.array_equal(ddx(v, 0.1), (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * 0.1))
+
+    def test_first_nonfinite(self):
+        v = np.full(16, 1e308)  # finite samples whose sum overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert first_nonfinite(v) is None
+            v[[4, 9]] = [np.inf, np.nan]
+            assert first_nonfinite(v) == 4
 
 
 class TestCurvatureField:
