@@ -35,7 +35,7 @@ import numpy as np
 
 from .claims import ClaimTolerances, ClaimVerdict, NOT_APPLICABLE, evaluate_claims
 from .diagnostics import DiagnosticsRecord
-from .flow import FlowConfig, evolve, next_record_index, validate_initial
+from .flow import FlowConfig, FlowConfigError, evolve, next_record_index, validate_initial
 from .geometry import BundleKind, MetricProfile, curvature_field
 
 __all__ = [
@@ -65,6 +65,7 @@ SERIES_HEADER = ",".join(SERIES_FIELDS)
 CURVATURE_HEADER = "i,x,f,g,w,w_s,K12,K23,Ric11,Ric22,R,P11,P22,h11,h22"
 
 _TOLERANCE_FIELDS = {f.name for f in dataclasses.fields(ClaimTolerances)}
+_FLOW_KEYS = ("t_end", "epsilon", "safety", "dt_max", "record_every")
 
 
 class ConfigError(ValueError):
@@ -171,22 +172,18 @@ def load_config(text: str) -> ScenarioConfig:
             f"bundle must be 'torus' or 'sphere', got {bundle_raw!r}", bundle_line
         ) from None
 
-    t_end, t_end_line = entries.take_float("t_end", None)
-    if t_end <= 0.0:
-        raise ConfigError(f"t_end must be positive, got {t_end!r}", t_end_line)
-
-    epsilon, eps_line = entries.take_float("epsilon", 0.0)
-    if epsilon < 0.0:
-        raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}", eps_line)
-    safety, safety_line = entries.take_float("safety", 0.25)
-    if not 0.0 < safety <= 1.0:
-        raise ConfigError(f"safety must be in (0, 1], got {safety!r}", safety_line)
-    dt_max, dt_line = entries.take_float("dt_max", 1.0)
-    if dt_max <= 0.0:
-        raise ConfigError(f"dt_max must be positive, got {dt_max!r}", dt_line)
-    record_every, rec_line = entries.take_float("record_every", 0.01 * t_end)
-    if record_every <= 0.0:
-        raise ConfigError(f"record_every must be positive, got {record_every!r}", rec_line)
+    # FlowConfig owns the defaults and checks of its fields: pass only the
+    # keys present, and report its errors at the offending key's line
+    flow_args, flow_lines = {}, {}
+    for key in _FLOW_KEYS:
+        if key in entries.items:
+            flow_args[key], flow_lines[key] = entries.take_float(key, None)
+    if "t_end" not in flow_args:
+        raise ConfigError("missing required key 't_end'", 0)
+    try:
+        flow = FlowConfig(kind=kind, **flow_args)
+    except FlowConfigError as exc:
+        raise ConfigError(str(exc), flow_lines.get(exc.key, 0)) from None
 
     n, n_line = entries.take_int("grid.n", 256)
     if n < 8:
@@ -219,7 +216,7 @@ def load_config(text: str) -> ScenarioConfig:
         raise ConfigError("profile.family = file requires profile.path", family_line)
 
     out_dir, _ = entries.take_str("output.dir", "xcf_out")
-    snapshot_every, snap_line = entries.take_float("output.snapshot_every", 0.5 * t_end)
+    snapshot_every, snap_line = entries.take_float("output.snapshot_every", 0.5 * flow.t_end)
     if snapshot_every <= 0.0:
         raise ConfigError(
             f"output.snapshot_every must be positive, got {snapshot_every!r}", snap_line
@@ -243,17 +240,8 @@ def load_config(text: str) -> ScenarioConfig:
         key, (_, lineno) = next(iter(entries.items.items()))
         raise ConfigError(f"unknown key {key!r}", lineno)
 
-    flow = FlowConfig(
-        kind=kind,
-        t_end=t_end,
-        epsilon=epsilon,
-        safety=safety,
-        dt_max=dt_max,
-        record_every=record_every,
-        tolerances=ClaimTolerances(**overrides),
-    )
     return ScenarioConfig(
-        flow=flow,
+        flow=dataclasses.replace(flow, tolerances=ClaimTolerances(**overrides)),
         n=n,
         period=period,
         family=family,

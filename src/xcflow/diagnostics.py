@@ -126,39 +126,42 @@ def rate_formulas(
     """
     w, gss, gsss, gssss = _derivative_chain(profile) if chain is None else chain
     g = profile.g
-    e2 = integrate_ds(gss**2 / (g * g), profile)
+    # every power is formed once; each rate integrand is a polynomial in
+    # 1/g, evaluated by Horner's rule from its highest power of 1/g down
+    w2, gss2, gsss2 = w * w, gss * gss, gsss * gsss
+    gss3 = gss2 * gss
+    gss4 = gss2 * gss2
+    g2 = g * g
+    inv_g4 = 1.0 / (g2 * g2)
+    e2 = integrate_ds(gss2 / g2, profile)
     dL = kind.flow_sign * e2
     if kind is BundleKind.TORUS:
-        dV = integrate_ds((2.0 / 3.0) * w**4 / (g * g) + gss**2, profile)
+        w4 = w2 * w2
+        dV = integrate_ds((2.0 / 3.0) * w4 / g2 + gss2, profile)
         e2_rate = integrate_ds(
-            -(38.0 / 3.0) * w**2 * gss**3 / g**5
-            - gss**4 / (3.0 * g**4)
-            - 2.0 * w**2 * gsss**2 / g**4
-            + 12.0 * w**4 * gss**2 / g**6,
+            inv_g4 * ((12.0 * w4 * gss2 / g - (38.0 / 3.0) * w2 * gss3) / g
+                      - gss4 / 3.0 - 2.0 * w2 * gsss2),
             profile,
         )
         l3_rate = None
     else:
         dV = None
-        one_m_w2 = 1.0 - w**2
+        one_m_w2 = 1.0 - w2
         e2_rate = integrate_ds(
-            -2.0 * one_m_w2 * gsss**2 / g**4
-            + gss**4 / (3.0 * g**4)
-            + ((38.0 / 3.0) * w**2 - 6.0) * gss**3 / g**5
-            + 12.0 * w**2 * one_m_w2 * gss**2 / g**6,
+            inv_g4 * ((12.0 * w2 * one_m_w2 * gss2 / g + ((38.0 / 3.0) * w2 - 6.0) * gss3) / g
+                      + gss4 / 3.0 - 2.0 * one_m_w2 * gsss2),
             profile,
         )
+        gss_gsss = gss * gsss
+        # coefficients of g^-6 ... g^-2
+        c6 = -120.0 * w2 * w2 * one_m_w2 * gss2
+        c5 = 248.0 * w2 * (15.0 / 31.0 - w2) * gss3
+        c4 = 24.0 * w2 * one_m_w2 * gsss2 - 96.0 * (1.0 / 8.0 - w2) * gss4
+        c3 = gss_gsss * (32.0 * w * gss2 - 44.0 * (3.0 / 11.0 - w2) * gsss)
+        c2 = (-2.0 * one_m_w2 * gssss * gssss + gss_gsss * gss_gsss
+              + 8.0 * w * gss_gsss * gssss)
         l3_rate = integrate_ds(
-            -2.0 * one_m_w2 * gssss**2 / g**2
-            + 24.0 * w**2 * one_m_w2 * gsss**2 / g**4
-            - 44.0 * (3.0 / 11.0 - w**2) * gss * gsss**2 / g**3
-            + gss**2 * gsss**2 / g**2
-            + 8.0 * w * gss * gsss * gssss / g**2
-            - 120.0 * w**4 * one_m_w2 * gss**2 / g**6
-            + 248.0 * w**2 * (15.0 / 31.0 - w**2) * gss**3 / g**5
-            - 96.0 * (1.0 / 8.0 - w**2) * gss**4 / g**4
-            + 32.0 * w * gss**3 * gsss / g**3,
-            profile,
+            ((((c6 / g + c5) / g + c4) / g + c3) / g + c2) / g2, profile
         )
     return RateFormulas(dL_dt=dL, dV_dt=dV, e2_rate=e2_rate, l2_gsss_rate=l3_rate)
 
@@ -186,7 +189,7 @@ def functionals(profile: MetricProfile, kind: BundleKind) -> DiagnosticsRecord:
         g_min=float(np.min(g)),
         sup_gs=float(np.max(np.abs(w))),
         sup_gss=float(np.max(np.abs(gss))),
-        E2=integrate_ds(gss**2 / (g * g), profile),
+        E2=kind.flow_sign * rates.dL_dt,  # dL/dt = +/- E2: one sum, sign flip exact
         l2_gss=integrate_ds(gss**2, profile),
         l2_gsss=integrate_ds(gsss**2, profile),
         zero_count=count_sign_changes(w),

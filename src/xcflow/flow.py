@@ -21,9 +21,11 @@ drifting arc-length parametrisation automatic: along any run,
 d/dt log f = +/- (1/g^2) g_ss^2 (+ torus, - sphere) holds node-wise up
 to discretisation error.
 
-Steps are classical 4-stage Runge-Kutta under a safety-scaled parabolic
-stability cap, differentiating with the periodic operator of `_periodic`
-that geometry and diagnostics share. `step` is one fused kernel: one
+Steps are classical 4-stage Runge-Kutta under the parabolic stability
+cap dt = safety * min(f dx)^2 / D_max, safety = 1 by default; `stable_dt`
+derives why that stays well inside RK4's stability interval for this
+stencil. Derivatives use the periodic operator of `_periodic` that
+geometry and diagnostics share. `step` is one fused kernel: one
 np.errstate block, stage sums updated in place, positivity checked by
 reductions, and the result built by the trusted `MetricProfile._trusted`.
 Its work buffers are allocated per call and no array is written once
@@ -47,6 +49,7 @@ from .geometry import BundleKind, MetricProfile, NumericOverflowError, s_derivat
 
 __all__ = [
     "FlowConfig",
+    "FlowConfigError",
     "RunSummary",
     "SlopeConditionError",
     "StationaryFlowWarning",
@@ -60,6 +63,9 @@ __all__ = [
 ]
 
 MAX_STEP_RETRIES = 10
+
+# Default fraction of the diffusive cap min(f dx)^2 / D_max; see stable_dt.
+DEFAULT_SAFETY = 1.0
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
 
@@ -88,6 +94,14 @@ class StepFailureError(RuntimeError):
         super().__init__(f"step of dt={dt!r} from t={t!r} failed: {detail}")
 
 
+class FlowConfigError(ValueError):
+    """A FlowConfig field is out of range; `key` names it."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(f"{key} {message}")
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Run parameters for `evolve`.
@@ -99,24 +113,26 @@ class FlowConfig:
     kind: BundleKind
     t_end: float
     epsilon: float = 0.0
-    safety: float = 0.25
+    safety: float = DEFAULT_SAFETY
     dt_max: float = 1.0
     record_every: float | None = None
     tolerances: ClaimTolerances = field(default_factory=ClaimTolerances)
 
     def __post_init__(self):
         if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
+            raise FlowConfigError("epsilon", f"must be >= 0, got {self.epsilon!r}")
         if not 0.0 < self.safety <= 1.0:
-            raise ValueError(f"safety must be in (0, 1], got {self.safety!r}")
+            raise FlowConfigError("safety", f"must be in (0, 1], got {self.safety!r}")
         if self.dt_max <= 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max!r}")
+            raise FlowConfigError("dt_max", f"must be positive, got {self.dt_max!r}")
         if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+            raise FlowConfigError("t_end", f"must be positive, got {self.t_end!r}")
         if self.record_every is None:
             object.__setattr__(self, "record_every", 0.01 * self.t_end)
         if self.record_every <= 0.0:
-            raise ValueError(f"record_every must be positive, got {self.record_every!r}")
+            raise FlowConfigError(
+                "record_every", f"must be positive, got {self.record_every!r}"
+            )
 
 
 @dataclass
@@ -191,7 +207,7 @@ def stable_dt(
     profile: MetricProfile,
     kind: BundleKind,
     epsilon: float = 0.0,
-    safety: float = 0.25,
+    safety: float = DEFAULT_SAFETY,
     dt_max: float = 1.0,
 ) -> float:
     """Diffusion-limited explicit step size.
@@ -199,6 +215,15 @@ def stable_dt(
     dt = min(dt_max, safety * min(f dx)^2 / D_max) with D_max the
     largest diffusion coefficient over the grid; dt_max when the
     coefficient degenerates to zero everywhere.
+
+    Why safety <= 1 is stable: linearised, the flow is g_t = D g_ss with
+    g_ss the centred difference applied twice, a 2dx-wide stencil
+    (g[i+2] - 2 g[i] + g[i-2]) / (2 ds)^2. Gershgorin bounds its
+    spectral radius by D_max / ds_min^2, so dt * |lambda| <= safety,
+    at most 36% of RK4's real-axis stability interval (-2.785, 0).
+    This holds for this stencil only: a compact second difference has
+    a 4x larger radius, and the bound must be derived again for it
+    (tests/test_flow.py measures dt * |lambda| on the Jacobian).
     """
     w = ddx(profile.g, profile.dx) / profile.f
     g2 = profile.g * profile.g

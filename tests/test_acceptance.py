@@ -1,6 +1,6 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Standard grids: n = 256, period 2 pi, safety 0.25. Profile A is the
+Standard grids: n = 256, period 2 pi, default safety. Profile A is the
 torus run of f = 1, g = 2 + 0.1 sin x; profile B is the same initial
 data under the sphere family. Run with `pytest -s tests/test_acceptance.py`
 to see the per-criterion lines.

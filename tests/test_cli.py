@@ -23,6 +23,7 @@ from xcflow import (
     sinusoid_profile,
 )
 from xcflow.cli import SERIES_HEADER
+from xcflow.flow import DEFAULT_SAFETY
 
 from conftest import TWO_PI
 
@@ -39,7 +40,7 @@ class TestLoadConfig:
         assert cfg.flow.kind is BundleKind.TORUS
         assert cfg.flow.t_end == 2.0
         assert cfg.flow.epsilon == 0.0
-        assert cfg.flow.safety == 0.25
+        assert cfg.flow.safety == DEFAULT_SAFETY
         assert cfg.flow.dt_max == 1.0
         assert cfg.flow.record_every == pytest.approx(0.02)
         assert cfg.flow.tolerances.theta == 0.1
@@ -68,6 +69,25 @@ class TestLoadConfig:
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             load_config("bundle = torus\nt_end = soon\n")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("t_end", "-1.0", "t_end must be positive, got -1.0"),
+            ("epsilon", "-0.5", "epsilon must be >= 0, got -0.5"),
+            ("safety", "1.5", "safety must be in (0, 1], got 1.5"),
+            ("dt_max", "0.0", "dt_max must be positive, got 0.0"),
+            ("record_every", "-0.1", "record_every must be positive, got -0.1"),
+        ],
+    )
+    def test_flow_config_error_reports_line(self, key, value, message):
+        keys = {"bundle": "torus", "t_end": "1.0", "grid.n": "64", key: value}
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        lineno = list(keys).index(key) + 1
+        with pytest.raises(ConfigError) as err:
+            load_config(text)
+        assert err.value.line == lineno
+        assert str(err.value) == f"line {lineno}: {message}"
 
     def test_amplitude_above_base_rejected(self):
         with pytest.raises(ConfigError, match="amplitude"):

@@ -6,11 +6,13 @@ import pytest
 from xcflow import (
     BundleKind,
     FlowConfig,
+    RateFormulas,
     count_sign_changes,
     evolve,
     functionals,
     integrate_ds,
     rate_formulas,
+    s_derivative,
     sinusoid_profile,
 )
 
@@ -120,6 +122,64 @@ class TestRateFormulas:
             fd = (records[k + 1].L - records[k - 1].L) / (records[k + 1].t - records[k - 1].t)
             formula = records[k].dL_dt_formula
             assert abs(fd - formula) <= max(1e-3 * abs(formula), 1e-6)
+
+
+def reference_rates(profile, kind):
+    """The rate integrands written term by term, each power spelled out."""
+    w = s_derivative(profile, profile.g)
+    gss = s_derivative(profile, w)
+    gsss = s_derivative(profile, gss)
+    gssss = s_derivative(profile, gsss)
+    g = profile.g
+    dL = kind.flow_sign * integrate_ds(gss**2 / (g * g), profile)
+    if kind is TORUS:
+        dV = integrate_ds((2.0 / 3.0) * w**4 / (g * g) + gss**2, profile)
+        e2_rate = integrate_ds(
+            -(38.0 / 3.0) * w**2 * gss**3 / g**5
+            - gss**4 / (3.0 * g**4)
+            - 2.0 * w**2 * gsss**2 / g**4
+            + 12.0 * w**4 * gss**2 / g**6,
+            profile,
+        )
+        return RateFormulas(dL, dV, e2_rate, None)
+    one_m_w2 = 1.0 - w**2
+    e2_rate = integrate_ds(
+        -2.0 * one_m_w2 * gsss**2 / g**4
+        + gss**4 / (3.0 * g**4)
+        + ((38.0 / 3.0) * w**2 - 6.0) * gss**3 / g**5
+        + 12.0 * w**2 * one_m_w2 * gss**2 / g**6,
+        profile,
+    )
+    l3_rate = integrate_ds(
+        -2.0 * one_m_w2 * gssss**2 / g**2
+        + 24.0 * w**2 * one_m_w2 * gsss**2 / g**4
+        - 44.0 * (3.0 / 11.0 - w**2) * gss * gsss**2 / g**3
+        + gss**2 * gsss**2 / g**2
+        + 8.0 * w * gss * gsss * gssss / g**2
+        - 120.0 * w**4 * one_m_w2 * gss**2 / g**6
+        + 248.0 * w**2 * (15.0 / 31.0 - w**2) * gss**3 / g**5
+        - 96.0 * (1.0 / 8.0 - w**2) * gss**4 / g**4
+        + 32.0 * w * gss**3 * gsss / g**3,
+        profile,
+    )
+    return RateFormulas(dL, None, e2_rate, l3_rate)
+
+
+class TestRateFormulasReference:
+    @pytest.mark.parametrize("amp", [0.1, 0.4])
+    def test_every_field_matches_term_by_term(self, kind, amp):
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            p = random_trig_profile(rng, amp=amp, modes=4)
+            got, want = rate_formulas(p, kind), reference_rates(p, kind)
+            for name in ("dL_dt", "dV_dt", "e2_rate", "l2_gsss_rate"):
+                a, b = getattr(got, name), getattr(want, name)
+                if b is None:
+                    assert a is None, name
+                else:
+                    assert a == pytest.approx(b, rel=1e-12, abs=0.0), name
+            # E2 and dL/dt come from one sum
+            assert functionals(p, kind).E2 == kind.flow_sign * got.dL_dt
 
 
 class TestQuadrature:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -137,6 +138,30 @@ class TestStableDt:
     def test_dt_max_caps(self, profile_a):
         assert stable_dt(profile_a, TORUS, dt_max=1e-6) == 1e-6
 
+    @pytest.mark.parametrize("kind, eps", [(SPHERE, 0.0), (TORUS, 1e-2)])
+    def test_default_step_inside_rk4_interval(self, kind, eps):
+        # central-difference Jacobian of the RHS in (f, g); the decaying
+        # modes must satisfy dt |lambda| <= 1.05 at the default step, well
+        # inside RK4's real-axis interval (-2.785, 0). Modes with
+        # Re(lambda) >= 0 are the flow's own slow growth.
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        n, y0 = p.n, np.concatenate((p.f, p.g))
+
+        def rhs_flat(y):
+            with np.errstate(all="ignore"):
+                return np.concatenate(flow_mod._rhs_arrays(y[:n], y[n:], p.dx, kind, eps, 0.0))
+
+        jac = np.empty((2 * n, 2 * n))
+        for j in range(2 * n):
+            h = 1e-6 * y0[j]
+            dy = np.zeros(2 * n)
+            dy[j] = h
+            jac[:, j] = (rhs_flat(y0 + dy) - rhs_flat(y0 - dy)) / (2.0 * h)
+        lam = np.linalg.eigvals(jac)
+        decaying = lam[lam.real < 0.0]
+        assert decaying.size > n // 2
+        assert np.max(np.abs(decaying)) * stable_dt(p, kind, eps, dt_max=math.inf) <= 1.05
+
 
 class TestStep:
     def test_fixed_point_is_exact(self):
@@ -195,6 +220,24 @@ class TestStep:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("kind, eps", [(SPHERE, 0.0), (TORUS, 1e-2)])
+    def test_default_step_resolves_time(self, kind, eps):
+        # the default step must leave every record where a 4x smaller one puts it
+        rows, steps = [], []
+        for safety in (flow_mod.DEFAULT_SAFETY, 0.25):
+            records = []
+            cfg = FlowConfig(kind=kind, t_end=1.0, epsilon=eps, safety=safety)
+            p = sinusoid_profile(128, TWO_PI, 2.0, 0.1, 1)
+            _, summary = evolve(p, cfg, sink=lambda r, _: records.append(r))
+            assert summary.retries == 0
+            assert len(records) == 101
+            rows.append(np.array([dataclasses.astuple(r) for r in records]))
+            steps.append(summary.steps)
+        if kind is SPHERE:  # the torus step bound exceeds the record gap
+            assert steps[0] < steps[1]
+        # NaN entries (dV_dt_formula on the sphere) compare equal
+        np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-12)
+
     def test_stationary_run(self):
         p = make_profile(n=64, g=2.0)
         cfg = FlowConfig(kind=TORUS, t_end=1.0, record_every=0.25)
