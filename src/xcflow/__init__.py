@@ -6,108 +6,19 @@ form, and checks the monotonicity and convergence behaviour of the
 flows against explicit thresholds.
 """
 
-from .claims import (
-    ALL_CLAIMS,
-    SPHERE_CLAIMS,
-    TORUS_CLAIMS,
-    ClaimTolerances,
-    ClaimVerdict,
-    InsufficientDataError,
-    evaluate_claims,
-)
-from .cli import (
-    ConfigError,
-    NotApplicableError,
-    ScenarioConfig,
-    build_profile,
-    check_series,
-    curvature_dump,
-    epsilon_sweep,
-    load_config,
-    load_snapshot,
-    main,
-    read_series,
-    run_scenario,
-    save_snapshot,
-    sinusoid_profile,
-)
-from .diagnostics import (
-    DiagnosticsRecord,
-    RateFormulas,
-    count_sign_changes,
-    functionals,
-    integrate_ds,
-    rate_formulas,
-)
-from .flow import (
-    FlowConfig,
-    RunSummary,
-    SlopeConditionError,
-    StationaryFlowWarning,
-    StepFailureError,
-    evolve,
-    rhs,
-    stable_dt,
-    step,
-    validate_initial,
-)
-from .geometry import (
-    BundleKind,
-    CurvatureField,
-    MetricProfile,
-    NumericOverflowError,
-    cross_curvature,
-    cross_curvature_oracle,
-    curvature_field,
-    s_derivative,
-)
+from . import claims, cli, diagnostics, flow, geometry
+from .claims import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
 
 __all__ = [
-    "ALL_CLAIMS",
-    "SPHERE_CLAIMS",
-    "TORUS_CLAIMS",
-    "BundleKind",
-    "ClaimTolerances",
-    "ClaimVerdict",
-    "ConfigError",
-    "CurvatureField",
-    "DiagnosticsRecord",
-    "FlowConfig",
-    "InsufficientDataError",
-    "MetricProfile",
-    "NotApplicableError",
-    "NumericOverflowError",
-    "RateFormulas",
-    "RunSummary",
-    "ScenarioConfig",
-    "SlopeConditionError",
-    "StationaryFlowWarning",
-    "StepFailureError",
-    "build_profile",
-    "check_series",
-    "count_sign_changes",
-    "cross_curvature",
-    "cross_curvature_oracle",
-    "curvature_dump",
-    "curvature_field",
-    "epsilon_sweep",
-    "evaluate_claims",
-    "evolve",
-    "functionals",
-    "integrate_ds",
-    "load_config",
-    "load_snapshot",
-    "main",
-    "rate_formulas",
-    "read_series",
-    "rhs",
-    "run_scenario",
-    "s_derivative",
-    "save_snapshot",
-    "sinusoid_profile",
-    "stable_dt",
-    "step",
-    "validate_initial",
+    *claims.__all__,
+    *cli.__all__,
+    *diagnostics.__all__,
+    *flow.__all__,
+    *geometry.__all__,
 ]
 
 __version__ = "0.1.0"

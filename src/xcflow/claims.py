@@ -42,7 +42,7 @@ spatial truncation error perturbs extrema on coarse grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +53,7 @@ from .geometry import BundleKind
 __all__ = [
     "ClaimTolerances",
     "ClaimVerdict",
+    "FieldError",
     "InsufficientDataError",
     "TORUS_CLAIMS",
     "SPHERE_CLAIMS",
@@ -75,12 +76,23 @@ class InsufficientDataError(ValueError):
     """Fewer records than the claim checker needs."""
 
 
+class FieldError(ValueError):
+    """A configuration value is out of range; `keys` name the fields involved,
+    the most specific first."""
+
+    def __init__(self, message: str, *keys: str):
+        self.keys = keys
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class ClaimTolerances:
     """Named thresholds used by the claim checker.
 
     dx is the spatial grid spacing of the run that produced the records;
     it enters the monotonicity slack (mono_base + mono_dx2 * dx^2).
+    Every field is finite and >= 0; dx and rate_abs are divisors and must
+    be positive, and theta lies in (0, 1]. NaN fails every check.
     """
 
     dx: float = 2.0 * math.pi / 256.0
@@ -95,6 +107,18 @@ class ClaimTolerances:
     tol_k: float = 1e-2
     tol_r_pair: float = 1e-3
     tol_alpha_k23: float = 1e-2
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = float(getattr(self, f.name))
+            if f.name == "theta":
+                ok, rule = 0.0 < value <= 1.0, "be in (0, 1]"
+            elif f.name in ("dx", "rate_abs"):
+                ok, rule = 0.0 < value < math.inf, "be finite and positive"
+            else:
+                ok, rule = 0.0 <= value < math.inf, "be finite and >= 0"
+            if not ok:
+                raise FieldError(f"{f.name} must {rule}, got {value!r}", f.name)
 
     def mono_tol(self, scale: float) -> float:
         return (self.mono_base + self.mono_dx2 * self.dx**2) * abs(scale)
@@ -118,16 +142,23 @@ def _ratio(violation: float, tol: float) -> float:
     return violation / tol
 
 
+def _max(*values: float) -> float:
+    """Python's max, except that any NaN argument makes the result NaN."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _worst_increase(values: np.ndarray) -> float:
-    return max(0.0, float(np.max(np.diff(values))))
+    return _max(0.0, float(np.max(np.diff(values))))
 
 
 def _worst_decrease(values: np.ndarray) -> float:
-    return max(0.0, float(-np.min(np.diff(values))))
+    return _max(0.0, float(-np.min(np.diff(values))))
 
 
 def _max_log_slope(t: np.ndarray, values: np.ndarray) -> float:
     """Largest forward slope of log(values); -inf when never defined."""
+    if np.isnan(values).any():
+        return math.nan
     worst = -math.inf
     for k in range(len(values) - 1):
         a, b = values[k], values[k + 1]
@@ -148,7 +179,7 @@ def _rate_residual_ratio(
     for k in range(1, len(values) - 1):
         fd = (values[k + 1] - values[k - 1]) / (t[k + 1] - t[k - 1])
         allowed = max(tol.rate_rel * abs(formula[k]), tol.rate_abs)
-        worst = max(worst, abs(fd - formula[k]) / allowed)
+        worst = _max(worst, abs(fd - formula[k]) / allowed)
     return worst
 
 
@@ -180,7 +211,7 @@ def evaluate_claims(
             f"claim evaluation needs at least 3 records, got {len(records)}"
         )
     t = np.array([r.t for r in records])
-    if np.any(np.diff(t) <= 0.0):
+    if not np.all(np.diff(t) > 0.0):
         raise ValueError("records must be ordered by strictly increasing t")
 
     L = np.array([r.L for r in records])
@@ -208,7 +239,7 @@ def evaluate_claims(
         if constant_initial:
             out.append(_na("T-L2", "initial fibre size is constant; extrema claim is vacuous"))
         else:
-            drift = max(
+            drift = _max(
                 float(np.max(np.abs(g_max - g_max[0]))),
                 float(np.max(np.abs(g_min - g_min[0]))),
             )
@@ -230,7 +261,7 @@ def evaluate_claims(
         mono = _ratio(_worst_decrease(L), tol.mono_tol(np.max(L)))
         resid = _rate_residual_ratio(t, L, dL_formula, tol)
         out.append(_verdict(
-            "T-L5", max(mono, resid), 1.0,
+            "T-L5", _max(mono, resid), 1.0,
             "max of L-monotonicity and dL/dt rate-identity violation ratios",
         ))
 
@@ -245,14 +276,14 @@ def evaluate_claims(
             min_rate = float(np.min(tail)) if tail.size else math.nan
             positive = 0.0 if min_rate > 0.0 else 2.0 + _ratio(-min_rate, tol.rate_abs)
             out.append(_verdict(
-                "T-T6", max(growth, positive), 1.0,
+                "T-T6", _max(growth, positive), 1.0,
                 f"finite-horizon growth proxy (delta_L={delta!r}, final-quarter min dL/dt={min_rate!r})",
             ))
 
         v_mono = _ratio(_worst_decrease(V), tol.mono_tol(np.max(V)))
         v_bound = _ratio(g_min[0] ** 2 * L[-1] - V[-1], tol.mono_tol(np.max(V)))
         out.append(_verdict(
-            "T-C7", max(v_mono, v_bound), 1.0,
+            "T-C7", _max(v_mono, v_bound), 1.0,
             "V must not decrease and must end at or above g_min(0)^2 L(end)",
         ))
 
@@ -269,7 +300,7 @@ def evaluate_claims(
         up = _ratio(_worst_increase(g_max), tol.mono_tol(np.max(g_max)))
         down = _ratio(_worst_decrease(g_min), tol.mono_tol(np.max(g_max)))
         out.append(_verdict(
-            "S-L8", max(up, down), 1.0,
+            "S-L8", _max(up, down), 1.0,
             "g_max must not increase and g_min must not decrease",
         ))
 
@@ -295,9 +326,9 @@ def evaluate_claims(
 
         flat = _ratio(float(g_max[-1] - g_min[-1]), tol.theta * gap0)
         slack = tol.mono_tol(g_max[0])
-        sandwich = _ratio(max(g_min[0] - alpha_hat, alpha_hat - g_max[0]), slack)
+        sandwich = _ratio(_max(g_min[0] - alpha_hat, alpha_hat - g_max[0]), slack)
         out.append(_verdict(
-            "S-T14", max(flat, sandwich), 1.0,
+            "S-T14", _max(flat, sandwich), 1.0,
             f"fibre size flattens toward alpha_hat={alpha_hat!r} inside the initial extrema",
         ))
 
@@ -314,7 +345,7 @@ def evaluate_claims(
             _ratio(abs(rec.K23_mean - 1.0 / alpha_hat**2), tol.tol_alpha_k23),
         )
         out.append(_verdict(
-            "S-K", max(parts), 1.0,
+            "S-K", _max(*parts), 1.0,
             "end-state curvature limits; the limit of K23 is read as 1/alpha_hat^2 "
             "(the flat-fibre-size reading of the limit constant)",
         ))

@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import ClaimTolerances, ClaimVerdict, NOT_APPLICABLE, evaluate_claims
+from .claims import ClaimTolerances, ClaimVerdict, FieldError, NOT_APPLICABLE, evaluate_claims
 from .diagnostics import DiagnosticsRecord
-from .flow import FlowConfig, FlowConfigError, evolve, next_record_index, validate_initial
+from .flow import FlowConfig, evolve, next_record_index, validate_initial
 from .geometry import BundleKind, MetricProfile, curvature_field
 
 __all__ = [
@@ -64,8 +64,13 @@ SERIES_HEADER = ",".join(SERIES_FIELDS)
 
 CURVATURE_HEADER = "i,x,f,g,w,w_s,K12,K23,Ric11,Ric22,R,P11,P22,h11,h22"
 
-_TOLERANCE_FIELDS = {f.name for f in dataclasses.fields(ClaimTolerances)}
-_FLOW_KEYS = ("t_end", "epsilon", "safety", "dt_max", "record_every")
+# dx comes from the grid and theta has its own key
+_TOLERANCE_KEYS = {f.name for f in dataclasses.fields(ClaimTolerances)} - {"dx", "theta"}
+_FLOW_DEFAULTS = {
+    f.name: f.default
+    for f in dataclasses.fields(FlowConfig)
+    if f.name not in ("kind", "tolerances")
+}
 
 
 class ConfigError(ValueError):
@@ -82,6 +87,12 @@ class NotApplicableError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario: flow parameters, grid, initial profile and outputs.
+
+    snapshot_every defaults to t_end / 2. flow.tolerances.dx is set to
+    the grid spacing period / n. Errors name the config keys.
+    """
+
     flow: FlowConfig
     n: int
     period: float
@@ -91,7 +102,42 @@ class ScenarioConfig:
     wavenumber: int
     profile_path: str | None
     out_dir: str
-    snapshot_every: float
+    snapshot_every: float | None = None
+
+    def __post_init__(self):
+        # comparisons are written so that NaN fails them
+        if not self.n >= 8:
+            raise FieldError(f"grid.n must be >= 8, got {self.n}", "grid.n")
+        if not self.period > 0.0:
+            raise FieldError(f"grid.period must be positive, got {self.period!r}", "grid.period")
+        if self.family == "sinusoid":
+            if not 0.0 <= self.amplitude < self.base:
+                raise FieldError(
+                    f"sinusoid profiles need base > amplitude >= 0, "
+                    f"got base={self.base!r} amplitude={self.amplitude!r}",
+                    "profile.amplitude", "profile.base",
+                )
+            if self.wavenumber < 1:
+                raise FieldError(
+                    f"profile.wavenumber must be a positive integer, got {self.wavenumber}",
+                    "profile.wavenumber",
+                )
+        elif self.family != "file":
+            raise FieldError(
+                f"profile.family must be 'sinusoid' or 'file', got {self.family!r}",
+                "profile.family",
+            )
+        elif self.profile_path is None:
+            raise FieldError("profile.family = file requires profile.path", "profile.family")
+        if self.snapshot_every is None:
+            object.__setattr__(self, "snapshot_every", 0.5 * self.flow.t_end)
+        if not self.snapshot_every > 0.0:
+            raise FieldError(
+                f"output.snapshot_every must be positive, got {self.snapshot_every!r}",
+                "output.snapshot_every",
+            )
+        tolerances = dataclasses.replace(self.flow.tolerances, dx=self.period / self.n)
+        object.__setattr__(self, "flow", dataclasses.replace(self.flow, tolerances=tolerances))
 
 
 def _fmt(value: float) -> str:
@@ -99,159 +145,88 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-class _Entries:
+def _integer(text: str) -> int:
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
+# what each value parser accepts, for its error message
+_EXPECTED = {float: "a number", _integer: "an integer", BundleKind: "'torus' or 'sphere'"}
+
+
+def _entries(text: str) -> dict[str, tuple[str, int]]:
     """Raw key/value pairs with their source line numbers."""
-
-    def __init__(self, text: str):
-        self.items: dict[str, tuple[str, int]] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError("expected `key = value`", lineno)
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ConfigError("expected `key = value`", lineno)
-            if key in self.items:
-                raise ConfigError(f"duplicate key {key!r}", lineno)
-            self.items[key] = (value, lineno)
-
-    def take(self, key: str) -> tuple[str, int] | None:
-        return self.items.pop(key, None)
-
-    def take_float(self, key: str, default: float | None) -> tuple[float, int]:
-        got = self.take(key)
-        if got is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}", 0)
-            return default, 0
-        value, lineno = got
-        try:
-            return float(value), lineno
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from None
-
-    def take_int(self, key: str, default: int) -> tuple[int, int]:
-        got = self.take(key)
-        if got is None:
-            return default, 0
-        value, lineno = got
-        try:
-            parsed = float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}", lineno) from None
-        if parsed != int(parsed):
-            raise ConfigError(f"{key} must be an integer, got {value!r}", lineno)
-        return int(parsed), lineno
-
-    def take_str(self, key: str, default: str | None) -> tuple[str | None, int]:
-        got = self.take(key)
-        if got is None:
-            return default, 0
-        return got[0], got[1]
+    items: dict[str, tuple[str, int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise ConfigError("expected `key = value`", lineno)
+        if key in items:
+            raise ConfigError(f"duplicate key {key!r}", lineno)
+        items[key] = (value, lineno)
+    return items
 
 
 def load_config(text: str) -> ScenarioConfig:
-    """Parse and fully validate scenario text.
+    """Parse scenario text into a ScenarioConfig.
 
-    Unknown keys, missing required keys (bundle, t_end) and invariant
-    violations raise ConfigError with the offending line number (0 for
-    whole-file problems such as a missing key).
+    This only parses: ScenarioConfig, FlowConfig and ClaimTolerances
+    check their own fields. Every error is a ConfigError with the
+    offending line number (0 for whole-file problems such as a missing
+    required key: bundle, t_end).
     """
-    entries = _Entries(text)
+    entries = _entries(text)
+    lines: dict[str, int] = {}
 
-    bundle_raw, bundle_line = entries.take_str("bundle", None)
-    if bundle_raw is None:
-        raise ConfigError("missing required key 'bundle'", 0)
-    try:
-        kind = BundleKind(bundle_raw)
-    except ValueError:
-        raise ConfigError(
-            f"bundle must be 'torus' or 'sphere', got {bundle_raw!r}", bundle_line
-        ) from None
-
-    # FlowConfig owns the defaults and checks of its fields: pass only the
-    # keys present, and report its errors at the offending key's line
-    flow_args, flow_lines = {}, {}
-    for key in _FLOW_KEYS:
-        if key in entries.items:
-            flow_args[key], flow_lines[key] = entries.take_float(key, None)
-    if "t_end" not in flow_args:
-        raise ConfigError("missing required key 't_end'", 0)
-    try:
-        flow = FlowConfig(kind=kind, **flow_args)
-    except FlowConfigError as exc:
-        raise ConfigError(str(exc), flow_lines.get(exc.key, 0)) from None
-
-    n, n_line = entries.take_int("grid.n", 256)
-    if n < 8:
-        raise ConfigError(f"grid.n must be >= 8, got {n}", n_line)
-    period, period_line = entries.take_float("grid.period", 2.0 * math.pi)
-    if period <= 0.0:
-        raise ConfigError(f"grid.period must be positive, got {period!r}", period_line)
-
-    family, family_line = entries.take_str("profile.family", "sinusoid")
-    if family not in ("sinusoid", "file"):
-        raise ConfigError(
-            f"profile.family must be 'sinusoid' or 'file', got {family!r}", family_line
-        )
-    base, base_line = entries.take_float("profile.base", 2.0)
-    amplitude, amp_line = entries.take_float("profile.amplitude", 0.1)
-    wavenumber, k_line = entries.take_int("profile.wavenumber", 1)
-    profile_path, path_line = entries.take_str("profile.path", None)
-    if family == "sinusoid":
-        if not 0.0 <= amplitude < base:
-            raise ConfigError(
-                f"sinusoid profiles need base > amplitude >= 0, "
-                f"got base={base!r} amplitude={amplitude!r}",
-                amp_line or base_line,
-            )
-        if wavenumber < 1:
-            raise ConfigError(
-                f"profile.wavenumber must be a positive integer, got {wavenumber}", k_line
-            )
-    elif profile_path is None:
-        raise ConfigError("profile.family = file requires profile.path", family_line)
-
-    out_dir, _ = entries.take_str("output.dir", "xcf_out")
-    snapshot_every, snap_line = entries.take_float("output.snapshot_every", 0.5 * flow.t_end)
-    if snapshot_every <= 0.0:
-        raise ConfigError(
-            f"output.snapshot_every must be positive, got {snapshot_every!r}", snap_line
-        )
-
-    theta, theta_line = entries.take_float("theta", 0.1)
-    if not 0.0 < theta <= 1.0:
-        raise ConfigError(f"theta must be in (0, 1], got {theta!r}", theta_line)
-    overrides: dict[str, float] = {"theta": theta, "dx": period / n}
-    for key in [k for k in entries.items if k.startswith("tol.")]:
-        field = key[4:]
-        value, lineno = entries.take(key)
-        if field not in _TOLERANCE_FIELDS:
-            raise ConfigError(f"unknown tolerance key {key!r}", lineno)
+    def take(key, parse, default):
+        """Pop and parse key; `default` when absent, required if MISSING."""
+        if key not in entries:
+            if default is dataclasses.MISSING:
+                raise ConfigError(f"missing required key {key!r}", 0)
+            return default
+        value, lines[key] = entries.pop(key)
         try:
-            overrides[field] = float(value)
+            return parse(value)
         except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from None
+            raise ConfigError(
+                f"{key} must be {_EXPECTED[parse]}, got {value!r}", lines[key]
+            ) from None
 
-    if entries.items:
-        key, (_, lineno) = next(iter(entries.items.items()))
+    kind = take("bundle", BundleKind, dataclasses.MISSING)
+    flow_args = {key: take(key, float, default) for key, default in _FLOW_DEFAULTS.items()}
+    scenario_args = dict(
+        n=take("grid.n", _integer, 256),
+        period=take("grid.period", float, 2.0 * math.pi),
+        family=take("profile.family", str, "sinusoid"),
+        base=take("profile.base", float, 2.0),
+        amplitude=take("profile.amplitude", float, 0.1),
+        wavenumber=take("profile.wavenumber", _integer, 1),
+        profile_path=take("profile.path", str, None),
+        out_dir=take("output.dir", str, "xcf_out"),
+        snapshot_every=take("output.snapshot_every", float, None),
+    )
+    tol_args = {"theta": take("theta", float, ClaimTolerances.theta)}
+    for key in [k for k in entries if k.startswith("tol.")]:
+        name = key[4:]
+        if name not in _TOLERANCE_KEYS:
+            raise ConfigError(f"unknown tolerance key {key!r}", entries[key][1])
+        tol_args[name] = take(key, float, None)
+        lines[name] = lines[key]  # ClaimTolerances names the field alone
+    if entries:
+        key, (_, lineno) = next(iter(entries.items()))
         raise ConfigError(f"unknown key {key!r}", lineno)
 
-    return ScenarioConfig(
-        flow=dataclasses.replace(flow, tolerances=ClaimTolerances(**overrides)),
-        n=n,
-        period=period,
-        family=family,
-        base=base,
-        amplitude=amplitude,
-        wavenumber=wavenumber,
-        profile_path=profile_path,
-        out_dir=out_dir,
-        snapshot_every=snapshot_every,
-    )
+    try:
+        flow = FlowConfig(kind=kind, tolerances=ClaimTolerances(**tol_args), **flow_args)
+        return ScenarioConfig(flow=flow, **scenario_args)
+    except FieldError as exc:
+        raise ConfigError(str(exc), next((lines[k] for k in exc.keys if k in lines), 0)) from None
 
 
 def sinusoid_profile(
@@ -289,13 +264,16 @@ def save_snapshot(profile: MetricProfile, path: str | Path) -> None:
 
 def load_snapshot(path: str | Path) -> MetricProfile:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return MetricProfile(
-        n=int(data["n"]),
-        period=float(data["period"]),
-        t=float(data["t"]),
-        f=np.asarray(data["f"], dtype=float),
-        g=np.asarray(data["g"], dtype=float),
-    )
+    try:
+        return MetricProfile(
+            n=int(data["n"]),
+            period=float(data["period"]),
+            t=float(data["t"]),
+            f=np.asarray(data["f"], dtype=float),
+            g=np.asarray(data["g"], dtype=float),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: snapshot has no field {exc.args[0]!r}") from None
 
 
 def _series_row(rec: DiagnosticsRecord) -> str:
@@ -310,7 +288,11 @@ def read_series(path: str | Path) -> list[DiagnosticsRecord]:
     """Load a series CSV back into records (E2_rate_formula is NaN)."""
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
+        reader = csv.DictReader(handle, restval="")
+        missing = [name for name in SERIES_FIELDS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: series has no column {missing[0]!r}")
+        for row in reader:
             kwargs = {name: float(row[name]) for name in SERIES_FIELDS}
             kwargs["zero_count"] = int(row["zero_count"])
             records.append(DiagnosticsRecord(**kwargs))
@@ -423,20 +405,18 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
     """
     if config.flow.kind is not BundleKind.TORUS:
         raise NotApplicableError("epsilon sweep applies to torus runs only")
-    for eps in epsilons:
-        if eps < 0.0:
-            raise ValueError(f"epsilon values must be >= 0, got {eps!r}")
+    # FlowConfig checks every epsilon before any member runs
+    flows = {
+        eps: dataclasses.replace(config.flow, epsilon=eps)
+        for eps in dict.fromkeys([0.0, *map(float, epsilons)])
+    }
     out = _out_dir(config)
     initial = build_profile(config)
 
     finals: dict[float, np.ndarray] = {}
-
-    def run_member(eps: float) -> np.ndarray:
-        if eps in finals:
-            return finals[eps]
+    for eps, flow in flows.items():
         sub = out / f"eps_{eps!r}"
         sub.mkdir(parents=True, exist_ok=True)
-        flow = dataclasses.replace(config.flow, epsilon=eps)
         with open(sub / "series.csv", "w", encoding="utf-8") as series:
             series.write(SERIES_HEADER + "\n")
             final, _ = evolve(
@@ -444,13 +424,11 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
                 sink=lambda rec, prof: series.write(_series_row(rec) + "\n"),
             )
         finals[eps] = final.g
-        return final.g
 
-    g_base = run_member(0.0)
     with open(out / "eps_sweep.csv", "w", encoding="utf-8") as handle:
         handle.write("epsilon,sup_gap\n")
-        for eps in epsilons:
-            gap = float(np.max(np.abs(run_member(float(eps)) - g_base)))
+        for eps in map(float, epsilons):
+            gap = float(np.max(np.abs(finals[eps] - finals[0.0])))
             handle.write(f"{_fmt(eps)},{_fmt(gap)}\n")
     return 0
 

@@ -42,14 +42,13 @@ from typing import Callable
 
 import numpy as np
 
-from .claims import ClaimTolerances, SLOPE_BOUND
+from .claims import ClaimTolerances, FieldError, SLOPE_BOUND
 from ._periodic import ddx, first_nonfinite
 from .diagnostics import DiagnosticsRecord, functionals
 from .geometry import BundleKind, MetricProfile, NumericOverflowError, s_derivative
 
 __all__ = [
     "FlowConfig",
-    "FlowConfigError",
     "RunSummary",
     "SlopeConditionError",
     "StationaryFlowWarning",
@@ -94,14 +93,6 @@ class StepFailureError(RuntimeError):
         super().__init__(f"step of dt={dt!r} from t={t!r} failed: {detail}")
 
 
-class FlowConfigError(ValueError):
-    """A FlowConfig field is out of range; `key` names it."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key} {message}")
-
-
 @dataclass(frozen=True)
 class FlowConfig:
     """Run parameters for `evolve`.
@@ -119,19 +110,20 @@ class FlowConfig:
     tolerances: ClaimTolerances = field(default_factory=ClaimTolerances)
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise FlowConfigError("epsilon", f"must be >= 0, got {self.epsilon!r}")
+        # comparisons are written so that NaN fails them
+        if not self.epsilon >= 0.0:
+            raise FieldError(f"epsilon must be >= 0, got {self.epsilon!r}", "epsilon")
         if not 0.0 < self.safety <= 1.0:
-            raise FlowConfigError("safety", f"must be in (0, 1], got {self.safety!r}")
-        if self.dt_max <= 0.0:
-            raise FlowConfigError("dt_max", f"must be positive, got {self.dt_max!r}")
-        if self.t_end <= 0.0:
-            raise FlowConfigError("t_end", f"must be positive, got {self.t_end!r}")
+            raise FieldError(f"safety must be in (0, 1], got {self.safety!r}", "safety")
+        if not self.dt_max > 0.0:
+            raise FieldError(f"dt_max must be positive, got {self.dt_max!r}", "dt_max")
+        if not self.t_end > 0.0:
+            raise FieldError(f"t_end must be positive, got {self.t_end!r}", "t_end")
         if self.record_every is None:
             object.__setattr__(self, "record_every", 0.01 * self.t_end)
-        if self.record_every <= 0.0:
-            raise FlowConfigError(
-                "record_every", f"must be positive, got {self.record_every!r}"
+        if not self.record_every > 0.0:
+            raise FieldError(
+                f"record_every must be positive, got {self.record_every!r}", "record_every"
             )
 
 

@@ -243,3 +243,50 @@ def test_tightening_never_flips_fail_to_pass():
         for cid in ALL_CLAIMS:
             if before[cid] == "fail":
                 assert after[cid] in ("fail", "not-applicable")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ClaimTolerances)])
+def test_tolerance_fields_checked(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be") as err:
+        ClaimTolerances(**{name: value})
+    assert err.value.keys == (name,)
+
+
+def test_tolerance_bounds():
+    zeros = {f.name: 0.0 for f in dataclasses.fields(ClaimTolerances)}
+    for name in ("dx", "rate_abs", "theta"):  # divisors, and theta in (0, 1]
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ClaimTolerances(**{**zeros, "dx": 1.0, "rate_abs": 1.0, "theta": 1.0, name: 0.0})
+    ClaimTolerances(**{**zeros, "dx": 1.0, "rate_abs": 1.0, "theta": 1.0})
+    with pytest.raises(ValueError, match=r"theta must be in \(0, 1\], got 5.0"):
+        ClaimTolerances(theta=5)
+
+
+def test_nan_time_rejected():
+    records = stream(n=4)
+    records[2] = dataclasses.replace(records[2], t=math.nan)
+    with pytest.raises(ValueError, match="ordered"):
+        evaluate_claims(records, TORUS)
+
+
+def test_nan_rate_formula_fails_length_claim():
+    # L grows at rate 1; one interior record carries no usable rate formula
+    records = stream(
+        L=lambda k: 6.28 + 0.5 * k,
+        dL_dt_formula=lambda k: math.nan if k == 2 else 1.0,
+    )
+    v = verdict(records, TORUS, "T-L5")
+    assert v.status == "fail" and math.isnan(v.measured)
+
+
+def test_nan_extremum_fails_squeeze_claim():
+    records = stream(g_min=lambda k: math.nan if k == 2 else 1.9)
+    v = verdict(records, SPHERE, "S-L8")
+    assert v.status == "fail" and math.isnan(v.measured)
+
+
+@pytest.mark.parametrize("kind, claim_id", [(TORUS, "T-L4"), (SPHERE, "S-L10")])
+def test_nan_growth_fails_log_slope_claim(kind, claim_id):
+    v = verdict(stream(sup_gss=lambda k: math.nan if k == 2 else 0.1), kind, claim_id)
+    assert v.status == "fail" and math.isnan(v.measured)

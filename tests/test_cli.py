@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -355,3 +356,121 @@ class TestMain:
         path.write_text("bundle = torus\n")  # missing t_end
         assert main(["run", "--config", str(path)]) == 2
         assert "t_end" in capsys.readouterr().err
+
+
+NUMERIC_KEYS = [
+    "t_end", "epsilon", "safety", "dt_max", "record_every", "theta",
+    "grid.n", "grid.period", "profile.base", "profile.amplitude",
+    "profile.wavenumber", "output.snapshot_every",
+] + [
+    f"tol.{f.name}" for f in dataclasses.fields(ClaimTolerances)
+    if f.name not in ("dx", "theta")
+]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_nan_rejected_at_its_line(self, key):
+        keys = {"bundle": "torus", "t_end": "1.0", "grid.n": "64", key: "nan"}
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        with pytest.raises(ConfigError, match="nan") as err:
+            load_config(text)
+        assert err.value.line == list(keys).index(key) + 1
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tol.rate_rel", "-1", "rate_rel must be finite and >= 0, got -1.0"),
+            ("tol.growth_cap", "inf", "growth_cap must be finite and >= 0, got inf"),
+            ("tol.rate_abs", "0", "rate_abs must be finite and positive, got 0.0"),
+        ],
+    )
+    def test_tolerance_rejected_at_its_line(self, key, value, message):
+        text = f"bundle = torus\nt_end = 1.0\n{key} = {value}\n"
+        with pytest.raises(ConfigError) as err:
+            load_config(text)
+        assert str(err.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("key", ["tol.dx", "tol.theta"])
+    def test_grid_and_theta_not_tolerance_keys(self, key):
+        with pytest.raises(ConfigError, match=f"line 3: unknown tolerance key '{key}'"):
+            load_config(f"bundle = torus\nt_end = 1.0\n{key} = 0.5\n")
+
+    def test_theta_message_matches_owner(self):
+        with pytest.raises(ValueError) as owner:
+            ClaimTolerances(theta=5)
+        with pytest.raises(ConfigError) as err:
+            load_config("bundle = torus\nt_end = 1.0\ntheta = 5\n")
+        assert str(err.value) == f"line 3: {owner.value}"
+
+    def test_dx_follows_grid(self):
+        cfg = load_config("bundle = torus\nt_end = 1.0\ngrid.n = 64\ngrid.period = 2.0\n")
+        assert cfg.flow.tolerances.dx == 2.0 / 64
+
+    def test_amplitude_error_falls_back_to_base_line(self):
+        with pytest.raises(ConfigError) as err:
+            load_config("bundle = torus\nt_end = 1.0\nprofile.base = 0.05\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("value", ["2.5", "inf"])
+    def test_integer_keys_need_integers(self, value):
+        with pytest.raises(ConfigError, match=f"line 3: grid.n must be an integer, got '{value}'"):
+            load_config(f"bundle = torus\nt_end = 1.0\ngrid.n = {value}\n")
+
+
+class TestEpsilonSweepValidation:
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [
+            ([1e-2, -1e-3], "epsilon must be >= 0, got -0.001"),
+            ([float("nan")], "epsilon must be >= 0, got nan"),
+        ],
+    )
+    def test_rejected_before_any_member_runs(self, tmp_path, epsilons, message):
+        cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
+        with pytest.raises(ValueError, match=message):
+            epsilon_sweep(cfg, epsilons)
+        assert not list(tmp_path.glob("out/eps_*"))
+
+
+class TestMalformedInputs:
+    def test_nan_in_series_fails_check(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = load_config(config_text(
+            out, bundle="torus", t_end="1.0",
+            **{"profile.amplitude": "0.0", "record_every": "0.25"},
+        ))
+        with pytest.warns(StationaryFlowWarning):
+            run_scenario(cfg)
+        series = out / "series.csv"
+        assert main(["check", "--series", str(series), "--kind", "torus"]) == 0
+        header, *rows = series.read_text().splitlines()
+        column = header.split(",").index("L")
+        cells = rows[2].split(",")
+        cells[column] = "nan"
+        rows[2] = ",".join(cells)
+        series.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["check", "--series", str(series), "--kind", "torus"]) == 1
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("t,V\n0.0,1.0\n", "series.csv: series has no column 'L'"),
+         (SERIES_HEADER + "\n0.0\n", "could not convert")],
+        ids=["missing-column", "short-row"],
+    )
+    def test_malformed_series_exits_2(self, tmp_path, capsys, body, message):
+        series = tmp_path / "series.csv"
+        series.write_text(body)
+        assert main(["check", "--series", str(series), "--kind", "torus"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_snapshot_without_field_exits_2(self, tmp_path, capsys):
+        snap = tmp_path / "snap.json"
+        save_snapshot(sinusoid_profile(16, TWO_PI, 2.0, 0.1, 1), snap)
+        data = json.loads(snap.read_text())
+        del data["g"]
+        snap.write_text(json.dumps(data))
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.1"))
+        assert main(["run", "--config", str(path), "--resume", str(snap)]) == 2
+        assert f"{snap}: snapshot has no field 'g'" in capsys.readouterr().err
