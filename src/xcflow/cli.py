@@ -35,8 +35,9 @@ import numpy as np
 
 from .claims import ClaimTolerances, ClaimVerdict, FieldError, NOT_APPLICABLE, evaluate_claims
 from .diagnostics import DiagnosticsRecord
+from ._periodic import first_nonfinite
 from .flow import FlowConfig, evolve, next_record_index, validate_initial
-from .geometry import BundleKind, MetricProfile, curvature_field
+from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field
 
 __all__ = [
     "ConfigError",
@@ -110,6 +111,8 @@ class ScenarioConfig:
             raise FieldError(f"grid.n must be >= 8, got {self.n}", "grid.n")
         if not self.period > 0.0:
             raise FieldError(f"grid.period must be positive, got {self.period!r}", "grid.period")
+        if self.period == math.inf:
+            raise FieldError("grid.period must be finite, got inf", "grid.period")
         if self.family == "sinusoid":
             if not 0.0 <= self.amplitude < self.base:
                 raise FieldError(
@@ -264,6 +267,8 @@ def save_snapshot(profile: MetricProfile, path: str | Path) -> None:
 
 def load_snapshot(path: str | Path) -> MetricProfile:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: snapshot is not a JSON object")
     try:
         return MetricProfile(
             n=int(data["n"]),
@@ -375,23 +380,26 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
 
 
 def curvature_dump(config: ScenarioConfig) -> int:
-    """One-shot per-node curvature table for the configured profile."""
+    """One-shot per-node curvature table for the configured profile.
+
+    Raises NumericOverflowError naming the first column, in table order,
+    with a non-finite entry and its node.
+    """
     out = _out_dir(config)
     profile = build_profile(config)
     field = curvature_field(profile, config.flow.kind)
-    x = profile.x
+    columns = [profile.x]
+    # x comes from the profile; f, g, w, ..., h22 are fields or properties of the field
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in CURVATURE_HEADER.split(",")[2:]:
+            columns.append(getattr(field, name))
+            node = first_nonfinite(columns[-1])
+            if node is not None:
+                raise NumericOverflowError(f"curvature component {name}", node, profile.t)
     with open(out / "curvature.csv", "w", encoding="utf-8") as handle:
         handle.write(CURVATURE_HEADER + "\n")
         for i in range(profile.n):
-            row = [str(i)] + [
-                _fmt(arr[i])
-                for arr in (
-                    x, profile.f, profile.g, field.w, field.w_s, field.K12,
-                    field.K23, field.Ric11, field.Ric22, field.R, field.P11,
-                    field.P22, field.h11, field.h22,
-                )
-            ]
-            handle.write(",".join(row) + "\n")
+            handle.write(",".join([str(i)] + [_fmt(arr[i]) for arr in columns]) + "\n")
     return 0
 
 

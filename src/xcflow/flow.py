@@ -125,6 +125,10 @@ class FlowConfig:
             raise FieldError(
                 f"record_every must be positive, got {self.record_every!r}", "record_every"
             )
+        # inf would fail later, far from its key; dt_max = inf means no cap
+        for name in ("t_end", "epsilon", "record_every"):
+            if getattr(self, name) == math.inf:
+                raise FieldError(f"{name} must be finite, got inf", name)
 
 
 @dataclass

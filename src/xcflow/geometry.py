@@ -23,11 +23,14 @@ splitting:
     P11 = -K23,  P22 = P33 = -K12         Einstein tensor eigenvalues
     h11 = K12^2,  h22 = h33 = K12 * K23   cross curvature eigenvalues
 
-The cross curvature eigenvalue along a frame direction is the product of
-the sectional curvatures of the two coordinate planes containing that
-direction. This product form needs no inversion of the Einstein tensor,
-so it stays valid where P is singular, and it doubles as an evaluation
-path independent of the P-based route (`cross_curvature_oracle`).
+The cross curvature is the adjugate of the Einstein tensor P
+(Chow & Hamilton 2004); with P diagonal, its eigenvalue along a frame
+direction is the product of the sectional curvatures of the two
+coordinate planes containing that direction. This product form needs no
+inversion of P, so it stays valid where P is singular. `CurvatureField`
+stores K12 and K23 and spells every other row of the table as a
+property. tests/metric_oracle.py derives the whole table from the metric
+with sympy, independently of this module.
 
 Profiles are sampled on the uniform periodic grid x_i = i * period / n;
 all index arithmetic is modulo n. Derivatives use the centred
@@ -54,8 +57,6 @@ __all__ = [
     "NumericOverflowError",
     "s_derivative",
     "curvature_field",
-    "cross_curvature",
-    "cross_curvature_oracle",
 ]
 
 
@@ -148,24 +149,47 @@ class MetricProfile:
 class CurvatureField:
     """Per-node curvature package of a metric profile.
 
-    The omitted third components repeat the second ones: K13 = K12,
-    Ric33 = Ric22, P33 = P22, h33 = h22. The source f, g samples are
-    kept so natural-coordinate components can be formed on demand.
+    Only w, w_s, the two sectional curvatures and the source f, g
+    samples are stored; Ricci, scalar, Einstein and cross curvature are
+    read-only properties spelled from K12 and K23 as in the module
+    table. The omitted third components repeat the second ones:
+    K13 = K12, Ric33 = Ric22, P33 = P22, h33 = h22.
     """
 
     w: np.ndarray
     w_s: np.ndarray
     K12: np.ndarray
     K23: np.ndarray
-    Ric11: np.ndarray
-    Ric22: np.ndarray
-    R: np.ndarray
-    P11: np.ndarray
-    P22: np.ndarray
-    h11: np.ndarray
-    h22: np.ndarray
     f: np.ndarray
     g: np.ndarray
+
+    @property
+    def Ric11(self) -> np.ndarray:
+        return 2.0 * self.K12
+
+    @property
+    def Ric22(self) -> np.ndarray:
+        return self.K12 + self.K23
+
+    @property
+    def R(self) -> np.ndarray:
+        return 4.0 * self.K12 + 2.0 * self.K23
+
+    @property
+    def P11(self) -> np.ndarray:
+        return -self.K23
+
+    @property
+    def P22(self) -> np.ndarray:
+        return -self.K12
+
+    @property
+    def h11(self) -> np.ndarray:
+        return self.K12 * self.K12
+
+    @property
+    def h22(self) -> np.ndarray:
+        return self.K12 * self.K23
 
 
 def s_derivative(profile: MetricProfile, values: np.ndarray) -> np.ndarray:
@@ -184,60 +208,23 @@ def s_derivative(profile: MetricProfile, values: np.ndarray) -> np.ndarray:
 
 
 def curvature_field(profile: MetricProfile, kind: BundleKind) -> CurvatureField:
-    """Evaluate all curvature quantities of the warped metric node-wise.
+    """Evaluate w, w_s and the sectional curvatures node-wise.
 
     Raises NumericOverflowError naming the first offending node if any
-    intermediate fails to be finite.
+    of the four stored arrays fails to be finite. The derived properties
+    are not scanned: a product such as h11 = K12^2 can still overflow,
+    and a caller that writes them out checks them itself.
     """
     f, g = profile.f, profile.g
     # overflow is detected below and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = s_derivative(profile, g)
-        dxw = ddx(w, profile.dx)
-        w_s = dxw / f
-        K12 = -w_s / g
-        K23 = -(w * w - kind.kappa) / (g * g)
-        Ric11 = 2.0 * K12
-        Ric22 = K12 + K23
-        R = 4.0 * K12 + 2.0 * K23
-        P11 = -K23
-        P22 = dxw / (f * g)
-        h11 = (w_s / g) ** 2
-        h22 = (w * w - kind.kappa) * w_s / g**3
+        w_s = ddx(w, profile.dx) / f
         field = CurvatureField(
-            w=w, w_s=w_s, K12=K12, K23=K23, Ric11=Ric11, Ric22=Ric22, R=R,
-            P11=P11, P22=P22, h11=h11, h22=h22, f=f, g=g,
+            w=w, w_s=w_s, K12=-w_s / g, K23=-(w * w - kind.kappa) / (g * g), f=f, g=g
         )
-        for name in ("w", "w_s", "K12", "K23", "Ric11", "Ric22", "R", "P11", "P22", "h11", "h22"):
+        for name in ("w", "w_s", "K12", "K23"):
             node = first_nonfinite(getattr(field, name))
             if node is not None:
                 raise NumericOverflowError(f"curvature component {name}", node, profile.t)
     return field
-
-
-def cross_curvature(
-    field: CurvatureField, natural: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross curvature eigenvalue samples (h11, h22) of a curvature field.
-
-    With natural=True the components are returned in the coordinate
-    basis instead of the orthonormal frame: h(dx, dx) = f^2 h11 and
-    h(dy, dy) = g^2 h22. For the sphere family the z-component also
-    carries the fibre area factor cos^2(y) and is not representable per
-    x-node, so only the x and y components are reported.
-    """
-    if natural:
-        return field.f**2 * field.h11, field.g**2 * field.h22
-    return field.h11, field.h22
-
-
-def cross_curvature_oracle(
-    field: CurvatureField,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross curvature from sectional curvatures only.
-
-    h11 = K12 * K13 = K12^2 and h22 = K12 * K23, evaluated without
-    touching the Einstein tensor route. Agrees with `cross_curvature`
-    up to floating-point reassociation on every valid profile.
-    """
-    return field.K12 * field.K12, field.K12 * field.K23

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -256,6 +257,23 @@ class TestCurvatureDump:
             assert float(parts[k23]) == pytest.approx(0.25, abs=1e-15)
             assert float(parts[r]) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exits_2_naming_column_and_node(self, tmp_path, capsys):
+        # K12 ~ 1e238 is finite, h11 = K12^2 is the first column that is not
+        n = 64
+        profile = sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1)
+        snap = tmp_path / "tiny_f.json"
+        save_snapshot(dataclasses.replace(profile, f=np.full(n, 1e-120)), snap)
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(
+            tmp_path / "out", bundle="torus", t_end="1.0",
+            **{"grid.n": str(n), "profile.family": "file", "profile.path": str(snap)},
+        ))
+        assert main(["curvature", "--config", str(path)]) == 2
+        assert "non-finite curvature component h11 at node 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "curvature.csv").exists()
+        assert main(["run", "--config", str(path)]) == 2
+
     def test_profile_a_crest(self, tmp_path):
         cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="1.0"))
         curvature_dump(cfg)
@@ -412,6 +430,22 @@ class TestConfigValidation:
             load_config("bundle = torus\nt_end = 1.0\nprofile.base = 0.05\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("key", ["t_end", "epsilon", "record_every", "grid.period"])
+    def test_inf_rejected_at_its_line(self, tmp_path, capsys, key):
+        keys = {"bundle": "torus", "t_end": "1.0", "grid.n": "64", key: "inf"}
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        message = f"line {list(keys).index(key) + 1}: {key} must be finite, got inf"
+        with pytest.raises(ConfigError) as err:
+            load_config(text)
+        assert str(err.value) == message
+        path = tmp_path / "cfg.txt"
+        path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_inf_dt_max_means_no_cap(self):
+        assert load_config("bundle = torus\nt_end = 1.0\ndt_max = inf\n").flow.dt_max == math.inf
+
     @pytest.mark.parametrize("value", ["2.5", "inf"])
     def test_integer_keys_need_integers(self, value):
         with pytest.raises(ConfigError, match=f"line 3: grid.n must be an integer, got '{value}'"):
@@ -474,3 +508,15 @@ class TestMalformedInputs:
         path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.1"))
         assert main(["run", "--config", str(path), "--resume", str(snap)]) == 2
         assert f"{snap}: snapshot has no field 'g'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["[1, 2]", "3"])
+    def test_snapshot_not_an_object_exits_2(self, tmp_path, capsys, body):
+        snap = tmp_path / "snap.json"
+        snap.write_text(body)
+        with pytest.raises(ValueError) as err:
+            load_snapshot(snap)
+        assert str(err.value) == f"{snap}: snapshot is not a JSON object"
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.1"))
+        assert main(["run", "--config", str(path), "--resume", str(snap)]) == 2
+        assert f"{snap}: snapshot is not a JSON object" in capsys.readouterr().err

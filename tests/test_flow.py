@@ -13,6 +13,7 @@ from xcflow import (
     SlopeConditionError,
     StationaryFlowWarning,
     StepFailureError,
+    curvature_field,
     evolve,
     rhs,
     s_derivative,
@@ -22,7 +23,8 @@ from xcflow import (
     validate_initial,
 )
 
-from conftest import TWO_PI, make_profile
+import metric_oracle
+from conftest import TWO_PI, make_profile, random_trig_profile
 
 TORUS = BundleKind.TORUS
 SPHERE = BundleKind.SPHERE
@@ -112,6 +114,30 @@ class TestRhs:
         df1, dg1 = rhs(profile_b, SPHERE, 0.5)
         assert np.array_equal(df0, df1)
         assert np.array_equal(dg0, dg1)
+
+    def test_metric_flow_reduction(self, kind):
+        # d/dt g_ij = +/- 2 h_ij on g = diag(f^2, g^2, ...): f_t = +/- f h11, g_t = +/- g h22
+        rng = np.random.default_rng(606)
+        for _ in range(20):
+            p = random_trig_profile(rng)
+            field = curvature_field(p, kind)
+            h = metric_oracle.evaluate(kind, p.f, p.g, field.w, field.w_s)
+            for got, want in zip(rhs(p, kind, 0.0), (p.f * h["h11"], p.g * h["h22"])):
+                want = kind.flow_sign * want
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
+
+    @pytest.mark.parametrize("eps", [1e-2, 0.5])
+    def test_torus_epsilon_enters_only_g(self, eps):
+        rng = np.random.default_rng(607)
+        for _ in range(20):
+            p = random_trig_profile(rng)
+            field = curvature_field(p, TORUS)
+            df0, dg0 = rhs(p, TORUS, 0.0)
+            df, dg = rhs(p, TORUS, eps)
+            assert np.array_equal(df, df0)
+            # eps (d/dx w) / (f g^2) = eps w_s / g^2
+            want = eps * field.w_s / (p.g * p.g)
+            assert np.all(np.abs(dg - dg0 - want) <= 1e-12 * np.maximum(np.abs(dg), np.abs(want)))
 
     def test_overflow_reports_node_and_time(self):
         p = make_profile(n=16, f=1e-300, g=2.0 + 0.1 * np.sin(np.arange(16) * TWO_PI / 16), t=1.5)

@@ -1,18 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from xcflow import (
     BundleKind,
+    CurvatureField,
     MetricProfile,
     NumericOverflowError,
-    cross_curvature,
-    cross_curvature_oracle,
     curvature_field,
     s_derivative,
 )
 
 from xcflow._periodic import ddx, first_nonfinite
 
+import metric_oracle
 from conftest import TWO_PI, make_profile, random_trig_profile
 
 
@@ -188,53 +190,50 @@ class TestCurvatureField:
 class TestCrossCurvature:
     def test_flat_is_zero(self):
         field = curvature_field(make_profile(n=32, g=1.7), BundleKind.TORUS)
-        h11, h22 = cross_curvature(field)
-        assert np.all(h11 == 0.0)
-        assert np.all(h22 == 0.0)
+        assert np.all(field.h11 == 0.0)
+        assert np.all(field.h22 == 0.0)
 
     def test_sphere_constant_is_zero(self):
         field = curvature_field(make_profile(n=32, g=2.0), BundleKind.SPHERE)
-        h11, h22 = cross_curvature(field)
-        assert np.max(np.abs(h11)) < 1e-30
-        assert np.max(np.abs(h22)) < 1e-30
+        assert np.max(np.abs(field.h11)) < 1e-30
+        assert np.max(np.abs(field.h22)) < 1e-30
 
-    def test_natural_components(self, profile_a):
-        field = curvature_field(profile_a, BundleKind.TORUS)
-        h11, h22 = cross_curvature(field)
-        n11, n22 = cross_curvature(field, natural=True)
-        # f = 1 so the x-component is unchanged; the y-component picks up g^2
-        assert np.array_equal(n11, h11)
-        assert np.allclose(n22, profile_a.g**2 * h22, rtol=1e-15)
-        i = 64
-        assert n11[i] == pytest.approx(2.26757e-3, abs=1e-5)
-
-    def test_natural_scales_with_f(self):
-        n = 64
-        g = 2.0 + 0.1 * np.sin(np.arange(n) * TWO_PI / n)
-        p1 = make_profile(n=n, f=1.0, g=g)
-        p2 = make_profile(n=n, f=2.0, g=g)
-        f2 = curvature_field(p2, BundleKind.TORUS)
-        n11, _ = cross_curvature(f2, natural=True)
-        assert np.allclose(n11, 4.0 * f2.h11, rtol=1e-15)
-        assert curvature_field(p1, BundleKind.TORUS) is not None
+    def test_field_stores_only_sectional_curvatures(self):
+        names = [f.name for f in dataclasses.fields(CurvatureField)]
+        assert names == ["w", "w_s", "K12", "K23", "f", "g"]
 
     def test_oracle_matches_on_random_profiles(self, kind):
         rng = np.random.default_rng(20260811)
         for _ in range(50):
             field = curvature_field(random_trig_profile(rng), kind)
-            h11, h22 = cross_curvature(field)
-            o11, o22 = cross_curvature_oracle(field)
-            for a, b in ((h11, o11), (h22, o22)):
-                denom = np.maximum(np.abs(a), np.abs(b))
-                assert np.all(np.abs(a - b) <= 1e-12 * denom)
+            worst = metric_oracle.worst_mismatch(field, kind)
+            assert max(worst.values()) <= 1e-12, worst
 
-    def test_oracle_crest_value(self, profile_a):
-        field = curvature_field(profile_a, BundleKind.TORUS)
-        o11, _ = cross_curvature_oracle(field)
-        assert o11[64] == pytest.approx((0.1 / 2.1) ** 2, abs=5e-6)
+    @pytest.mark.parametrize(
+        "mutate, component",
+        [
+            (lambda field: dataclasses.replace(field, K23=-field.K23), "K23"),
+            (lambda field: dataclasses.replace(field, K12=2.0 * field.K12), "K12"),
+        ],
+        ids=["K23-sign-flipped", "K12-doubled"],
+    )
+    def test_oracle_rejects_wrong_field(self, kind, mutate, component):
+        field = mutate(curvature_field(random_trig_profile(np.random.default_rng(4)), kind))
+        # far above the 1e-12 that criterion 1 allows
+        assert metric_oracle.worst_mismatch(field, kind)[component] >= 0.5
 
-    def test_oracle_zero_where_k12_vanishes(self, profile_b):
-        field = curvature_field(profile_b, BundleKind.SPHERE)
-        o11, o22 = cross_curvature_oracle(field)
-        assert o11[0] == 0.0
-        assert o22[0] == 0.0
+    def test_oracle_crest_value(self):
+        # continuum values of profile A at x = pi/2: f = 1, g = 2.1, w = 0, w_s = -0.1
+        value = metric_oracle.evaluate(BundleKind.TORUS, 1.0, 2.1, 0.0, -0.1)
+        assert value["K12"] == pytest.approx(0.1 / 2.1, rel=1e-15)
+        assert value["h11"] == pytest.approx((0.1 / 2.1) ** 2, rel=1e-15)
+        assert value["h22"] == 0.0
+        assert value["R"] == pytest.approx(0.190476, abs=1e-6)
+
+    def test_oracle_zero_where_k12_vanishes(self):
+        # node 0 of profile B: w_s = 0, w = 0.1; the round fibre is positively curved
+        value = metric_oracle.evaluate(BundleKind.SPHERE, 1.0, 2.0, 0.1, 0.0)
+        assert value["h11"] == 0.0
+        assert value["h22"] == 0.0
+        assert value["K23"] == pytest.approx((1.0 - 0.01) / 4.0, rel=1e-15)
+        assert value["P11"] == pytest.approx(-0.2475, rel=1e-15)

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,3 +14,10 @@ def test_submodule_exports_reachable(module):
     for name in sub.__all__:
         assert getattr(xcflow, name) is getattr(sub, name)
         assert name in xcflow.__all__
+
+
+def test_package_does_not_import_sympy():
+    # sympy is a test dependency only (tests/metric_oracle.py)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, xcflow.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
