@@ -354,7 +354,9 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     """
     out = _out_dir(config)
     profile = load_snapshot(resume) if resume is not None else build_profile(config)
-    validate_initial(profile, config.flow.kind)
+    # fail before any file is written; torus profiles pass, and evolve warns once
+    if config.flow.kind is BundleKind.SPHERE:
+        validate_initial(profile, config.flow.kind)
 
     records: list[DiagnosticsRecord] = []
     snaps = _SnapshotSchedule(out, config.snapshot_every, profile.t)

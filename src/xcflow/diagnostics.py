@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BundleKind, MetricProfile, curvature_field, s_derivative
+from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field, s_derivative
 
 __all__ = [
     "DiagnosticsRecord",
@@ -172,32 +172,42 @@ def functionals(profile: MetricProfile, kind: BundleKind) -> DiagnosticsRecord:
     The torus bundle volume is the ds-integral of the fibre area g^2;
     the sphere family uses the round-fibre area 4 pi g^2, an extension
     beyond the torus-only definition (see README).
+
+    Raises NumericOverflowError naming the first non-finite field in
+    series order; the sphere's dV_dt_formula is NaN by design and exempt.
     """
-    field = curvature_field(profile, kind)
-    g = profile.g
-    w, gss = field.w, field.w_s
-    gsss = s_derivative(profile, gss)
-    vol = integrate_ds(g * g, profile)
-    if kind is BundleKind.SPHERE:
-        vol *= 4.0 * math.pi
-    rates = rate_formulas(profile, kind, (w, gss, gsss, s_derivative(profile, gsss)))
-    return DiagnosticsRecord(
-        t=profile.t,
-        L=integrate_ds(np.ones(profile.n), profile),
-        V=vol,
-        g_max=float(np.max(g)),
-        g_min=float(np.min(g)),
-        sup_gs=float(np.max(np.abs(w))),
-        sup_gss=float(np.max(np.abs(gss))),
-        E2=kind.flow_sign * rates.dL_dt,  # dL/dt = +/- E2: one sum, sign flip exact
-        l2_gss=integrate_ds(gss**2, profile),
-        l2_gsss=integrate_ds(gsss**2, profile),
-        zero_count=count_sign_changes(w),
-        dL_dt_formula=rates.dL_dt,
-        dV_dt_formula=math.nan if rates.dV_dt is None else rates.dV_dt,
-        K12_sup=float(np.max(np.abs(field.K12))),
-        K23_mean=float(np.mean(field.K23)),
-        K23_spread=float(np.max(field.K23) - np.min(field.K23)),
-        R_mean=float(np.mean(field.R)),
-        E2_rate_formula=rates.e2_rate,
-    )
+    # a non-finite field is reported below by name; silence numpy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        field = curvature_field(profile, kind)
+        g = profile.g
+        w, gss = field.w, field.w_s
+        gsss = s_derivative(profile, gss)
+        vol = integrate_ds(g * g, profile)
+        if kind is BundleKind.SPHERE:
+            vol *= 4.0 * math.pi
+        rates = rate_formulas(profile, kind, (w, gss, gsss, s_derivative(profile, gsss)))
+        rec = DiagnosticsRecord(
+            t=profile.t,
+            L=integrate_ds(np.ones(profile.n), profile),
+            V=vol,
+            g_max=float(np.max(g)),
+            g_min=float(np.min(g)),
+            sup_gs=float(np.max(np.abs(w))),
+            sup_gss=float(np.max(np.abs(gss))),
+            E2=kind.flow_sign * rates.dL_dt,  # dL/dt = +/- E2: one sum, sign flip exact
+            l2_gss=integrate_ds(gss**2, profile),
+            l2_gsss=integrate_ds(gsss**2, profile),
+            zero_count=count_sign_changes(w),
+            dL_dt_formula=rates.dL_dt,
+            dV_dt_formula=math.nan if rates.dV_dt is None else rates.dV_dt,
+            K12_sup=float(np.max(np.abs(field.K12))),
+            K23_mean=float(np.mean(field.K23)),
+            K23_spread=float(np.max(field.K23) - np.min(field.K23)),
+            R_mean=float(np.mean(field.R)),
+            E2_rate_formula=rates.e2_rate,
+        )
+    exempt = "dV_dt_formula" if kind is BundleKind.SPHERE else None
+    for name in DiagnosticsRecord.__match_args__:  # the fields in series order
+        if not math.isfinite(getattr(rec, name)) and name != exempt:
+            raise NumericOverflowError(f"record field {name}", None, profile.t)
+    return rec

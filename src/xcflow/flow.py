@@ -21,16 +21,16 @@ drifting arc-length parametrisation automatic: along any run,
 d/dt log f = +/- (1/g^2) g_ss^2 (+ torus, - sphere) holds node-wise up
 to discretisation error.
 
-Steps are classical 4-stage Runge-Kutta under the parabolic stability
-cap dt = safety * min(f dx)^2 / D_max, safety = 1 by default; `stable_dt`
-derives why that stays well inside RK4's stability interval for this
-stencil. Derivatives use the periodic operator of `_periodic` that
-geometry and diagnostics share. `step` is one fused kernel: one
-np.errstate block, stage sums updated in place, positivity checked by
-reductions, and the result built by the trusted `MetricProfile._trusted`.
-Its work buffers are allocated per call and no array is written once
-returned or handed to a sink, so distinct runs share no state and may
-execute in parallel.
+Steps are classical 4-stage Runge-Kutta at the parabolic stability
+bound dt = min(f dx)^2 / D_max, shortened only to land on the next
+record time; `stable_dt` derives why that bound stays well inside RK4's
+stability interval for this stencil. Derivatives use the periodic
+operator of `_periodic` that geometry and diagnostics share. `step` is
+one fused kernel: one np.errstate block, stage sums updated in place,
+positivity checked by reductions, and the result built by the trusted
+`MetricProfile._trusted`. Its work buffers are allocated per call and no
+array is written once returned or handed to a sink, so distinct runs
+share no state and may execute in parallel.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ __all__ = [
 ]
 
 MAX_STEP_RETRIES = 10
-
-# Default fraction of the diffusive cap min(f dx)^2 / D_max; see stable_dt.
-DEFAULT_SAFETY = 1.0
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
 
@@ -104,8 +101,6 @@ class FlowConfig:
     kind: BundleKind
     t_end: float
     epsilon: float = 0.0
-    safety: float = DEFAULT_SAFETY
-    dt_max: float = 1.0
     record_every: float | None = None
     tolerances: ClaimTolerances = field(default_factory=ClaimTolerances)
 
@@ -113,10 +108,6 @@ class FlowConfig:
         # comparisons are written so that NaN fails them
         if not self.epsilon >= 0.0:
             raise FieldError(f"epsilon must be >= 0, got {self.epsilon!r}", "epsilon")
-        if not 0.0 < self.safety <= 1.0:
-            raise FieldError(f"safety must be in (0, 1], got {self.safety!r}", "safety")
-        if not self.dt_max > 0.0:
-            raise FieldError(f"dt_max must be positive, got {self.dt_max!r}", "dt_max")
         if not self.t_end > 0.0:
             raise FieldError(f"t_end must be positive, got {self.t_end!r}", "t_end")
         if self.record_every is None:
@@ -125,7 +116,7 @@ class FlowConfig:
             raise FieldError(
                 f"record_every must be positive, got {self.record_every!r}", "record_every"
             )
-        # inf would fail later, far from its key; dt_max = inf means no cap
+        # inf would fail later, far from its key
         for name in ("t_end", "epsilon", "record_every"):
             if getattr(self, name) == math.inf:
                 raise FieldError(f"{name} must be finite, got inf", name)
@@ -135,8 +126,6 @@ class FlowConfig:
 class RunSummary:
     steps: int = 0
     retries: int = 0
-    dt_min: float = math.inf
-    dt_max: float = 0.0
     records: int = 0
     t_final: float = math.nan
 
@@ -161,6 +150,11 @@ def validate_initial(profile: MetricProfile, kind: BundleKind) -> MetricProfile:
     return profile
 
 
+def _shift(kind: BundleKind, epsilon: float) -> float:
+    """c in the g-equation's diffusion coefficient flow_sign (w^2 + c) / g^2."""
+    return epsilon if kind is BundleKind.TORUS else -1.0
+
+
 def _rhs_arrays(
     f: np.ndarray,
     g: np.ndarray,
@@ -176,9 +170,8 @@ def _rhs_arrays(
     w = ddx(g, dx) / f
     dxw = ddx(w, dx)
     den = kind.flow_sign * f * g * g  # +/- f g^2; the sign is exact
-    shift = epsilon if kind is BundleKind.TORUS else -1.0
     df = np.divide(dxw * dxw, den, out=out[0])
-    dg = np.divide((w * w + shift) * dxw, den, out=out[1])
+    dg = np.divide((w * w + _shift(kind, epsilon)) * dxw, den, out=out[1])
     for name, arr in (("df/dt", df), ("dg/dt", dg)):
         node = first_nonfinite(arr)
         if node is not None:
@@ -199,39 +192,34 @@ def rhs(
         return _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t)
 
 
-def stable_dt(
-    profile: MetricProfile,
-    kind: BundleKind,
-    epsilon: float = 0.0,
-    safety: float = DEFAULT_SAFETY,
-    dt_max: float = 1.0,
-) -> float:
+def stable_dt(profile: MetricProfile, kind: BundleKind, epsilon: float = 0.0) -> float:
     """Diffusion-limited explicit step size.
 
-    dt = min(dt_max, safety * min(f dx)^2 / D_max) with D_max the
-    largest diffusion coefficient over the grid; dt_max when the
-    coefficient degenerates to zero everywhere.
+    dt = min(f dx)^2 / D_max with D_max the largest diffusion coefficient
+    max(flow_sign (w^2 + c), 0) / g^2 over the grid, c as in `_shift`
+    (the sphere's turns negative where |w| > 1); inf when it vanishes
+    everywhere, as on a constant torus profile.
 
-    Why safety <= 1 is stable: linearised, the flow is g_t = D g_ss with
-    g_ss the centred difference applied twice, a 2dx-wide stencil
+    Why this is stable: linearised, the flow is g_t = D g_ss with g_ss
+    the centred difference applied twice, a 2dx-wide stencil
     (g[i+2] - 2 g[i] + g[i-2]) / (2 ds)^2. Gershgorin bounds its
-    spectral radius by D_max / ds_min^2, so dt * |lambda| <= safety,
-    at most 36% of RK4's real-axis stability interval (-2.785, 0).
-    This holds for this stencil only: a compact second difference has
-    a 4x larger radius, and the bound must be derived again for it
+    spectral radius rho by D_max / ds_min^2, so dt * rho <= 1, at most
+    36% of RK4's real-axis stability interval (-2.785, 0). This holds
+    for this stencil only: a compact second difference has a 4x larger
+    radius, and the bound must be derived again for it
     (tests/test_flow.py measures dt * |lambda| on the Jacobian).
     """
-    w = ddx(profile.g, profile.dx) / profile.f
-    g2 = profile.g * profile.g
-    if kind is BundleKind.TORUS:
-        coeff = (w * w + epsilon) / g2
-    else:
-        coeff = np.maximum(1.0 - w * w, 0.0) / g2
-    d_max = float(np.max(coeff))
+    coeff = ddx(profile.g, profile.dx)  # updated in place, saving temporaries every step
+    coeff /= profile.f  # w
+    coeff *= coeff
+    coeff += _shift(kind, epsilon)
+    coeff *= kind.flow_sign
+    coeff /= profile.g * profile.g
+    d_max = max(float(np.max(coeff)), 0.0)  # clipping the max clips every node
     if d_max == 0.0:
-        return dt_max
+        return math.inf
     ds_min = float(np.min(profile.f)) * profile.dx
-    return min(dt_max, safety * ds_min * ds_min / d_max)
+    return ds_min * ds_min / d_max
 
 
 def step(
@@ -321,11 +309,7 @@ def evolve(
     while not stopped and t_end - profile.t > eps_t:
         target = min(k * every, t_end)
         gap = target - profile.t
-        base_dt = stable_dt(
-            profile, config.kind, config.epsilon, config.safety, config.dt_max
-        )
-        lands = base_dt >= gap
-        dt = gap if lands else base_dt
+        dt = min(gap, stable_dt(profile, config.kind, config.epsilon))
         for attempt in range(MAX_STEP_RETRIES + 1):
             try:
                 advanced = step(profile, config.kind, config.epsilon, dt)
@@ -339,12 +323,9 @@ def evolve(
                         f"last good t={profile.t!r}",
                     ) from None
                 dt *= 0.5
-                lands = False
         summary.steps += 1
-        summary.dt_min = min(summary.dt_min, dt)
-        summary.dt_max = max(summary.dt_max, dt)
-        # a step shorter than the gap can still reach the boundary by rounding
-        if lands or advanced.t >= target:
+        # a step that the bound or a retry shortened can still land by rounding
+        if dt == gap or advanced.t >= target:
             # assign the boundary time exactly so record times stay on the
             # global grid regardless of floating-point accumulation
             profile = MetricProfile._trusted(

@@ -78,13 +78,18 @@ class BundleKind(Enum):
 
 
 class NumericOverflowError(ArithmeticError):
-    """A pointwise expression produced a non-finite value at a grid node."""
+    """A pointwise expression produced a non-finite value at a grid node.
 
-    def __init__(self, what: str, node: int, t: float | None = None):
+    node is None for a quantity that is not pointwise, such as an integral.
+    """
+
+    def __init__(self, what: str, node: int | None, t: float | None = None):
         self.what = what
         self.node = node
         self.t = t
-        msg = f"non-finite {what} at node {node}"
+        msg = f"non-finite {what}"
+        if node is not None:
+            msg += f" at node {node}"
         if t is not None:
             msg += f" (t={t!r})"
         super().__init__(msg)

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from xcflow import (
     sinusoid_profile,
 )
 from xcflow.cli import SERIES_HEADER
-from xcflow.flow import DEFAULT_SAFETY
 
 from conftest import TWO_PI
 
@@ -42,8 +40,6 @@ class TestLoadConfig:
         assert cfg.flow.kind is BundleKind.TORUS
         assert cfg.flow.t_end == 2.0
         assert cfg.flow.epsilon == 0.0
-        assert cfg.flow.safety == DEFAULT_SAFETY
-        assert cfg.flow.dt_max == 1.0
         assert cfg.flow.record_every == pytest.approx(0.02)
         assert cfg.flow.tolerances.theta == 0.1
         assert cfg.n == 256
@@ -77,8 +73,6 @@ class TestLoadConfig:
         [
             ("t_end", "-1.0", "t_end must be positive, got -1.0"),
             ("epsilon", "-0.5", "epsilon must be >= 0, got -0.5"),
-            ("safety", "1.5", "safety must be in (0, 1], got 1.5"),
-            ("dt_max", "0.0", "dt_max must be positive, got 0.0"),
             ("record_every", "-0.1", "record_every must be positive, got -0.1"),
         ],
     )
@@ -257,9 +251,9 @@ class TestCurvatureDump:
             assert float(parts[k23]) == pytest.approx(0.25, abs=1e-15)
             assert float(parts[r]) == pytest.approx(0.5, abs=1e-15)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_exits_2_naming_column_and_node(self, tmp_path, capsys):
-        # K12 ~ 1e238 is finite, h11 = K12^2 is the first column that is not
+        # K12 ~ 1e238 is finite, h11 = K12^2 is the first column that is not,
+        # and E2, the integral of K12^2, is the first record field that is not
         n = 64
         profile = sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1)
         snap = tmp_path / "tiny_f.json"
@@ -273,6 +267,8 @@ class TestCurvatureDump:
         assert "non-finite curvature component h11 at node 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "curvature.csv").exists()
         assert main(["run", "--config", str(path)]) == 2
+        assert "error: non-finite record field E2 (t=0.0)" in capsys.readouterr().err
+        assert (tmp_path / "out" / "series.csv").read_text().splitlines() == [SERIES_HEADER]
 
     def test_profile_a_crest(self, tmp_path):
         cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="1.0"))
@@ -369,6 +365,26 @@ class TestMain:
         assert main(["eps-sweep", "--config", str(path), "--epsilons", "1e-2,1e-3"]) == 0
         assert (tmp_path / "out" / "eps_sweep.csv").exists()
 
+    def test_stationary_torus_warns_once(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(
+            tmp_path / "out", bundle="torus", t_end="1.0",
+            **{"profile.amplitude": "0.0", "record_every": "0.25"},
+        ))
+        with pytest.warns(StationaryFlowWarning) as caught:
+            assert main(["run", "--config", str(path)]) == 0
+        assert len([w for w in caught if w.category is StationaryFlowWarning]) == 1
+
+    def test_steep_sphere_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(
+            out, bundle="sphere", t_end="1.0", **{"profile.amplitude": "0.3"},
+        ))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "sphere runs require sup|g_s| <= 0.25" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
         path.write_text("bundle = torus\n")  # missing t_end
@@ -377,7 +393,7 @@ class TestMain:
 
 
 NUMERIC_KEYS = [
-    "t_end", "epsilon", "safety", "dt_max", "record_every", "theta",
+    "t_end", "epsilon", "record_every", "theta",
     "grid.n", "grid.period", "profile.base", "profile.amplitude",
     "profile.wavenumber", "output.snapshot_every",
 ] + [
@@ -442,9 +458,6 @@ class TestConfigValidation:
         path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
-
-    def test_inf_dt_max_means_no_cap(self):
-        assert load_config("bundle = torus\nt_end = 1.0\ndt_max = inf\n").flow.dt_max == math.inf
 
     @pytest.mark.parametrize("value", ["2.5", "inf"])
     def test_integer_keys_need_integers(self, value):

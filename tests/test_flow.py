@@ -43,9 +43,6 @@ class TestFlowConfig:
     @pytest.mark.parametrize(
         "kwargs", [
             {"epsilon": -1.0},
-            {"safety": 0.0},
-            {"safety": 1.5},
-            {"dt_max": 0.0},
             {"record_every": -0.1},
         ],
     )
@@ -56,6 +53,11 @@ class TestFlowConfig:
     def test_rejects_bad_t_end(self):
         with pytest.raises(ValueError):
             FlowConfig(kind=TORUS, t_end=0.0)
+
+    def test_fields(self):
+        # the step is set by the stencil's bound and the record gap alone
+        names = [f.name for f in dataclasses.fields(FlowConfig)]
+        assert names == ["kind", "t_end", "epsilon", "record_every", "tolerances"]
 
 
 class TestValidateInitial:
@@ -148,26 +150,25 @@ class TestRhs:
 class TestStableDt:
     def test_frozen_example(self):
         p = make_profile(n=64, g=2.0)
-        dt = stable_dt(p, TORUS, epsilon=0.01, safety=0.25, dt_max=10.0)
-        assert dt == pytest.approx(0.963829, abs=1e-6)
+        # dx^2 / D_max with D_max = eps / g^2
+        dt = stable_dt(p, TORUS, epsilon=0.01)
+        assert dt == pytest.approx(3.855314, abs=1e-6)
 
     def test_degenerate_returns_dt_max(self):
+        # no diffusion anywhere: no bound, evolve steps the whole record gap
         p = make_profile(n=64, g=2.0)
-        assert stable_dt(p, TORUS, epsilon=0.0, dt_max=7.5) == 7.5
+        assert stable_dt(p, TORUS, epsilon=0.0) == math.inf
 
     def test_sphere_matches_grid_maximisation(self, profile_b):
-        dt = stable_dt(profile_b, SPHERE, safety=0.25, dt_max=10.0)
+        dt = stable_dt(profile_b, SPHERE)
         w = s_derivative(profile_b, profile_b.g)
         d_max = np.max((1.0 - w**2) / profile_b.g**2)
-        assert dt == pytest.approx(0.25 * profile_b.dx**2 / d_max, rel=1e-12)
-
-    def test_dt_max_caps(self, profile_a):
-        assert stable_dt(profile_a, TORUS, dt_max=1e-6) == 1e-6
+        assert dt == pytest.approx(profile_b.dx**2 / d_max, rel=1e-12)
 
     @pytest.mark.parametrize("kind, eps", [(SPHERE, 0.0), (TORUS, 1e-2)])
     def test_default_step_inside_rk4_interval(self, kind, eps):
         # central-difference Jacobian of the RHS in (f, g); the decaying
-        # modes must satisfy dt |lambda| <= 1.05 at the default step, well
+        # modes must satisfy dt |lambda| <= 1.05 at the stable step, well
         # inside RK4's real-axis interval (-2.785, 0). Modes with
         # Re(lambda) >= 0 are the flow's own slow growth.
         p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
@@ -186,7 +187,7 @@ class TestStableDt:
         lam = np.linalg.eigvals(jac)
         decaying = lam[lam.real < 0.0]
         assert decaying.size > n // 2
-        assert np.max(np.abs(decaying)) * stable_dt(p, kind, eps, dt_max=math.inf) <= 1.05
+        assert np.max(np.abs(decaying)) * stable_dt(p, kind, eps) <= 1.05
 
 
 class TestStep:
@@ -206,7 +207,7 @@ class TestStep:
     def test_fourth_order_step_doubling(self):
         # profile steep enough that the one-step error is far above roundoff
         p = steep_profile()
-        dt = 0.3 * stable_dt(p, TORUS, safety=1.0, dt_max=10.0)
+        dt = 0.3 * stable_dt(p, TORUS)
 
         def advance(prof, h, m):
             for _ in range(m):
@@ -247,12 +248,14 @@ class TestStep:
 
 class TestEvolve:
     @pytest.mark.parametrize("kind, eps", [(SPHERE, 0.0), (TORUS, 1e-2)])
-    def test_default_step_resolves_time(self, kind, eps):
-        # the default step must leave every record where a 4x smaller one puts it
+    def test_default_step_resolves_time(self, kind, eps, monkeypatch):
+        # the stable step must leave every record where a 4x smaller one puts it
         rows, steps = [], []
-        for safety in (flow_mod.DEFAULT_SAFETY, 0.25):
+        bound = flow_mod.stable_dt
+        for scale in (1.0, 0.25):
+            monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: scale * bound(*args))
             records = []
-            cfg = FlowConfig(kind=kind, t_end=1.0, epsilon=eps, safety=safety)
+            cfg = FlowConfig(kind=kind, t_end=1.0, epsilon=eps)
             p = sinusoid_profile(128, TWO_PI, 2.0, 0.1, 1)
             _, summary = evolve(p, cfg, sink=lambda r, _: records.append(r))
             assert summary.retries == 0
@@ -276,6 +279,15 @@ class TestEvolve:
         assert summary.records == len(records) == 5
         assert [r.t for r in records] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert all(r.L == records[0].L for r in records)
+
+    def test_stationary_run_steps_whole_gaps(self):
+        # stable_dt is inf without diffusion, so each record gap is one step
+        p = make_profile(n=64, g=2.0)
+        cfg = FlowConfig(kind=TORUS, t_end=5.0, record_every=2.5)
+        with pytest.warns(StationaryFlowWarning):
+            final, summary = evolve(p, cfg)
+        assert summary.steps == 2
+        assert final.t == 5.0
 
     def test_determinism(self, profile_a):
         cfg = FlowConfig(kind=TORUS, t_end=0.5, record_every=0.05)
