@@ -43,6 +43,9 @@ class TestFlowConfig:
     @pytest.mark.parametrize(
         "kwargs", [
             {"epsilon": -1.0},
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"record_every": 0.0},
             {"record_every": -0.1},
         ],
     )
