@@ -8,11 +8,13 @@ import numpy as np
 
 
 def ddx(values: np.ndarray, dx: float) -> np.ndarray:
-    """Centred x-derivative (values[i+1] - values[i-1]) / (2 dx), indices modulo n."""
+    """Centred x-derivative (values[i+1] - values[i-1]) / (2 dx) along the last axis, modulo n."""
     out = np.empty_like(values)
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
-    out[0] = values[1] - values[-1]
-    out[-1] = values[0] - values[-2]
+    # the last axis first; (n,) arrays, which every step differentiates, skip the views
+    v, o = (values.T, out.T) if values.ndim > 1 else (values, out)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    o[0] = v[1] - v[-1]
+    o[-1] = v[0] - v[-2]
     out /= 2.0 * dx
     return out
 

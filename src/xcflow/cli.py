@@ -374,7 +374,8 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
         try:
             final_profile, _ = evolve(profile, config.flow, sink=sink)
         finally:
-            snaps.offer(final_profile, force=True)
+            if records:  # a run that recorded nothing leaves no checkpoint
+                snaps.offer(final_profile, force=True)
 
     verdicts = evaluate_claims(records, config.flow.kind, config.flow.tolerances)
     _write_claims(out / "claims.txt", verdicts)

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 MAX_STEP_RETRIES = 10
+_RECORD_NODES = 4096  # evolve evaluates up to this many grid nodes of records per batch
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
 
@@ -283,59 +284,70 @@ def evolve(
     The sink is invoked with (record, profile) at the start time, at
     every global multiple of record_every, and at t_end; clamping steps
     to those boundaries makes the record stream deterministic and
-    bit-reproducible across resumes. stop_when, if given, is evaluated
-    on each record and ends the run early at that record's time.
+    bit-reproducible across resumes. Records are evaluated in batches of
+    up to 4096 grid nodes, so the sink gets them in order, up to one
+    batch after the step that made them. stop_when, if given, is
+    evaluated on each record right after its step (batches of one) and
+    ends the run early at that record's time.
 
     Steps that lose positivity are retried with halved dt up to 10
     times; the final failure propagates with the last good time in the
-    message.
+    message, once the sink has seen every record made before it.
     """
     validate_initial(profile, config.kind)
     summary = RunSummary()
     t_end, every = config.t_end, config.record_every
     k = next_record_index(profile.t, every)
     eps_t = 1e-12 * max(1.0, abs(t_end))
+    batch = 1 if stop_when is not None else max(1, _RECORD_NODES // profile.n)
+    pending = [profile]  # landed profiles whose records the sink has not seen yet
 
-    def emit(prof: MetricProfile) -> DiagnosticsRecord:
-        rec = functionals(prof, config.kind)
-        summary.records += 1
-        if sink is not None:
-            sink(rec, prof)
-        return rec
+    def emit() -> bool:
+        """Hand the pending records to the sink in order; True if stop_when ends the run."""
+        profiles, pending[:] = pending[:], []
+        try:
+            records = functionals(profiles, config.kind)
+        except NumericOverflowError:  # one at a time: the sink sees every good record
+            records = (functionals([prof], config.kind)[0] for prof in profiles)
+        for rec, prof in zip(records, profiles):
+            summary.records += 1
+            if sink is not None:
+                sink(rec, prof)
+        return stop_when is not None and stop_when(rec)  # a batch of one when set
 
-    rec = emit(profile)
-    stopped = stop_when is not None and stop_when(rec)
-
-    while not stopped and t_end - profile.t > eps_t:
-        target = min(k * every, t_end)
-        gap = target - profile.t
-        dt = min(gap, stable_dt(profile, config.kind, config.epsilon))
-        for attempt in range(MAX_STEP_RETRIES + 1):
-            try:
-                advanced = step(profile, config.kind, config.epsilon, dt)
-                break
-            except StepFailureError:
-                summary.retries += 1
-                if attempt == MAX_STEP_RETRIES:
-                    raise StepFailureError(
-                        profile.t, dt,
-                        f"still failing after {MAX_STEP_RETRIES} halvings; "
-                        f"last good t={profile.t!r}",
-                    ) from None
-                dt *= 0.5
-        summary.steps += 1
-        # a step that the bound or a retry shortened can still land by rounding
-        if dt == gap or advanced.t >= target:
-            # assign the boundary time exactly so record times stay on the
-            # global grid regardless of floating-point accumulation
-            profile = MetricProfile._trusted(
-                advanced.n, advanced.period, target, advanced.f, advanced.g
-            )
-            k += 1
-            rec = emit(profile)
-            stopped = stop_when is not None and stop_when(rec)
-        else:
-            profile = advanced
+    try:
+        while not (len(pending) == batch and emit()) and t_end - profile.t > eps_t:
+            target = min(k * every, t_end)
+            gap = target - profile.t
+            dt = min(gap, stable_dt(profile, config.kind, config.epsilon))
+            for attempt in range(MAX_STEP_RETRIES + 1):
+                try:
+                    advanced = step(profile, config.kind, config.epsilon, dt)
+                    break
+                except StepFailureError:
+                    summary.retries += 1
+                    if attempt == MAX_STEP_RETRIES:
+                        raise StepFailureError(
+                            profile.t, dt,
+                            f"still failing after {MAX_STEP_RETRIES} halvings; "
+                            f"last good t={profile.t!r}",
+                        ) from None
+                    dt *= 0.5
+            summary.steps += 1
+            # a step that the bound or a retry shortened can still land by rounding
+            if dt == gap or advanced.t >= target:
+                # assign the boundary time exactly so record times stay on the
+                # global grid regardless of floating-point accumulation
+                profile = MetricProfile._trusted(
+                    advanced.n, advanced.period, target, advanced.f, advanced.g
+                )
+                k += 1
+                pending.append(profile)
+            else:
+                profile = advanced
+    finally:
+        if pending:  # the records made before a failing step reach the sink before its error
+            emit()
 
     summary.t_final = profile.t
     return profile, summary

@@ -152,7 +152,7 @@ class MetricProfile:
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Per-node curvature package of a metric profile.
+    """Per-node curvature package of a metric profile, or of a (..., n) stack of them.
 
     Only w, w_s, the two sectional curvatures and the source f, g
     samples are stored; Ricci, scalar, Einstein and cross curvature are
@@ -168,33 +168,13 @@ class CurvatureField:
     f: np.ndarray
     g: np.ndarray
 
-    @property
-    def Ric11(self) -> np.ndarray:
-        return 2.0 * self.K12
-
-    @property
-    def Ric22(self) -> np.ndarray:
-        return self.K12 + self.K23
-
-    @property
-    def R(self) -> np.ndarray:
-        return 4.0 * self.K12 + 2.0 * self.K23
-
-    @property
-    def P11(self) -> np.ndarray:
-        return -self.K23
-
-    @property
-    def P22(self) -> np.ndarray:
-        return -self.K12
-
-    @property
-    def h11(self) -> np.ndarray:
-        return self.K12 * self.K12
-
-    @property
-    def h22(self) -> np.ndarray:
-        return self.K12 * self.K23
+    Ric11 = property(lambda self: 2.0 * self.K12)
+    Ric22 = property(lambda self: self.K12 + self.K23)
+    R = property(lambda self: 4.0 * self.K12 + 2.0 * self.K23)
+    P11 = property(lambda self: -self.K23)
+    P22 = property(lambda self: -self.K12)
+    h11 = property(lambda self: self.K12 * self.K12)
+    h22 = property(lambda self: self.K12 * self.K23)
 
 
 def s_derivative(profile: MetricProfile, values: np.ndarray) -> np.ndarray:
@@ -212,6 +192,13 @@ def s_derivative(profile: MetricProfile, values: np.ndarray) -> np.ndarray:
     return ddx(v, profile.dx) / profile.f
 
 
+def _curvature(f: np.ndarray, g: np.ndarray, dx: float, kappa: float) -> CurvatureField:
+    """The field of (..., n) stacks of f and g samples, unchecked; call under np.errstate."""
+    w = ddx(g, dx) / f
+    w_s = ddx(w, dx) / f
+    return CurvatureField(w, w_s, -w_s / g, -(w * w - kappa) / (g * g), f, g)
+
+
 def curvature_field(profile: MetricProfile, kind: BundleKind) -> CurvatureField:
     """Evaluate w, w_s and the sectional curvatures node-wise.
 
@@ -220,14 +207,9 @@ def curvature_field(profile: MetricProfile, kind: BundleKind) -> CurvatureField:
     are not scanned: a product such as h11 = K12^2 can still overflow,
     and a caller that writes them out checks them itself.
     """
-    f, g = profile.f, profile.g
     # overflow is detected below and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = s_derivative(profile, g)
-        w_s = ddx(w, profile.dx) / f
-        field = CurvatureField(
-            w=w, w_s=w_s, K12=-w_s / g, K23=-(w * w - kind.kappa) / (g * g), f=f, g=g
-        )
+        field = _curvature(profile.f, profile.g, profile.dx, kind.kappa)
         for name in ("w", "w_s", "K12", "K23"):
             node = first_nonfinite(getattr(field, name))
             if node is not None:

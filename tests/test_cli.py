@@ -385,6 +385,23 @@ class TestMain:
         assert "sphere runs require sup|g_s| <= 0.25" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_failed_first_record_leaves_no_snapshot(self, tmp_path, capsys):
+        # the t=0 record of f = 1e-120 overflows, so the run has nothing to checkpoint
+        n = 64
+        snap = tmp_path / "tiny_f.json"
+        profile = sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1)
+        save_snapshot(dataclasses.replace(profile, f=np.full(n, 1e-120)), snap)
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(
+            out, bundle="torus", t_end="1.0",
+            **{"grid.n": str(n), "profile.family": "file", "profile.path": str(snap)},
+        ))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: non-finite record field E2 (t=0.0)" in capsys.readouterr().err
+        assert (out / "series.csv").read_text().splitlines() == [SERIES_HEADER]
+        assert list(out.glob("snap_*.json")) == []
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
         path.write_text("bundle = torus\n")  # missing t_end

@@ -33,19 +33,19 @@ L3_RATE_SPHERE_QUAD = -0.01557953568463606
 class TestFunctionals:
     def test_unit_speed_circle_length(self):
         for n in (16, 64, 256):
-            rec = functionals(make_profile(n=n, g=2.0), TORUS)
+            rec = functionals([make_profile(n=n, g=2.0)], TORUS)[0]
             assert rec.L == pytest.approx(TWO_PI, abs=1e-12)
 
     def test_torus_volume(self):
-        rec = functionals(make_profile(n=64, g=2.0), TORUS)
+        rec = functionals([make_profile(n=64, g=2.0)], TORUS)[0]
         assert rec.V == pytest.approx(8.0 * math.pi, abs=1e-10)
 
     def test_sphere_volume_uses_round_fibre_area(self):
-        rec = functionals(make_profile(n=64, g=2.0), SPHERE)
+        rec = functionals([make_profile(n=64, g=2.0)], SPHERE)[0]
         assert rec.V == pytest.approx(4.0 * math.pi * 8.0 * math.pi, abs=1e-9)
 
     def test_profile_a_values(self, profile_a):
-        rec = functionals(profile_a, TORUS)
+        rec = functionals([profile_a], TORUS)[0]
         assert rec.sup_gs == pytest.approx(0.1, abs=1e-4)
         assert rec.sup_gss == pytest.approx(0.1, abs=1e-4)
         assert rec.l2_gss == pytest.approx(0.01 * math.pi, abs=1e-4)
@@ -56,18 +56,18 @@ class TestFunctionals:
         assert rec.E2 == pytest.approx(E2_QUAD, rel=1e-3)
 
     def test_rate_fields_mirror_formulas(self, profile_a):
-        rec = functionals(profile_a, TORUS)
+        rec = functionals([profile_a], TORUS)[0]
         rates = rate_formulas(profile_a, TORUS)
         assert rec.dL_dt_formula == rates.dL_dt
         assert rec.dV_dt_formula == rates.dV_dt
         assert rec.E2_rate_formula == rates.e2_rate
 
     def test_sphere_volume_rate_reported_absent(self, profile_b):
-        rec = functionals(profile_b, SPHERE)
+        rec = functionals([profile_b], SPHERE)[0]
         assert math.isnan(rec.dV_dt_formula)
 
     def test_curvature_summaries(self, profile_b):
-        rec = functionals(profile_b, SPHERE)
+        rec = functionals([profile_b], SPHERE)[0]
         assert rec.K12_sup == pytest.approx(0.1 / 1.9, rel=1e-2)
         assert rec.K23_mean == pytest.approx(0.25, abs=0.02)
         assert rec.K23_spread > 0.0
@@ -179,7 +179,7 @@ class TestRateFormulasReference:
                 else:
                     assert a == pytest.approx(b, rel=1e-12, abs=0.0), name
             # E2 and dL/dt come from one sum
-            assert functionals(p, kind).E2 == kind.flow_sign * got.dL_dt
+            assert functionals([p], kind)[0].E2 == kind.flow_sign * got.dL_dt
 
 
 class TestQuadrature:
@@ -196,12 +196,12 @@ class TestQuadrature:
 
 class TestZeroCount:
     def test_sinusoid(self, profile_a):
-        rec = functionals(profile_a, TORUS)
+        rec = functionals([profile_a], TORUS)[0]
         assert rec.zero_count == 2
 
     def test_higher_wavenumber(self):
         p = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 3)
-        assert functionals(p, TORUS).zero_count == 6
+        assert functionals([p], TORUS)[0].zero_count == 6
 
     def test_constant_counts_zero(self):
         assert count_sign_changes(np.zeros(16)) == 0
@@ -210,6 +210,28 @@ class TestZeroCount:
         v = np.array([1.0, 0.0, 1.0, -1.0, 0.0, -1.0, 1.0, 1.0])
         # touches at the exact zeros add nothing; crossings remain
         assert count_sign_changes(v) == 2
+
+    def test_batched_rows_with_exact_zeros(self):
+        # g is flat where its sine bump is negative, so g_s has runs of exact
+        # zeros, some wrapping past the last node; a mirror-symmetric g has
+        # isolated ones (and g_ss six sign changes to g_s's two), and a
+        # constant g has nothing else
+        n = 64
+        x = np.arange(n) * (TWO_PI / n)
+        rng = np.random.default_rng(11)
+        gs = [2.0 + 0.1 * np.maximum(np.sin(k * x + rng.uniform(0.0, TWO_PI)), 0.0)
+              for k in (1, 2, 3, 1, 2)]
+        gs.insert(2, np.full(n, 2.0))
+        mirrored = np.minimum(np.arange(n), n - np.arange(n)) * (TWO_PI / n)
+        gs.append(2.0 + 0.1 * np.cos(mirrored) + 0.02 * np.cos(3.0 * mirrored))
+        profiles = [make_profile(n=n, g=g) for g in gs]
+        counts = []
+        for p, rec in zip(profiles, functionals(profiles, TORUS)):
+            w = s_derivative(p, p.g)
+            assert np.any(w == 0.0)
+            assert rec.zero_count == count_sign_changes(w)
+            counts.append(rec.zero_count)
+        assert counts == [2, 4, 0, 6, 2, 4, 2]
 
     def test_always_even(self):
         rng = np.random.default_rng(5)

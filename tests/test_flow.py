@@ -15,8 +15,11 @@ from xcflow import (
     StepFailureError,
     curvature_field,
     evolve,
+    functionals,
+    load_snapshot,
     rhs,
     s_derivative,
+    save_snapshot,
     sinusoid_profile,
     stable_dt,
     step,
@@ -270,6 +273,26 @@ class TestEvolve:
         # NaN entries (dV_dt_formula on the sphere) compare equal
         np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-12)
 
+    def test_step_bound_torus_resolves_time(self, monkeypatch):
+        # steps of 0.48 against 0.12 (8 against 20) for gaps of 0.5: the time
+        # error must stay far below the grid error of the same records
+        bound = flow_mod.stable_dt
+
+        def records(n, scale):
+            monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: scale * bound(*args))
+            rows = []
+            cfg = FlowConfig(kind=TORUS, t_end=2.0, epsilon=1e-2, record_every=0.5)
+            _, summary = evolve(sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1), cfg,
+                                sink=lambda r, _: rows.append(dataclasses.astuple(r)))
+            return np.array(rows), summary.steps
+
+        (coarse, steps), (fine_time, fine_steps) = records(128, 1.0), records(128, 0.25)
+        fine_grid, _ = records(256, 1.0)
+        assert (steps, fine_steps) == (8, 20)
+        time_error = np.max(np.abs(coarse - fine_time))
+        grid_error = np.max(np.abs(coarse - fine_grid))
+        assert time_error < 1e-4 * grid_error
+
     def test_stationary_run(self):
         p = make_profile(n=64, g=2.0)
         cfg = FlowConfig(kind=TORUS, t_end=1.0, record_every=0.25)
@@ -433,3 +456,125 @@ class TestEvolve:
         d1 = np.max(np.abs(g128[::2] - g64))
         d2 = np.max(np.abs(g256[::2] - g128))
         assert d1 / d2 >= 3.0  # second order in space
+
+
+def run_both_ways(profile, cfg):
+    """([(record repr, profile)], final profile, summary, functionals batch sizes) of
+    `evolve` batched (no stop_when) and one record at a time (a stop_when that never stops)."""
+    runs = []
+    for stop_when in (None, lambda rec: False):
+        seen, sizes = [], []
+
+        def counted(profiles, kind):
+            sizes.append(len(profiles))
+            return functionals(profiles, kind)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow_mod, "functionals", counted)
+            final, summary = evolve(
+                profile, cfg, sink=lambda rec, prof: seen.append((repr(rec), prof)),
+                stop_when=stop_when,
+            )
+        runs.append((seen, final, summary, sizes))
+    return runs
+
+
+def assert_same_run(batched, single):
+    (seen_b, final_b, summary_b, _), (seen_s, final_s, summary_s, sizes_s) = batched, single
+    assert [rec for rec, _ in seen_b] == [rec for rec, _ in seen_s]
+    for (_, a), (_, b) in zip(seen_b, seen_s):
+        assert a.t == b.t and np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
+    assert final_b.t == final_s.t
+    assert np.array_equal(final_b.f, final_s.f) and np.array_equal(final_b.g, final_s.g)
+    assert summary_b == summary_s
+    assert set(sizes_s) == {1}
+
+
+class TestRecordBatches:
+    @pytest.mark.parametrize("n, batch", [(64, 64), (256, 16)])
+    @pytest.mark.parametrize("kind, eps", [(TORUS, 0.0), (TORUS, 1e-2), (SPHERE, 0.0)])
+    def test_batched_equals_one_at_a_time(self, kind, eps, n, batch):
+        # 101 records: not a multiple of the batch size, so the last batch is partial
+        cfg = FlowConfig(kind=kind, t_end=1.0, epsilon=eps)
+        batched, single = run_both_ways(sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1), cfg)
+        assert_same_run(batched, single)
+        assert len(batched[0]) == 101
+        assert batched[3] == [batch] * (101 // batch) + [101 % batch]
+
+    def test_batch_size_at_n_2048(self):
+        cfg = FlowConfig(kind=TORUS, t_end=0.5, epsilon=1e-2, record_every=0.1)
+        batched, single = run_both_ways(sinusoid_profile(2048, TWO_PI, 2.0, 0.1, 1), cfg)
+        assert_same_run(batched, single)
+        assert batched[3] == [2, 2, 2]
+
+    def test_resume_from_mid_run_snapshot(self, kind, tmp_path):
+        cfg = FlowConfig(kind=kind, t_end=1.0, epsilon=1e-2)
+        full = run_both_ways(sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1), cfg)
+        assert_same_run(*full)
+        seen = full[0][0]
+        mid = 37  # t = 0.37, inside the first batch of 64 records
+        save_snapshot(seen[mid][1], tmp_path / "snap.json")
+        resumed = run_both_ways(load_snapshot(tmp_path / "snap.json"), cfg)
+        assert_same_run(*resumed)
+        assert [rec for rec, _ in resumed[0][0]] == [rec for rec, _ in seen[mid:]]
+
+    @pytest.mark.parametrize("f_bad, what", [(1e-120, "record field E2"),
+                                             (1e-200, "curvature component w_s at node")])
+    def test_overflowing_record_in_a_batch(self, monkeypatch, f_bad, what):
+        # every step lands on the next record time; the one onto t = 0.02
+        # collapses f, so the third record overflows
+        good = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
+
+        def fake_step(profile, kind, epsilon, dt):
+            t = profile.t + dt
+            f = np.full(256, f_bad) if t == pytest.approx(0.02) else good.f
+            return MetricProfile(256, TWO_PI, t, f, good.g)
+
+        monkeypatch.setattr(flow_mod, "step", fake_step)
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: math.inf)
+        cfg = FlowConfig(kind=TORUS, t_end=0.2, record_every=0.01)
+        outcomes = []
+        for stop_when in (None, lambda rec: False):
+            seen = []
+            with pytest.raises(NumericOverflowError) as caught:
+                evolve(good, cfg, sink=lambda rec, prof: seen.append(prof), stop_when=stop_when)
+            outcomes.append(([prof.t for prof in seen], str(caught.value)))
+        bad = MetricProfile(256, TWO_PI, 0.02, np.full(256, f_bad), good.g)
+        with pytest.raises(NumericOverflowError) as alone:
+            functionals([bad], TORUS)
+        assert what in str(alone.value)
+        assert outcomes == [([0.0, 0.01], str(alone.value))] * 2
+
+    @pytest.mark.parametrize("kind", [TORUS, SPHERE])
+    def test_first_bad_row_raises_its_own_error(self, kind):
+        rows = [sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1) for _ in range(4)]
+        rows = [dataclasses.replace(p, t=0.1 * i) for i, p in enumerate(rows)]
+        e2_row = dataclasses.replace(rows[2], f=np.full(64, 1e-120))
+        w_s_row = dataclasses.replace(rows[3], f=np.full(64, 1e-200))
+        for stack in ([rows[0], rows[1], e2_row, w_s_row], [rows[0], rows[1], w_s_row, e2_row]):
+            with pytest.raises(NumericOverflowError) as alone:
+                functionals([stack[2]], kind)
+            with pytest.raises(NumericOverflowError) as batched:
+                functionals(stack, kind)
+            assert str(batched.value) == str(alone.value)
+
+    def test_step_failure_flushes_pending_records(self, profile_a, monkeypatch):
+        real_step = flow_mod.step
+
+        def failing(profile, kind, epsilon, dt):
+            if profile.t >= 0.5:
+                raise StepFailureError(profile.t, dt)
+            return real_step(profile, kind, epsilon, dt)
+
+        monkeypatch.setattr(flow_mod, "step", failing)
+        cfg = FlowConfig(kind=TORUS, t_end=1.0, record_every=0.01)
+        outcomes = []
+        for stop_when in (None, lambda rec: False):
+            seen = []
+            with pytest.raises(StepFailureError) as caught:
+                evolve(profile_a, cfg, sink=lambda rec, _: seen.append(repr(rec)),
+                       stop_when=stop_when)
+            outcomes.append((seen, str(caught.value)))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == 51  # t = 0, 0.01, ..., 0.5: three past the last full batch
+        assert "last good t=0.5" in outcomes[0][1]

@@ -94,6 +94,11 @@ class TestPeriodicOperator:
         v = np.random.default_rng(3).standard_normal(37)
         assert np.array_equal(ddx(v, 0.1), (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * 0.1))
 
+    def test_stacks_difference_along_the_last_axis(self):
+        v = np.random.default_rng(4).standard_normal((3, 4, 37))
+        want = (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / (2.0 * 0.1)
+        assert np.array_equal(ddx(v, 0.1), want)
+
     def test_first_nonfinite(self):
         v = np.full(16, 1e308)  # finite samples whose sum overflows
         with np.errstate(over="ignore", invalid="ignore"):
