@@ -26,15 +26,17 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .claims import ClaimTolerances, ClaimVerdict, FieldError, NOT_APPLICABLE, evaluate_claims
-from .diagnostics import DiagnosticsRecord
+from .diagnostics import SERIES_FIELDS, DiagnosticsRecord
 from ._periodic import first_nonfinite
 from .flow import FlowConfig, evolve, next_record_index, validate_initial
 from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field
@@ -56,12 +58,11 @@ __all__ = [
     "main",
 ]
 
-SERIES_FIELDS = (
-    "t", "L", "V", "g_max", "g_min", "sup_gs", "sup_gss", "E2",
-    "l2_gss", "l2_gsss", "zero_count", "dL_dt_formula", "dV_dt_formula",
-    "K12_sup", "K23_mean", "K23_spread", "R_mean",
-)
 SERIES_HEADER = ",".join(SERIES_FIELDS)
+_series_values = operator.attrgetter(*SERIES_FIELDS)
+# each column parses as its field's declared type
+_SERIES_TYPES = {name: cls for name, cls in typing.get_type_hints(DiagnosticsRecord).items()
+                 if name in SERIES_FIELDS}
 
 CURVATURE_HEADER = "i,x,f,g,w,w_s,K12,K23,Ric11,Ric22,R,P11,P22,h11,h22"
 
@@ -282,11 +283,9 @@ def load_snapshot(path: str | Path) -> MetricProfile:
 
 
 def _series_row(rec: DiagnosticsRecord) -> str:
-    parts = []
-    for name in SERIES_FIELDS:
-        value = getattr(rec, name)
-        parts.append(str(int(value)) if name == "zero_count" else _fmt(value))
-    return ",".join(parts)
+    """The record's series values; `functionals` gives builtin floats and ints,
+    whose repr is already the shortest round-trip form."""
+    return ",".join(map(repr, _series_values(rec)))
 
 
 def read_series(path: str | Path) -> list[DiagnosticsRecord]:
@@ -298,9 +297,9 @@ def read_series(path: str | Path) -> list[DiagnosticsRecord]:
         if missing:
             raise ValueError(f"{path}: series has no column {missing[0]!r}")
         for row in reader:
-            kwargs = {name: float(row[name]) for name in SERIES_FIELDS}
-            kwargs["zero_count"] = int(row["zero_count"])
-            records.append(DiagnosticsRecord(**kwargs))
+            records.append(DiagnosticsRecord(
+                **{name: parse(row[name]) for name, parse in _SERIES_TYPES.items()}
+            ))
     return records
 
 
@@ -447,19 +446,16 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
 def check_series(
     series_path: str | Path,
     kind: BundleKind,
-    n: int = 256,
-    period: float = 2.0 * math.pi,
     tolerances: ClaimTolerances | None = None,
 ) -> int:
     """Re-run the claim checker on an existing series CSV.
 
-    The series format carries no grid metadata, so n and period (used
-    only for the grid-scaled monotonicity slack) default to the standard
-    grid and can be overridden.
+    The series format carries no grid metadata, so the grid spacing of
+    the monotonicity slack is `tolerances.dx`; the default tolerances
+    assume the standard grid, n = 256 on a period of 2 pi.
     """
     records = read_series(series_path)
-    tol = tolerances if tolerances is not None else ClaimTolerances(dx=period / n)
-    verdicts = evaluate_claims(records, kind, tol)
+    verdicts = evaluate_claims(records, kind, tolerances)
     for v in verdicts:
         print(_claim_line(v))
     return _claims_exit_status(verdicts)
@@ -492,22 +488,19 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "check":
+            tolerances = ClaimTolerances(dx=args.period / args.n)
+            return check_series(args.series, BundleKind(args.kind), tolerances)
+        config = load_config(Path(args.config).read_text(encoding="utf-8"))
         if args.command == "run":
-            config = load_config(Path(args.config).read_text(encoding="utf-8"))
             return run_scenario(config, resume=args.resume)
         if args.command == "curvature":
-            config = load_config(Path(args.config).read_text(encoding="utf-8"))
             return curvature_dump(config)
-        if args.command == "check":
-            return check_series(args.series, BundleKind(args.kind), args.n, args.period)
-        if args.command == "eps-sweep":
-            config = load_config(Path(args.config).read_text(encoding="utf-8"))
-            epsilons = [float(part) for part in args.epsilons.split(",") if part.strip()]
-            return epsilon_sweep(config, epsilons)
+        epsilons = [float(part) for part in args.epsilons.split(",") if part.strip()]
+        return epsilon_sweep(config, epsilons)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -8,13 +8,17 @@ stencil. `functionals` evaluates a stack of records in one pass on
 (records, n) arrays; every sum and extremum runs along the contiguous
 last axis, so each row is bit-identical to a one-record call. The rate
 integrands are written once, in `_rates`, which `rate_formulas` shares.
+
+`DiagnosticsRecord` states the record schema once: its fields in order,
+less the in-memory `E2_rate_formula`, are the `series.csv` columns
+(`SERIES_FIELDS`), each of its field's declared type.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .geometry import _curvature
 
 __all__ = [
     "DiagnosticsRecord",
+    "SERIES_FIELDS",
     "RateFormulas",
     "functionals",
     "rate_formulas",
@@ -60,6 +65,11 @@ class DiagnosticsRecord:
     K23_spread: float
     R_mean: float
     E2_rate_formula: float = math.nan
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
+# the series.csv columns, in order
+SERIES_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "E2_rate_formula")
 
 
 @dataclass(frozen=True)
@@ -170,7 +180,7 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
 
     Raises NumericOverflowError for the first profile with a non-finite
     row: as `curvature_field` does when its curvature is not finite, else
-    naming the first non-finite field in series order (the sphere's
+    naming the first non-finite field in field order (the sphere's
     dV_dt_formula is NaN by design and exempt).
     """
     dx = profiles[0].dx
@@ -183,7 +193,7 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
         gsss = ddx(gss, dx) / f
         dL, dV, e2_rate, _ = _rates(g, f, dx, kind, w, gss, gsss)
         vol = _integrate(g * g, f, dx)
-        columns = dict(  # the record fields in series order
+        columns = dict(  # by field name; the record's field order is the only order
             t=np.array([p.t for p in profiles]),
             L=_integrate(1.0, f, dx),
             V=vol if kind is BundleKind.TORUS else 4.0 * math.pi * vol,
@@ -203,13 +213,14 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
             R_mean=field.R.mean(axis=-1),
             E2_rate_formula=e2_rate,
         )
-        finite = np.isfinite(np.array(list(columns.values())))  # (fields, rows)
-    names = list(columns)
+        values = [columns[name] for name in _RECORD_FIELDS]
+        finite = np.isfinite(np.array(values))  # (fields, rows)
     if kind is BundleKind.SPHERE:
-        finite[names.index("dV_dt_formula")] = True  # NaN by design
+        finite[_RECORD_FIELDS.index("dV_dt_formula")] = True  # NaN by design
     if not finite.all():
         row = int(np.argmin(finite.all(axis=0)))  # the first row with a non-finite field
         curvature_field(profiles[row], kind)  # raises first when the curvature is not finite
-        name = names[int(np.argmin(finite[:, row]))]
+        name = _RECORD_FIELDS[int(np.argmin(finite[:, row]))]
         raise NumericOverflowError(f"record field {name}", None, profiles[row].t)
-    return [DiagnosticsRecord(*fields) for fields in zip(*(c.tolist() for c in columns.values()))]
+    # tolist gives builtin floats and ints, whose repr is the series text
+    return [DiagnosticsRecord(*row) for row in zip(*(v.tolist() for v in values))]

@@ -14,6 +14,7 @@ from xcflow import (
     InsufficientDataError,
     evaluate_claims,
 )
+from xcflow.claims import _max, _rate_residual_ratio
 
 TORUS = BundleKind.TORUS
 SPHERE = BundleKind.SPHERE
@@ -126,6 +127,13 @@ class TestTorusClaims:
         assert verdict(shrinking, TORUS, "T-L5").status == "fail"
         wrong_rate = stream(L=[6.28] * 5, dL_dt_formula=[1.0] * 5)
         assert verdict(wrong_rate, TORUS, "T-L5").status == "fail"
+
+    def test_zero_monotonicity_slack_fails_any_decrease(self):
+        tol = ClaimTolerances(mono_base=0.0, mono_dx2=0.0)
+        shrinking = stream(L=lambda k: 6.28 - 0.01 * k, dL_dt_formula=[-0.02] * 5)
+        v = verdict(shrinking, TORUS, "T-L5", tol)
+        assert v.status == "fail"
+        assert v.measured == math.inf
 
     def test_growth_proxy(self):
         ok = stream(L=lambda k: 6.28 * (1.0 + 0.01 * k), dL_dt_formula=[0.0628] * 5)
@@ -290,3 +298,31 @@ def test_nan_extremum_fails_squeeze_claim():
 def test_nan_growth_fails_log_slope_claim(kind, claim_id):
     v = verdict(stream(sup_gss=lambda k: math.nan if k == 2 else 0.1), kind, claim_id)
     assert v.status == "fail" and math.isnan(v.measured)
+
+
+def _rate_residual_loop(t, values, formula, tol):
+    """Reference: the per-record loop that `_rate_residual_ratio` does as arrays."""
+    worst = 0.0
+    for k in range(1, len(values) - 1):
+        fd = (values[k + 1] - values[k - 1]) / (t[k + 1] - t[k - 1])
+        allowed = max(tol.rate_rel * abs(formula[k]), tol.rate_abs)
+        worst = _max(worst, abs(fd - formula[k]) / allowed)
+    return worst
+
+
+@pytest.mark.parametrize("nan_at", [None, "values", "formula"])
+def test_rate_residual_ratio_matches_loop(nan_at):
+    rng = np.random.default_rng(7)
+    tol = ClaimTolerances()
+    for _ in range(20):
+        size = int(rng.integers(3, 40))
+        t = np.cumsum(rng.uniform(0.01, 0.5, size))
+        values = 6.0 + np.cumsum(rng.normal(0.0, 1e-3, size))
+        # formula magnitudes on both sides of rate_abs / rate_rel
+        formula = rng.normal(0.0, 1.0, size) * 10.0 ** rng.uniform(-6.0, 0.0, size)
+        if nan_at is not None:
+            {"values": values, "formula": formula}[nan_at][int(rng.integers(1, size - 1))] = math.nan
+        got = _rate_residual_ratio(t, values, formula, tol)
+        want = _rate_residual_loop(t, values, formula, tol)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.isnan(got) == (nan_at is not None)

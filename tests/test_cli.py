@@ -8,6 +8,7 @@ from xcflow import (
     BundleKind,
     ClaimTolerances,
     ConfigError,
+    DiagnosticsRecord,
     NotApplicableError,
     SlopeConditionError,
     StationaryFlowWarning,
@@ -149,6 +150,11 @@ class TestSnapshots:
         data = json.loads(path.read_text())
         assert set(data) == {"n", "period", "t", "f", "g"}
         assert len(data["f"]) == len(data["g"]) == 16
+
+
+def test_series_header_is_the_record_schema():
+    names = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
+    assert SERIES_HEADER.split(",") == [name for name in names if name != "E2_rate_formula"]
 
 
 class TestRunScenario:
@@ -325,6 +331,18 @@ class TestCheckSeries:
         assert check_status == status
         assert printed == claims_file
 
+    def test_grid_flags_set_the_tolerance_dx(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_scenario(load_config(config_text(out, bundle="torus", t_end="0.2", **{"grid.n": "64"})))
+        series = out / "series.csv"
+        status = main(["check", "--series", str(series), "--kind", "torus", "--n", "64"])
+        printed = capsys.readouterr().out
+        tolerances = ClaimTolerances(dx=TWO_PI / 64)
+        assert check_series(series, BundleKind.TORUS, tolerances=tolerances) == status
+        assert capsys.readouterr().out == printed
+        check_series(series, BundleKind.TORUS)  # default tolerances: the n = 256 grid
+        assert capsys.readouterr().out != printed
+
 
 class TestMain:
     def test_run_command(self, tmp_path):
@@ -475,6 +493,23 @@ class TestConfigValidation:
         path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("bundle = torus\nt_end = 1.0\ngrid.n = 4\n", "line 3: grid.n must be >= 8, got 4"),
+            ("bundle = torus\nt_end = 1.0\nprofile.wavenumber = 0\n",
+             "line 3: profile.wavenumber must be a positive integer, got 0"),
+            ("bundle = torus\nt_end = 1.0\nprofile.family = spline\n",
+             "line 3: profile.family must be 'sinusoid' or 'file', got 'spline'"),
+            ("bundle = torus\nt_end 6\n", "line 2: expected `key = value`"),
+        ],
+        ids=["small-grid", "zero-wavenumber", "unknown-family", "no-equals"],
+    )
+    def test_rejected_with_message(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("value", ["2.5", "inf"])
     def test_integer_keys_need_integers(self, value):

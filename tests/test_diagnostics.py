@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from xcflow import (
     BundleKind,
+    DiagnosticsRecord,
     FlowConfig,
     RateFormulas,
     count_sign_changes,
@@ -72,6 +75,16 @@ class TestFunctionals:
         assert rec.K23_mean == pytest.approx(0.25, abs=0.02)
         assert rec.K23_spread > 0.0
         assert rec.R_mean == pytest.approx(2 * rec.K23_mean, abs=0.05)
+
+    def test_fields_have_their_builtin_types(self, kind):
+        # the series writer prints each value's repr, which is the shortest
+        # round-trip text only for builtin floats and ints
+        declared = typing.get_type_hints(DiagnosticsRecord)
+        rng = np.random.default_rng(11)
+        profiles = [random_trig_profile(rng, n=64) for _ in range(3)]
+        for rec in functionals(profiles, kind) + functionals(profiles[:1], kind):
+            for field in dataclasses.fields(rec):
+                assert type(getattr(rec, field.name)) is declared[field.name], field.name
 
 
 class TestRateFormulas:

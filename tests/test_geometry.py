@@ -52,6 +52,11 @@ class TestMetricProfile:
         with pytest.raises(ValueError, match="period"):
             make_profile(n=16, period=0.0)
 
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError) as err:
+            make_profile(n=16, t=float("nan"))
+        assert str(err.value) == "flow time must be finite, got nan"
+
     def test_grid_properties(self):
         p = make_profile(n=64, period=TWO_PI)
         assert p.dx == pytest.approx(TWO_PI / 64)

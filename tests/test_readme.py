@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from xcflow import ConfigError, FlowConfig, load_config, main
+from xcflow.cli import CURVATURE_HEADER, SERIES_HEADER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -39,6 +40,14 @@ def test_quick_start_commands_exit_0(tmp_path, monkeypatch):
     ]
     for argv in argvs:
         assert main(argv[1:]) == 0, argv
+
+
+def test_output_columns_match_the_writers():
+    outputs = section("Outputs")
+    assert code_blocks(outputs)[0] == SERIES_HEADER + "\n"
+    curvature = next(p for p in outputs.split("\n\n") if p.startswith("`curvature.csv`"))
+    # the first backquoted comma-separated list of the paragraph
+    assert re.search(r"`([^`]*,[^`]*)`", curvature).group(1) == CURVATURE_HEADER
 
 
 def test_table_keys_load():
