@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 SERIES_HEADER = ",".join(SERIES_FIELDS)
+_MIN_N = 8  # the coarsest grid: grid.n and `check --n`
 _series_values = operator.attrgetter(*SERIES_FIELDS)
 # each column parses as its field's declared type
 _SERIES_TYPES = {name: cls for name, cls in typing.get_type_hints(DiagnosticsRecord).items()
@@ -108,8 +109,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
-        if not self.n >= 8:
-            raise FieldError(f"grid.n must be >= 8, got {self.n}", "grid.n")
+        if not self.n >= _MIN_N:
+            raise FieldError(f"grid.n must be >= {_MIN_N}, got {self.n}", "grid.n")
         if not self.period > 0.0:
             raise FieldError(f"grid.period must be positive, got {self.period!r}", "grid.period")
         if self.period == math.inf:
@@ -489,6 +490,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "check":
+            # comparisons are written so that NaN fails them
+            if not args.n >= _MIN_N:
+                raise ValueError(f"--n must be >= {_MIN_N}, got {args.n}")
+            if not 0.0 < args.period < math.inf:
+                raise ValueError(f"--period must be finite and positive, got {args.period!r}")
             tolerances = ClaimTolerances(dx=args.period / args.n)
             return check_series(args.series, BundleKind(args.kind), tolerances)
         config = load_config(Path(args.config).read_text(encoding="utf-8"))

@@ -21,13 +21,22 @@ drifting arc-length parametrisation automatic: along any run,
 d/dt log f = +/- (1/g^2) g_ss^2 (+ torus, - sphere) holds node-wise up
 to discretisation error.
 
-Steps are classical 4-stage Runge-Kutta at the parabolic stability
-bound dt = min(f dx)^2 / D_max, shortened only to land on the next
-record time; `stable_dt` derives why that bound stays well inside RK4's
-stability interval for this stencil. Derivatives use the periodic
-operator of `_periodic` that geometry and diagnostics share. `step` is
-one fused kernel: one np.errstate block, stage sums updated in place,
-positivity checked by reductions, and the result built by the trusted
+Steps are s-stage RKL2 super-steps (Meyer, Balsara & Aslam 2014,
+J. Comput. Phys. 257, 594-626): second order in time, and stable for
+dt * rho <= (s^2 + s - 2)/2, where `stable_dt` derives why 1 / stable_dt
+bounds the spectral radius rho for this stencil. A step spans
+dt = min(record gap, 20 stable_dt) and takes the fewest stages s >= 2
+that cover it. The cap of S = 6 stages, (S^2 + S - 2)/2 = 20, is the
+largest that keeps the sphere run's time error within 5% of its grid
+difference at n = 256 (TestStageCap in tests/test_flow.py); at a fixed
+cap the time error falls as dx^4 against the grid's dx^2. The step's
+first RHS evaluation also gives D_max, so w is formed once per step,
+and s and dt depend only on the state at the step's start.
+
+Derivatives use the periodic operator of `_periodic` that geometry and
+diagnostics share. `step` is one fused kernel: one np.errstate block,
+stage combinations summed in place in rotating buffers, positivity
+checked by reductions, and the result built by the trusted
 `MetricProfile._trusted`. Its work buffers are allocated per call and no
 array is written once returned or handed to a sink, so distinct runs
 share no state and may execute in parallel.
@@ -35,6 +44,7 @@ share no state and may execute in parallel.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -62,6 +72,9 @@ __all__ = [
 ]
 
 MAX_STEP_RETRIES = 10
+# RKL2 stage cap S: a step spans at most (S^2 + S - 2)/2 = 20 units of
+# stable_dt. TestStageCap in tests/test_flow.py pins it against the grid error.
+_MAX_STAGES = 6
 _RECORD_NODES = 4096  # evolve evaluates up to this many grid nodes of records per batch
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
@@ -165,14 +178,22 @@ def _rhs_arrays(
     t: float,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dt, dg/dt) per node, into the rows of a (2, n) out if given; call under np.errstate."""
+    """(df/dt, dg/dt) per node, into the rows of a (2, n) out if given; call under np.errstate.
+
+    A (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
+    in its last row, which `stable_dt` reduces.
+    """
     if out is None:
         out = np.empty((2, f.size))
     w = ddx(g, dx) / f
     dxw = ddx(w, dx)
     den = kind.flow_sign * f * g * g  # +/- f g^2; the sign is exact
+    shifted = w * w + _shift(kind, epsilon)
     df = np.divide(dxw * dxw, den, out=out[0])
-    dg = np.divide((w * w + _shift(kind, epsilon)) * dxw, den, out=out[1])
+    dg = np.divide(shifted * dxw, den, out=out[1])
+    if len(out) == 3:
+        np.multiply(shifted, kind.flow_sign, out=out[2])
+        out[2] /= g * g
     for name, arr in (("df/dt", df), ("dg/dt", dg)):
         node = first_nonfinite(arr)
         if node is not None:
@@ -193,29 +214,33 @@ def rhs(
         return _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t)
 
 
-def stable_dt(profile: MetricProfile, kind: BundleKind, epsilon: float = 0.0) -> float:
-    """Diffusion-limited explicit step size.
+def stable_dt(
+    profile: MetricProfile, kind: BundleKind, epsilon: float = 0.0,
+    coeff: np.ndarray | None = None,
+) -> float:
+    """Diffusion-limited explicit step size: one unit of RKL2's stable span.
 
     dt = min(f dx)^2 / D_max with D_max the largest diffusion coefficient
     max(flow_sign (w^2 + c), 0) / g^2 over the grid, c as in `_shift`
     (the sphere's turns negative where |w| > 1); inf when it vanishes
-    everywhere, as on a constant torus profile.
+    everywhere, as on a constant torus profile. coeff is that coefficient
+    per node when the caller has it from an RHS evaluation at this
+    profile (the last row of a (3, n) `_rhs_arrays` out); otherwise one
+    RHS evaluation forms it here.
 
-    Why this is stable: linearised, the flow is g_t = D g_ss with g_ss
+    Why this is the unit: linearised, the flow is g_t = D g_ss with g_ss
     the centred difference applied twice, a 2dx-wide stencil
     (g[i+2] - 2 g[i] + g[i-2]) / (2 ds)^2. Gershgorin bounds its
-    spectral radius rho by D_max / ds_min^2, so dt * rho <= 1, at most
-    36% of RK4's real-axis stability interval (-2.785, 0). This holds
-    for this stencil only: a compact second difference has a 4x larger
-    radius, and the bound must be derived again for it
-    (tests/test_flow.py measures dt * |lambda| on the Jacobian).
+    spectral radius rho by D_max / ds_min^2, so dt * rho <= 1, and an
+    s-stage RKL2 step is stable up to (s^2 + s - 2)/2 such units. On the
+    Jacobian of the full (f, g) system dt * |lambda| measures at most
+    0.99 at n = 64 and 128 (tests/test_flow.py checks RKL2's stability
+    polynomial there at every step evolve picks). This holds for this
+    stencil only: a compact second difference has a 4x larger radius,
+    and the bound must be derived again for it.
     """
-    coeff = ddx(profile.g, profile.dx)  # updated in place, saving temporaries every step
-    coeff /= profile.f  # w
-    coeff *= coeff
-    coeff += _shift(kind, epsilon)
-    coeff *= kind.flow_sign
-    coeff /= profile.g * profile.g
+    if coeff is None:
+        return _start_of_step(profile, kind, epsilon)[1]
     d_max = max(float(np.max(coeff)), 0.0)  # clipping the max clips every node
     if d_max == 0.0:
         return math.inf
@@ -223,10 +248,62 @@ def stable_dt(profile: MetricProfile, kind: BundleKind, epsilon: float = 0.0) ->
     return ds_min * ds_min / d_max
 
 
+@functools.cache
+def _rkl2_coefficients(s: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
+    """(mu~_1, ((mu_j, nu_j, 1 - mu_j - nu_j, mu~_j, gamma~_j) for j = 2..s)) of s-stage RKL2.
+
+    Meyer, Balsara & Aslam 2014, J. Comput. Phys. 257, eqs. 16-17, with
+    w1 = 4 / (s^2 + s - 2) and b_0 = b_1 = b_2 = 1/3.
+    """
+    w1 = 4.0 / (s * s + s - 2)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
+    rows = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        mu_w = mu * w1
+        rows.append((mu, nu, 1.0 - mu - nu, mu_w, -(1.0 - b[j - 1]) * mu_w))
+    return b[1] * w1, tuple(rows)
+
+
+def _span(s: int) -> float:
+    """Stable span of s-stage RKL2 in units of stable_dt: dt * rho <= (s^2 + s - 2)/2."""
+    return (s * s + s - 2) / 2
+
+
+def _stages(dt: float, bound: float) -> int:
+    """Fewest s >= 2 whose span covers dt at this stable_dt bound; at most _MAX_STAGES."""
+    s = 2
+    while s < _MAX_STAGES and _span(s) * bound < dt:
+        s += 1
+    return s
+
+
+def _start_of_step(
+    profile: MetricProfile, kind: BundleKind, epsilon: float
+) -> tuple[np.ndarray, float]:
+    """(L(Y0) as a (2, n) array, stable_dt) of the profile from one RHS evaluation."""
+    out = np.empty((3, profile.n))
+    # overflow is detected and reported with the node; silence numpy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t, out=out)
+    return out[:2], stable_dt(profile, kind, epsilon, out[2])
+
+
 def step(
-    profile: MetricProfile, kind: BundleKind, epsilon: float, dt: float
+    profile: MetricProfile,
+    kind: BundleKind,
+    epsilon: float,
+    dt: float,
+    start: tuple[np.ndarray, float] | None = None,
 ) -> MetricProfile:
-    """Advance (f, g) together by one classical Runge-Kutta step.
+    """Advance (f, g) together by one RKL2 super-step of dt.
+
+    It takes s stages, the fewest s >= 2 whose stable span
+    (s^2 + s - 2)/2 * stable_dt covers dt, and at most _MAX_STAGES: a dt
+    past that cap's span is not stable. start, if given, is
+    `_start_of_step` of this profile, which evolve forms once per step
+    and reuses on a retry.
 
     Raises StepFailureError if f or g loses positivity at any stage or
     is not finite and positive in the result; the caller may retry with
@@ -236,29 +313,36 @@ def step(
         raise ValueError(f"dt must be positive, got {dt!r}")
     dx, t = profile.dx, profile.t
     y0 = np.array((profile.f, profile.g))
-    k, y, acc = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
-
-    def stage(y):
-        if y.min() <= 0.0:
-            raise StepFailureError(t, dt, "positivity lost at an internal stage")
-        _rhs_arrays(y[0], y[1], dx, kind, epsilon, t, out=k)
+    if y0.min() <= 0.0:
+        raise StepFailureError(t, dt, "positivity lost at an internal stage")
+    k0, bound = _start_of_step(profile, kind, epsilon) if start is None else start
+    mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
+    k, y_prev2, y = np.empty_like(y0), y0.copy(), np.empty_like(y0)
 
     # overflow is detected in _rhs_arrays and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        stage(y0)
-        np.copyto(acc, k)
-        # stage inputs y0 + c k, and acc sums k1 + 2 k2 + 2 k3 + k4 in order
-        for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
-            np.multiply(k, c, out=y)
-            y += y0
-            stage(y)
-            acc += weight * k
-        acc *= dt / 6.0
-        acc += y0
-        ok = acc.min() > 0.0 and acc.max() < math.inf
+        y_prev = np.multiply(k0, mu_1 * dt)  # Y_1
+        y_prev += y0
+        # Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0
+        #       + mu~ dt L(Y_{j-1}) + gamma~ dt L(Y_0), summed in y with k as scratch
+        for mu, nu, c0, mu_w, gamma_w in rows:
+            if y_prev.min() <= 0.0:
+                raise StepFailureError(t, dt, "positivity lost at an internal stage")
+            _rhs_arrays(y_prev[0], y_prev[1], dx, kind, epsilon, t, out=k)
+            k *= mu_w * dt
+            np.multiply(y_prev, mu, out=y)
+            y += k
+            np.multiply(y_prev2, nu, out=k)
+            y += k
+            np.multiply(y0, c0, out=k)
+            y += k
+            np.multiply(k0, gamma_w * dt, out=k)
+            y += k
+            y_prev2, y_prev, y = y_prev, y, y_prev2
+        ok = y_prev.min() > 0.0 and y_prev.max() < math.inf
     if not ok:
         raise StepFailureError(t, dt)
-    return MetricProfile._trusted(profile.n, profile.period, t + dt, acc[0], acc[1])
+    return MetricProfile._trusted(profile.n, profile.period, t + dt, y_prev[0], y_prev[1])
 
 
 def next_record_index(t: float, every: float) -> int:
@@ -319,10 +403,11 @@ def evolve(
         while not (len(pending) == batch and emit()) and t_end - profile.t > eps_t:
             target = min(k * every, t_end)
             gap = target - profile.t
-            dt = min(gap, stable_dt(profile, config.kind, config.epsilon))
+            start = _start_of_step(profile, config.kind, config.epsilon)
+            dt = min(gap, _span(_MAX_STAGES) * start[1])
             for attempt in range(MAX_STEP_RETRIES + 1):
                 try:
-                    advanced = step(profile, config.kind, config.epsilon, dt)
+                    advanced = step(profile, config.kind, config.epsilon, dt, start)
                     break
                 except StepFailureError:
                     summary.retries += 1

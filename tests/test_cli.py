@@ -343,6 +343,19 @@ class TestCheckSeries:
         check_series(series, BundleKind.TORUS)  # default tolerances: the n = 256 grid
         assert capsys.readouterr().out != printed
 
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--n", ["0", "-4", "7"], "--n must be >= 8, got {}"),
+        ("--period", ["0", "-1.5", "nan", "inf"], "--period must be finite and positive, got {}"),
+    ])
+    def test_check_rejects_bad_grid_flags(self, tmp_path, capsys, flag, values, message):
+        out = tmp_path / "out"
+        run_scenario(load_config(config_text(out, bundle="torus", t_end="0.2")))
+        for value in values:
+            argv = ["check", "--series", str(out / "series.csv"), "--kind", "torus", flag, value]
+            assert main(argv) == 2
+            expected = message.format(int(value) if flag == "--n" else repr(float(value)))
+            assert capsys.readouterr().err == f"error: {expected}\n"
+
 
 class TestMain:
     def test_run_command(self, tmp_path):

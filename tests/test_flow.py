@@ -28,6 +28,7 @@ from xcflow import (
 
 import metric_oracle
 from conftest import TWO_PI, make_profile, random_trig_profile
+from rk4_reference import rk4_run, rk4_step
 
 TORUS = BundleKind.TORUS
 SPHERE = BundleKind.SPHERE
@@ -36,6 +37,35 @@ SPHERE = BundleKind.SPHERE
 def steep_profile(n=16):
     x = np.arange(n) * (TWO_PI / n)
     return MetricProfile(n=n, period=TWO_PI, t=0.0, f=np.ones(n), g=1.2 + 1.0 * np.sin(x))
+
+
+def rkl2_amplification(s, z):
+    """RKL2's stability polynomial R_s(z) = a_s + b_s P_s(1 + w1 z), P_s the Legendre polynomial.
+
+    Meyer, Balsara & Aslam 2014; |P_s| <= 1 on [-1, 1] gives the span.
+    """
+    b_s = (s * s + s - 2) / (2.0 * s * (s + 1))
+    legendre_s = np.polynomial.legendre.legval(1.0 + 4.0 / (s * s + s - 2) * z, [0] * s + [1])
+    return 1.0 - b_s + b_s * legendre_s
+
+
+def step_doubling(step_fn, p, dt):
+    """Max differences of one step of dt against two of dt/2, and two of dt/2 against four of dt/4."""
+    def advance(h, m):
+        prof = p
+        for _ in range(m):
+            prof = step_fn(prof, TORUS, 0.0, h)
+        return np.array((prof.f, prof.g))
+
+    y1, y2, y4 = advance(dt, 1), advance(dt / 2, 2), advance(dt / 4, 4)
+    return np.max(np.abs(y1 - y2)), np.max(np.abs(y2 - y4))
+
+
+def record_difference(records, reference):
+    """Max |difference| over every field of two record streams with NaN in the same places."""
+    a, b = (np.array([dataclasses.astuple(r) for r in recs]) for recs in (records, reference))
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    return np.nanmax(np.abs(a - b))
 
 
 class TestFlowConfig:
@@ -172,11 +202,12 @@ class TestStableDt:
         assert dt == pytest.approx(profile_b.dx**2 / d_max, rel=1e-12)
 
     @pytest.mark.parametrize("kind, eps", [(SPHERE, 0.0), (TORUS, 1e-2)])
-    def test_default_step_inside_rk4_interval(self, kind, eps):
-        # central-difference Jacobian of the RHS in (f, g); the decaying
-        # modes must satisfy dt |lambda| <= 1.05 at the stable step, well
-        # inside RK4's real-axis interval (-2.785, 0). Modes with
-        # Re(lambda) >= 0 are the flow's own slow growth.
+    def test_default_step_inside_rkl2_region(self, kind, eps, monkeypatch):
+        # central-difference Jacobian of the RHS in (f, g). At each (dt, s)
+        # that evolve picks from this profile, for record gaps from far
+        # below the bound to past the cap, the decaying modes must satisfy
+        # |R_s(dt lambda)| <= 1. Modes with Re(lambda) >= 0 are the flow's
+        # own slow growth.
         p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
         n, y0 = p.n, np.concatenate((p.f, p.g))
 
@@ -193,7 +224,23 @@ class TestStableDt:
         lam = np.linalg.eigvals(jac)
         decaying = lam[lam.real < 0.0]
         assert decaying.size > n // 2
-        assert np.max(np.abs(decaying)) * stable_dt(p, kind, eps) <= 1.05
+
+        picks = []  # (dt, s) of every step evolve takes from p
+        real_stages = flow_mod._stages
+
+        def spy(dt, bound):
+            picks.append((dt, real_stages(dt, bound)))
+            return picks[-1][1]
+
+        monkeypatch.setattr(flow_mod, "_stages", spy)
+        bound = stable_dt(p, kind, eps)
+        for gap in bound * np.geomspace(0.05, 40.0, 30):
+            evolve(p, FlowConfig(kind=kind, t_end=gap, epsilon=eps, record_every=gap))
+            dt, s = picks[0]
+            picks.clear()
+            assert np.max(np.abs(rkl2_amplification(s, dt * decaying))) <= 1.0
+        # the last gaps ran into the cap
+        assert (dt, s) == (flow_mod._span(flow_mod._MAX_STAGES) * bound, flow_mod._MAX_STAGES)
 
 
 class TestStep:
@@ -215,18 +262,36 @@ class TestStep:
         p = steep_profile()
         dt = 0.3 * stable_dt(p, TORUS)
 
-        def advance(prof, h, m):
-            for _ in range(m):
-                prof = step(prof, TORUS, 0.0, h)
-            return prof
-
-        y1 = advance(p, dt, 1)
-        y2 = advance(p, dt / 2, 2)
-        y4 = advance(p, dt / 4, 4)
-        d1 = max(np.max(np.abs(y1.g - y2.g)), np.max(np.abs(y1.f - y2.f)))
-        d2 = max(np.max(np.abs(y2.g - y4.g)), np.max(np.abs(y2.f - y4.f)))
+        d1, d2 = step_doubling(rk4_step, p, dt)
         assert d1 > 1e-10  # measurable regime
         assert 10.0 < d1 / d2 < 24.0
+
+    def test_second_order_step_doubling(self, monkeypatch):
+        # s held at 4 for dt, dt/2 and dt/4, all inside its span of 9 bounds
+        monkeypatch.setattr(flow_mod, "_stages", lambda dt, bound: 4)
+        p = steep_profile()
+        d1, d2 = step_doubling(step, p, 0.1 * stable_dt(p, TORUS))
+        assert d1 > 1e-10
+        assert 3.0 < d1 / d2 < 5.5
+
+    @pytest.mark.parametrize("s", [2, 3, 6])
+    def test_linear_step_is_the_stability_polynomial(self, s, monkeypatch):
+        # on y' = lambda (y - 2) the step must multiply y - 2 by R_s(dt lambda)
+        lam = -np.geomspace(1e-3, 1.0, 32)  # per unit of stable_dt
+
+        def linear(f, g, dx, kind, epsilon, t, out):
+            np.multiply(lam, np.array((f, g)) - 2.0, out=out)
+            return out[0], out[1]
+
+        monkeypatch.setattr(flow_mod, "_rhs_arrays", linear)
+        y0 = 2.0 + 0.5 * np.cos(np.arange(32))
+        p = MetricProfile(n=32, period=TWO_PI, t=0.0, f=y0, g=y0[::-1].copy())
+        dt = flow_mod._span(s)  # the whole span of s stages at a bound of 1
+        start = (lam * (np.array((p.f, p.g)) - 2.0), 1.0)
+        out = step(p, TORUS, 0.0, dt, start)
+        amp = rkl2_amplification(s, dt * lam)
+        assert np.allclose(out.f - 2.0, amp * (p.f - 2.0), rtol=0.0, atol=1e-14)
+        assert np.allclose(out.g - 2.0, amp * (p.g - 2.0), rtol=0.0, atol=1e-14)
 
     def test_rejects_nonpositive_dt(self, profile_a):
         with pytest.raises(ValueError):
@@ -238,12 +303,12 @@ class TestStep:
 
     def test_nonfinite_result_is_a_step_failure(self, profile_a, monkeypatch):
         def huge(f, g, dx, kind, epsilon, t, out):
-            out[:] = 1e308  # finite slopes whose weighted sum overflows
+            out[:] = 1e308  # finite slopes that carry y0 + dt * 1e308 past the largest float
             return out[0], out[1]
 
         monkeypatch.setattr(flow_mod, "_rhs_arrays", huge)
         with pytest.raises(StepFailureError):
-            step(profile_a, TORUS, 0.0, 1.0)
+            step(profile_a, TORUS, 0.0, 10.0)
 
     def test_result_shares_no_memory_with_input(self, profile_a, kind):
         out = step(profile_a, kind, 0.0, stable_dt(profile_a, kind))
@@ -254,44 +319,35 @@ class TestStep:
 
 class TestEvolve:
     @pytest.mark.parametrize("kind, eps", [(SPHERE, 0.0), (TORUS, 1e-2)])
-    def test_default_step_resolves_time(self, kind, eps, monkeypatch):
-        # the stable step must leave every record where a 4x smaller one puts it
-        rows, steps = [], []
-        bound = flow_mod.stable_dt
-        for scale in (1.0, 0.25):
-            monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: scale * bound(*args))
-            records = []
-            cfg = FlowConfig(kind=kind, t_end=1.0, epsilon=eps)
-            p = sinusoid_profile(128, TWO_PI, 2.0, 0.1, 1)
-            _, summary = evolve(p, cfg, sink=lambda r, _: records.append(r))
-            assert summary.retries == 0
-            assert len(records) == 101
-            rows.append(np.array([dataclasses.astuple(r) for r in records]))
-            steps.append(summary.steps)
-        if kind is SPHERE:  # the torus step bound exceeds the record gap
-            assert steps[0] < steps[1]
-        # NaN entries (dV_dt_formula on the sphere) compare equal
-        np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-12)
+    def test_default_step_resolves_time(self, kind, eps):
+        # every record within 5% of the grid difference of RK4 at the bound
+        cfg = FlowConfig(kind=kind, t_end=1.0, epsilon=eps)
+        p = sinusoid_profile(128, TWO_PI, 2.0, 0.1, 1)
+        records = []
+        _, summary = evolve(p, cfg, sink=lambda r, _: records.append(r))
+        assert summary.retries == 0
+        assert len(records) == 101
+        time_ref, _, rk4_steps = rk4_run(p, cfg)
+        grid_ref, _, _ = rk4_run(sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1), cfg)
+        # one RKL2 step per record gap; RK4 needs two on the sphere, whose
+        # bound is below the gap, and one on the torus, whose bound exceeds it
+        assert (summary.steps, rk4_steps) == (100, 200 if kind is SPHERE else 100)
+        time_error = record_difference(records, time_ref)
+        assert time_error <= 0.05 * record_difference(time_ref, grid_ref)
 
-    def test_step_bound_torus_resolves_time(self, monkeypatch):
-        # steps of 0.48 against 0.12 (8 against 20) for gaps of 0.5: the time
-        # error must stay far below the grid error of the same records
-        bound = flow_mod.stable_dt
-
-        def records(n, scale):
-            monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: scale * bound(*args))
-            rows = []
-            cfg = FlowConfig(kind=TORUS, t_end=2.0, epsilon=1e-2, record_every=0.5)
-            _, summary = evolve(sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1), cfg,
-                                sink=lambda r, _: rows.append(dataclasses.astuple(r)))
-            return np.array(rows), summary.steps
-
-        (coarse, steps), (fine_time, fine_steps) = records(128, 1.0), records(128, 0.25)
-        fine_grid, _ = records(256, 1.0)
-        assert (steps, fine_steps) == (8, 20)
-        time_error = np.max(np.abs(coarse - fine_time))
-        grid_error = np.max(np.abs(coarse - fine_grid))
-        assert time_error < 1e-4 * grid_error
+    def test_step_bound_torus_resolves_time(self):
+        # gaps of 0.5 against a bound of 0.48: RKL2 spans each gap with one
+        # 2-stage step, RK4 needs two steps; the time error must stay within
+        # 5% of the grid difference of the same records
+        cfg = FlowConfig(kind=TORUS, t_end=2.0, epsilon=1e-2, record_every=0.5)
+        p = sinusoid_profile(128, TWO_PI, 2.0, 0.1, 1)
+        records = []
+        _, summary = evolve(p, cfg, sink=lambda r, _: records.append(r))
+        time_ref, _, rk4_steps = rk4_run(p, cfg)
+        grid_ref, _, _ = rk4_run(sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1), cfg)
+        assert (summary.steps, rk4_steps) == (4, 8)
+        time_error = record_difference(records, time_ref)
+        assert time_error <= 0.05 * record_difference(time_ref, grid_ref)
 
     def test_stationary_run(self):
         p = make_profile(n=64, g=2.0)
@@ -386,6 +442,25 @@ class TestEvolve:
             evolve(make_profile(n=64, g=2.0, t=t0), cfg, sink=lambda r, _: records.append(r.t))
         assert records == [t0, t0 + 0.5, t0 + 1.0, t0 + 1.5]
 
+    def test_capped_step_rounding_onto_record_time_is_recorded(self, monkeypatch):
+        # as above, with the step set by the cap: 20 bounds of (0.5 - 2^-40) / 20
+        span = flow_mod._span(flow_mod._MAX_STAGES)
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: (0.5 - 2.0**-40) / span)
+        real_step, steps = flow_mod.step, []
+
+        def spy(profile, kind, epsilon, dt, start=None):
+            steps.append(dt)
+            return real_step(profile, kind, epsilon, dt, start)
+
+        monkeypatch.setattr(flow_mod, "step", spy)
+        t0 = 2.0**20
+        cfg = FlowConfig(kind=TORUS, t_end=t0 + 1.5, record_every=0.5)
+        records = []
+        with pytest.warns(StationaryFlowWarning):
+            evolve(make_profile(n=64, g=2.0, t=t0), cfg, sink=lambda r, _: records.append(r.t))
+        assert records == [t0, t0 + 0.5, t0 + 1.0, t0 + 1.5]
+        assert len(steps) == 3 and all(0.5 - 2.0**-33 < dt < 0.5 for dt in steps)
+
     def test_stop_when(self, profile_a):
         cfg = FlowConfig(kind=TORUS, t_end=10.0, record_every=0.1)
         records = []
@@ -401,11 +476,11 @@ class TestEvolve:
         real_step = flow_mod.step
         fails = {"left": 2}
 
-        def flaky(profile, kind, epsilon, dt):
+        def flaky(profile, kind, epsilon, dt, start=None):
             if fails["left"] > 0:
                 fails["left"] -= 1
                 raise StepFailureError(profile.t, dt)
-            return real_step(profile, kind, epsilon, dt)
+            return real_step(profile, kind, epsilon, dt, start)
 
         monkeypatch.setattr(flow_mod, "step", flaky)
         cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.1)
@@ -414,7 +489,7 @@ class TestEvolve:
         assert summary.t_final == pytest.approx(0.1)
 
     def test_retry_exhaustion_reports_last_good_time(self, profile_a, monkeypatch):
-        def always_fail(profile, kind, epsilon, dt):
+        def always_fail(profile, kind, epsilon, dt, start=None):
             raise StepFailureError(profile.t, dt)
 
         monkeypatch.setattr(flow_mod, "step", always_fail)
@@ -456,6 +531,36 @@ class TestEvolve:
         d1 = np.max(np.abs(g128[::2] - g64))
         d2 = np.max(np.abs(g256[::2] - g128))
         assert d1 / d2 >= 3.0  # second order in space
+
+
+class TestStageCap:
+    def test_time_error_within_grid_difference(self, monkeypatch):
+        # sphere-converge's run: profile B to t=9.2 at a record gap of 0.1. At
+        # n=256 the RKL2 end state must lie within 5% of RK4's n=128 -> 256
+        # difference from RK4 on the same grid, in max|g| and in L: about 20%
+        # of the 256 -> 512 difference, as the refinement ratio is 4.0. At a
+        # fixed cap the time error falls as dx^4 and the grid difference as
+        # dx^2, so finer grids only gain. The cap is the largest that meets
+        # this: one stage more fails.
+        cfg = FlowConfig(kind=SPHERE, t_end=9.2, record_every=0.1)
+
+        def end_state(final):
+            return final.g, functionals([final], SPHERE)[0].L
+
+        (g128, L128), (g256, L256) = (
+            end_state(rk4_run(sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1), cfg)[1]) for n in (128, 256)
+        )
+        grid_g, grid_L = np.max(np.abs(g256[::2] - g128)), abs(L256 - L128)
+
+        def ratios():
+            final, summary = evolve(sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1), cfg)
+            assert summary.retries == 0
+            g, L = end_state(final)
+            return np.max(np.abs(g - g256)) / grid_g, abs(L - L256) / grid_L
+
+        assert max(ratios()) <= 0.05
+        monkeypatch.setattr(flow_mod, "_MAX_STAGES", flow_mod._MAX_STAGES + 1)
+        assert max(ratios()) > 0.05
 
 
 def run_both_ways(profile, cfg):
@@ -525,7 +630,7 @@ class TestRecordBatches:
         # collapses f, so the third record overflows
         good = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
 
-        def fake_step(profile, kind, epsilon, dt):
+        def fake_step(profile, kind, epsilon, dt, start=None):
             t = profile.t + dt
             f = np.full(256, f_bad) if t == pytest.approx(0.02) else good.f
             return MetricProfile(256, TWO_PI, t, f, good.g)
@@ -561,10 +666,10 @@ class TestRecordBatches:
     def test_step_failure_flushes_pending_records(self, profile_a, monkeypatch):
         real_step = flow_mod.step
 
-        def failing(profile, kind, epsilon, dt):
+        def failing(profile, kind, epsilon, dt, start=None):
             if profile.t >= 0.5:
                 raise StepFailureError(profile.t, dt)
-            return real_step(profile, kind, epsilon, dt)
+            return real_step(profile, kind, epsilon, dt, start)
 
         monkeypatch.setattr(flow_mod, "step", failing)
         cfg = FlowConfig(kind=TORUS, t_end=1.0, record_every=0.01)
