@@ -293,11 +293,16 @@ def read_series(path: str | Path) -> list[DiagnosticsRecord]:
     """Load a series CSV back into records (E2_rate_formula is NaN)."""
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, restval="")
-        missing = [name for name in SERIES_FIELDS if name not in (reader.fieldnames or ())]
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [name for name in SERIES_FIELDS if name not in header]
         if missing:
             raise ValueError(f"{path}: series has no column {missing[0]!r}")
-        for row in reader:
+        for cells in filter(None, reader):  # blank lines skipped
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: row has {len(cells)} cells, "
+                                 f"header has {len(header)}")
+            row = dict(zip(header, cells))
             records.append(DiagnosticsRecord(
                 **{name: parse(row[name]) for name, parse in _SERIES_TYPES.items()}
             ))

@@ -6,8 +6,9 @@ trapezoid coincide on a uniform periodic grid). Higher arc-length
 derivatives are built by repeated application of the first-derivative
 stencil. `functionals` evaluates a stack of records in one pass on
 (records, n) arrays; every sum and extremum runs along the contiguous
-last axis, so each row is bit-identical to a one-record call. The rate
-integrands are written once, in `_rates`, which `rate_formulas` shares.
+last axis, so each row is bit-identical to a one-record call. The
+closed-form rates are written once, in `rate_formulas`, and
+`functionals` is its only caller.
 
 `DiagnosticsRecord` states the record schema once: its fields in order,
 less the in-memory `E2_rate_formula`, are the `series.csv` columns
@@ -23,16 +24,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._periodic import ddx
-from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field, s_derivative
-from .geometry import _curvature
+from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field
+from .geometry import _curvature, s_derivative  # noqa: F401  s_derivative: perfbench/tracer.py wraps it
 
 __all__ = [
     "DiagnosticsRecord",
     "SERIES_FIELDS",
-    "RateFormulas",
     "functionals",
-    "rate_formulas",
-    "integrate_ds",
     "count_sign_changes",
 ]
 
@@ -72,28 +70,9 @@ _RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 SERIES_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "E2_rate_formula")
 
 
-@dataclass(frozen=True)
-class RateFormulas:
-    """Closed-form time derivatives of the monitored functionals.
-
-    Entries are None where no closed form is available for the family:
-    dV_dt for the sphere, l2_gsss_rate for the torus.
-    """
-
-    dL_dt: float
-    dV_dt: float | None
-    e2_rate: float
-    l2_gsss_rate: float | None
-
-
 def _integrate(values, f: np.ndarray, dx: float) -> np.ndarray:
-    """integrate_ds of each row of (..., n) stacks, summed along the contiguous last axis."""
+    """ds = f dx quadrature of each row of (..., n) stacks, along the contiguous last axis."""
     return np.add.reduce(values * f, axis=-1) * dx
-
-
-def integrate_ds(values: np.ndarray, profile: MetricProfile) -> float:
-    """Periodic trapezoid quadrature of node samples against ds = f dx."""
-    return float(_integrate(np.asarray(values), profile.f, profile.dx))
 
 
 def count_sign_changes(values: np.ndarray) -> int:
@@ -110,10 +89,21 @@ def count_sign_changes(values: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1])) + int(s[0] != s[-1])
 
 
-def _rates(g, f, dx, kind, w, gss, gsss, gssss=None):
-    """(dL/dt, dV/dt, dE2/dt, d/dt l2_gsss) per row of (..., n) stacks, as in `rate_formulas`.
+def rate_formulas(g, f, dx, kind, w, gss, gsss):
+    """(dL/dt, dV/dt, dE2/dt) per row of (..., n) stacks; dV/dt is None on the sphere.
 
-    The last needs g_ssss and is None without it; call under np.errstate.
+    Each rate is the quadrature of a pointwise integrand in g and its
+    arc-length derivatives w = g_s, gss = g_ss and gsss = g_sss (call
+    under np.errstate):
+
+      dL/dt  = +/- integral of (1/g^2) g_ss^2 ds  (+ torus, - sphere)
+      dV/dt  (torus) = integral of (2/3)(1/g^2) g_s^4 + g_ss^2 ds
+      dE2/dt (torus) = integral of -(38/3) g^-5 g_s^2 g_ss^3
+                       - (1/3) g^-4 g_ss^4 - 2 g^-4 g_s^2 g_sss^2
+                       + 12 g^-6 g_s^4 g_ss^2 ds
+      dE2/dt (sphere) = integral of -2 g^-4 (1-g_s^2) g_sss^2
+                        + (1/3) g^-4 g_ss^4 + g^-5 ((38/3) g_s^2 - 6) g_ss^3
+                        + 12 g^-6 g_s^2 (1-g_s^2) g_ss^2 ds
     """
     # every power is formed once; each rate integrand is a polynomial in
     # 1/g, evaluated by Horner's rule from its highest power of 1/g down
@@ -128,47 +118,11 @@ def _rates(g, f, dx, kind, w, gss, gsss, gssss=None):
         dV = _integrate((2.0 / 3.0) * w4 / g2 + gss2, f, dx)
         e2 = inv_g4 * ((12.0 * w4 * gss2 / g - (38.0 / 3.0) * w2 * gss3) / g
                        - gss4 / 3.0 - 2.0 * w2 * gsss2)
-        return dL, dV, _integrate(e2, f, dx), None
+        return dL, dV, _integrate(e2, f, dx)
     one_m_w2 = 1.0 - w2
     e2 = inv_g4 * ((12.0 * w2 * one_m_w2 * gss2 / g + ((38.0 / 3.0) * w2 - 6.0) * gss3) / g
                    + gss4 / 3.0 - 2.0 * one_m_w2 * gsss2)
-    if gssss is None:
-        return dL, None, _integrate(e2, f, dx), None
-    gss_gsss = gss * gsss
-    # coefficients of g^-6 ... g^-2
-    c6 = -120.0 * w2 * w2 * one_m_w2 * gss2
-    c5 = 248.0 * w2 * (15.0 / 31.0 - w2) * gss3
-    c4 = 24.0 * w2 * one_m_w2 * gsss2 - 96.0 * (1.0 / 8.0 - w2) * gss4
-    c3 = gss_gsss * (32.0 * w * gss2 - 44.0 * (3.0 / 11.0 - w2) * gsss)
-    c2 = -2.0 * one_m_w2 * gssss * gssss + gss_gsss * gss_gsss + 8.0 * w * gss_gsss * gssss
-    l3 = ((((c6 / g + c5) / g + c4) / g + c3) / g + c2) / g2
-    return dL, None, _integrate(e2, f, dx), _integrate(l3, f, dx)
-
-
-def rate_formulas(profile: MetricProfile, kind: BundleKind) -> RateFormulas:
-    """Evaluate the closed-form rates of L, V, E2 and the l2 norm of g_sss.
-
-    Each rate is the quadrature of a pointwise integrand in g and its
-    arc-length derivatives up to fourth order:
-
-      dL/dt  = +/- integral of (1/g^2) g_ss^2 ds  (+ torus, - sphere)
-      dV/dt  (torus) = integral of (2/3)(1/g^2) g_s^4 + g_ss^2 ds
-      dE2/dt (torus) = integral of -(38/3) g^-5 g_s^2 g_ss^3
-                       - (1/3) g^-4 g_ss^4 - 2 g^-4 g_s^2 g_sss^2
-                       + 12 g^-6 g_s^4 g_ss^2 ds
-      dE2/dt (sphere) = integral of -2 g^-4 (1-g_s^2) g_sss^2
-                        + (1/3) g^-4 g_ss^4 + g^-5 ((38/3) g_s^2 - 6) g_ss^3
-                        + 12 g^-6 g_s^2 (1-g_s^2) g_ss^2 ds
-      d/dt l2_gsss (sphere) = nine-term integrand in g_s..g_ssss.
-
-    `functionals` stores all but the last, from the same arithmetic.
-    """
-    w = s_derivative(profile, profile.g)
-    gss = s_derivative(profile, w)
-    gsss = s_derivative(profile, gss)
-    rates = _rates(profile.g, profile.f, profile.dx, kind, w, gss, gsss,
-                   s_derivative(profile, gsss))
-    return RateFormulas(*(None if r is None else float(r) for r in rates))
+    return dL, None, _integrate(e2, f, dx)
 
 
 def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[DiagnosticsRecord]:
@@ -191,7 +145,7 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
         field = _curvature(f, g, dx, kind.kappa)
         w, gss = field.w, field.w_s
         gsss = ddx(gss, dx) / f
-        dL, dV, e2_rate, _ = _rates(g, f, dx, kind, w, gss, gsss)
+        dL, dV, e2_rate = rate_formulas(g, f, dx, kind, w, gss, gsss)
         vol = _integrate(g * g, f, dx)
         columns = dict(  # by field name; the record's field order is the only order
             t=np.array([p.t for p in profiles]),

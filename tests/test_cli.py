@@ -567,8 +567,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "body, message",
         [("t,V\n0.0,1.0\n", "series.csv: series has no column 'L'"),
-         (SERIES_HEADER + "\n0.0\n", "could not convert")],
-        ids=["missing-column", "short-row"],
+         (SERIES_HEADER + "\n0.0\n", "series.csv: line 2: row has 1 cells, header has 17"),
+         (SERIES_HEADER + "\n" + ",".join(["0.0"] * 18) + "\n",
+          "series.csv: line 2: row has 18 cells, header has 17")],
+        ids=["missing-column", "short-row", "long-row"],
     )
     def test_malformed_series_exits_2(self, tmp_path, capsys, body, message):
         series = tmp_path / "series.csv"

@@ -9,12 +9,9 @@ from xcflow import (
     BundleKind,
     DiagnosticsRecord,
     FlowConfig,
-    RateFormulas,
     count_sign_changes,
     evolve,
     functionals,
-    integrate_ds,
-    rate_formulas,
     s_derivative,
     sinusoid_profile,
 )
@@ -30,7 +27,6 @@ E2_QUAD = 0.007898314149888822          # (1/g^2) g_ss^2
 DV_QUAD = 0.03145524560828636           # (2/3)(1/g^2) g_s^4 + g_ss^2
 E2_RATE_TORUS_QUAD = -3.4905138756295704e-05
 E2_RATE_SPHERE_QUAD = -0.004013690783199925
-L3_RATE_SPHERE_QUAD = -0.01557953568463606
 
 
 class TestFunctionals:
@@ -58,13 +54,6 @@ class TestFunctionals:
         assert rec.g_min == pytest.approx(1.9, abs=1e-4)
         assert rec.E2 == pytest.approx(E2_QUAD, rel=1e-3)
 
-    def test_rate_fields_mirror_formulas(self, profile_a):
-        rec = functionals([profile_a], TORUS)[0]
-        rates = rate_formulas(profile_a, TORUS)
-        assert rec.dL_dt_formula == rates.dL_dt
-        assert rec.dV_dt_formula == rates.dV_dt
-        assert rec.E2_rate_formula == rates.e2_rate
-
     def test_sphere_volume_rate_reported_absent(self, profile_b):
         rec = functionals([profile_b], SPHERE)[0]
         assert math.isnan(rec.dV_dt_formula)
@@ -90,41 +79,36 @@ class TestFunctionals:
 class TestRateFormulas:
     def test_constant_profile_rates_vanish(self):
         p = make_profile(n=64, g=2.0)
-        rt = rate_formulas(p, TORUS)
-        assert rt.dL_dt == 0.0
-        assert rt.dV_dt == 0.0
-        assert rt.e2_rate == 0.0
-        assert rt.l2_gsss_rate is None
-        rs = rate_formulas(p, SPHERE)
-        assert rs.dL_dt == 0.0
-        assert rs.dV_dt is None
-        assert rs.e2_rate == 0.0
-        assert rs.l2_gsss_rate == 0.0
+        rt = functionals([p], TORUS)[0]
+        assert rt.dL_dt_formula == 0.0
+        assert rt.dV_dt_formula == 0.0
+        assert rt.E2_rate_formula == 0.0
+        rs = functionals([p], SPHERE)[0]
+        assert rs.dL_dt_formula == 0.0
+        assert math.isnan(rs.dV_dt_formula)
+        assert rs.E2_rate_formula == 0.0
 
     def test_torus_rates_against_quadrature_oracle(self, profile_a):
-        rates = rate_formulas(profile_a, TORUS)
-        assert rates.dL_dt == pytest.approx(E2_QUAD, rel=1e-3)
-        assert rates.dV_dt == pytest.approx(DV_QUAD, rel=1e-3)
-        assert rates.e2_rate == pytest.approx(E2_RATE_TORUS_QUAD, rel=2e-3)
-        assert rates.l2_gsss_rate is None
+        rec = functionals([profile_a], TORUS)[0]
+        assert rec.dL_dt_formula == pytest.approx(E2_QUAD, rel=1e-3)
+        assert rec.dV_dt_formula == pytest.approx(DV_QUAD, rel=1e-3)
+        assert rec.E2_rate_formula == pytest.approx(E2_RATE_TORUS_QUAD, rel=2e-3)
 
     def test_sphere_rates_against_quadrature_oracle(self, profile_b):
-        rates = rate_formulas(profile_b, SPHERE)
-        assert rates.dL_dt == pytest.approx(-E2_QUAD, rel=1e-3)
-        assert rates.dV_dt is None
-        assert rates.e2_rate == pytest.approx(E2_RATE_SPHERE_QUAD, rel=2e-3)
-        assert rates.l2_gsss_rate == pytest.approx(L3_RATE_SPHERE_QUAD, rel=2e-3)
+        rec = functionals([profile_b], SPHERE)[0]
+        assert rec.dL_dt_formula == pytest.approx(-E2_QUAD, rel=1e-3)
+        assert math.isnan(rec.dV_dt_formula)
+        assert rec.E2_rate_formula == pytest.approx(E2_RATE_SPHERE_QUAD, rel=2e-3)
 
     def test_sign_properties(self, kind):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            p = random_trig_profile(rng)
-            rates = rate_formulas(p, kind)
+            rec = functionals([random_trig_profile(rng)], kind)[0]
             if kind is TORUS:
-                assert rates.dL_dt >= 0.0
-                assert rates.dV_dt >= 0.0
+                assert rec.dL_dt_formula >= 0.0
+                assert rec.dV_dt_formula >= 0.0
             else:
-                assert rates.dL_dt <= 0.0
+                assert rec.dL_dt_formula <= 0.0
 
     def test_length_rate_matches_run(self, profile_a):
         # centred difference of measured L along a run vs the closed form
@@ -137,12 +121,19 @@ class TestRateFormulas:
             assert abs(fd - formula) <= max(1e-3 * abs(formula), 1e-6)
 
 
+def integrate_ds(values, profile):
+    """Periodic trapezoid quadrature of node samples against ds = f dx."""
+    return float(np.sum(values * profile.f) * profile.dx)
+
+
 def reference_rates(profile, kind):
-    """The rate integrands written term by term, each power spelled out."""
+    """(dL/dt, dV/dt, dE2/dt) with the integrands written term by term, each power spelled out.
+
+    dV/dt is NaN on the sphere, as in the record.
+    """
     w = s_derivative(profile, profile.g)
     gss = s_derivative(profile, w)
     gsss = s_derivative(profile, gss)
-    gssss = s_derivative(profile, gsss)
     g = profile.g
     dL = kind.flow_sign * integrate_ds(gss**2 / (g * g), profile)
     if kind is TORUS:
@@ -154,7 +145,7 @@ def reference_rates(profile, kind):
             + 12.0 * w**4 * gss**2 / g**6,
             profile,
         )
-        return RateFormulas(dL, dV, e2_rate, None)
+        return dL, dV, e2_rate
     one_m_w2 = 1.0 - w**2
     e2_rate = integrate_ds(
         -2.0 * one_m_w2 * gsss**2 / g**4
@@ -163,19 +154,7 @@ def reference_rates(profile, kind):
         + 12.0 * w**2 * one_m_w2 * gss**2 / g**6,
         profile,
     )
-    l3_rate = integrate_ds(
-        -2.0 * one_m_w2 * gssss**2 / g**2
-        + 24.0 * w**2 * one_m_w2 * gsss**2 / g**4
-        - 44.0 * (3.0 / 11.0 - w**2) * gss * gsss**2 / g**3
-        + gss**2 * gsss**2 / g**2
-        + 8.0 * w * gss * gsss * gssss / g**2
-        - 120.0 * w**4 * one_m_w2 * gss**2 / g**6
-        + 248.0 * w**2 * (15.0 / 31.0 - w**2) * gss**3 / g**5
-        - 96.0 * (1.0 / 8.0 - w**2) * gss**4 / g**4
-        + 32.0 * w * gss**3 * gsss / g**3,
-        profile,
-    )
-    return RateFormulas(dL, None, e2_rate, l3_rate)
+    return dL, math.nan, e2_rate
 
 
 class TestRateFormulasReference:
@@ -184,27 +163,28 @@ class TestRateFormulasReference:
         rng = np.random.default_rng(17)
         for _ in range(6):
             p = random_trig_profile(rng, amp=amp, modes=4)
-            got, want = rate_formulas(p, kind), reference_rates(p, kind)
-            for name in ("dL_dt", "dV_dt", "e2_rate", "l2_gsss_rate"):
-                a, b = getattr(got, name), getattr(want, name)
-                if b is None:
-                    assert a is None, name
+            rec = functionals([p], kind)[0]
+            got = (rec.dL_dt_formula, rec.dV_dt_formula, rec.E2_rate_formula)
+            for name, a, b in zip(("dL_dt", "dV_dt", "E2_rate"), got, reference_rates(p, kind)):
+                if math.isnan(b):
+                    assert math.isnan(a), name
                 else:
                     assert a == pytest.approx(b, rel=1e-12, abs=0.0), name
             # E2 and dL/dt come from one sum
-            assert functionals([p], kind)[0].E2 == kind.flow_sign * got.dL_dt
+            assert rec.E2 == kind.flow_sign * rec.dL_dt_formula
 
 
 class TestQuadrature:
+    # L = integral of ds = sum of f dx is the record's plain ds-quadrature
     def test_spectral_exactness_for_trig_polynomials(self):
         for n in (64, 256):
-            p = make_profile(n=n, g=2.0)
-            v = 1.5 + np.cos(5 * p.x) - 2.0 * np.sin(7 * p.x)
-            assert integrate_ds(v, p) == pytest.approx(1.5 * TWO_PI, abs=1e-12)
+            x = np.arange(n) * (TWO_PI / n)
+            p = make_profile(n=n, f=3.5 + np.cos(5 * x) - 2.0 * np.sin(7 * x), g=2.0)
+            assert functionals([p], TORUS)[0].L == pytest.approx(3.5 * TWO_PI, abs=1e-12)
 
     def test_arc_length_weighting(self):
         p = make_profile(n=64, f=3.0, g=2.0)
-        assert integrate_ds(np.ones(64), p) == pytest.approx(3.0 * TWO_PI, abs=1e-12)
+        assert functionals([p], TORUS)[0].L == pytest.approx(3.0 * TWO_PI, abs=1e-12)
 
 
 class TestZeroCount:

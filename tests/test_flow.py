@@ -432,20 +432,15 @@ class TestEvolve:
         ]
         assert final.t == t0 + 0.21
 
-    def test_step_rounding_onto_record_time_is_recorded(self, monkeypatch):
-        # at t = 2^20 a step of 0.5 - 2^-40 rounds onto the next record time
-        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: 0.5 - 2.0**-40)
-        t0 = 2.0**20
-        cfg = FlowConfig(kind=TORUS, t_end=t0 + 1.5, record_every=0.5)
-        records = []
-        with pytest.warns(StationaryFlowWarning):
-            evolve(make_profile(n=64, g=2.0, t=t0), cfg, sink=lambda r, _: records.append(r.t))
-        assert records == [t0, t0 + 0.5, t0 + 1.0, t0 + 1.5]
-
-    def test_capped_step_rounding_onto_record_time_is_recorded(self, monkeypatch):
-        # as above, with the step set by the cap: 20 bounds of (0.5 - 2^-40) / 20
+    @pytest.mark.parametrize("capped", [False, True], ids=["gap", "cap"])
+    def test_capped_step_rounding_onto_record_time_is_recorded(self, monkeypatch, capped):
+        # at t = 2^20, record gap 0.5: with stable_dt = 0.5 - 2^-40 every step is the
+        # whole gap (dt = min(gap, 20 stable_dt)) and lands by dt == gap; with stable_dt
+        # divided by the cap's span of 20 the cap sets dt just below 0.5, and t + dt
+        # rounds onto the record time
         span = flow_mod._span(flow_mod._MAX_STAGES)
-        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: (0.5 - 2.0**-40) / span)
+        bound = (0.5 - 2.0**-40) / (span if capped else 1.0)
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: bound)
         real_step, steps = flow_mod.step, []
 
         def spy(profile, kind, epsilon, dt, start=None):
@@ -459,7 +454,11 @@ class TestEvolve:
         with pytest.warns(StationaryFlowWarning):
             evolve(make_profile(n=64, g=2.0, t=t0), cfg, sink=lambda r, _: records.append(r.t))
         assert records == [t0, t0 + 0.5, t0 + 1.0, t0 + 1.5]
-        assert len(steps) == 3 and all(0.5 - 2.0**-33 < dt < 0.5 for dt in steps)
+        assert len(steps) == 3
+        if capped:
+            assert all(0.5 - 2.0**-33 < dt < 0.5 for dt in steps)
+        else:
+            assert all(dt == 0.5 for dt in steps)
 
     def test_stop_when(self, profile_a):
         cfg = FlowConfig(kind=TORUS, t_end=10.0, record_every=0.1)
