@@ -239,13 +239,7 @@ def sinusoid_profile(
 ) -> MetricProfile:
     """g = base + amplitude * sin(wavenumber * x), f = 1, at t = 0."""
     x = np.arange(n) * (period / n)
-    return MetricProfile(
-        n=n,
-        period=period,
-        t=0.0,
-        f=np.ones(n),
-        g=base + amplitude * np.sin(wavenumber * x),
-    )
+    return MetricProfile(n, period, 0.0, np.ones(n), base + amplitude * np.sin(wavenumber * x))
 
 
 def build_profile(config: ScenarioConfig) -> MetricProfile:
@@ -257,13 +251,9 @@ def build_profile(config: ScenarioConfig) -> MetricProfile:
 
 
 def save_snapshot(profile: MetricProfile, path: str | Path) -> None:
-    payload = {
-        "n": profile.n,
-        "period": profile.period,
-        "t": profile.t,
-        "f": [float(v) for v in profile.f],
-        "g": [float(v) for v in profile.g],
-    }
+    # tolist gives builtin floats, whose JSON text round-trips bit for bit
+    payload = {"n": profile.n, "period": profile.period, "t": profile.t,
+               "f": profile.f.tolist(), "g": profile.g.tolist()}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
@@ -272,13 +262,8 @@ def load_snapshot(path: str | Path) -> MetricProfile:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: snapshot is not a JSON object")
     try:
-        return MetricProfile(
-            n=int(data["n"]),
-            period=float(data["period"]),
-            t=float(data["t"]),
-            f=np.asarray(data["f"], dtype=float),
-            g=np.asarray(data["g"], dtype=float),
-        )
+        return MetricProfile(int(data["n"]), float(data["period"]), float(data["t"]),
+                             np.asarray(data["f"], dtype=float), np.asarray(data["g"], dtype=float))
     except KeyError as exc:
         raise ValueError(f"{path}: snapshot has no field {exc.args[0]!r}") from None
 
@@ -298,14 +283,13 @@ def read_series(path: str | Path) -> list[DiagnosticsRecord]:
         missing = [name for name in SERIES_FIELDS if name not in header]
         if missing:
             raise ValueError(f"{path}: series has no column {missing[0]!r}")
+        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        columns = [(at[name], parse) for name, parse in _SERIES_TYPES.items()]  # field order
         for cells in filter(None, reader):  # blank lines skipped
             if len(cells) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num}: row has {len(cells)} cells, "
                                  f"header has {len(header)}")
-            row = dict(zip(header, cells))
-            records.append(DiagnosticsRecord(
-                **{name: parse(row[name]) for name, parse in _SERIES_TYPES.items()}
-            ))
+            records.append(DiagnosticsRecord(*[parse(cells[i]) for i, parse in columns]))
     return records
 
 

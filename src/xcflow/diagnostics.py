@@ -66,6 +66,9 @@ class DiagnosticsRecord:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
+_ZERO_COUNT = _RECORD_FIELDS.index("zero_count")
+# the fields that `functionals` stacks as floats, in record order
+_FLOAT_FIELDS = _RECORD_FIELDS[:_ZERO_COUNT] + _RECORD_FIELDS[_ZERO_COUNT + 1:]
 # the series.csv columns, in order
 SERIES_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "E2_rate_formula")
 
@@ -89,12 +92,13 @@ def count_sign_changes(values: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1])) + int(s[0] != s[-1])
 
 
-def rate_formulas(g, f, dx, kind, w, gss, gsss):
+def rate_formulas(g, f, dx, kind, w, gss, g2, gss2, gsss2):
     """(dL/dt, dV/dt, dE2/dt) per row of (..., n) stacks; dV/dt is None on the sphere.
 
     Each rate is the quadrature of a pointwise integrand in g and its
-    arc-length derivatives w = g_s, gss = g_ss and gsss = g_sss (call
-    under np.errstate):
+    arc-length derivatives w = g_s, gss = g_ss and gsss = g_sss; g2, gss2
+    and gsss2 are the squares of g, gss and gsss, which `functionals`
+    integrates as well (call under np.errstate):
 
       dL/dt  = +/- integral of (1/g^2) g_ss^2 ds  (+ torus, - sphere)
       dV/dt  (torus) = integral of (2/3)(1/g^2) g_s^4 + g_ss^2 ds
@@ -107,12 +111,12 @@ def rate_formulas(g, f, dx, kind, w, gss, gsss):
     """
     # every power is formed once; each rate integrand is a polynomial in
     # 1/g, evaluated by Horner's rule from its highest power of 1/g down
-    w2, gss2, gsss2 = w * w, gss * gss, gsss * gsss
+    w2 = w * w
     gss3 = gss2 * gss
     gss4 = gss2 * gss2
-    g2 = g * g
     inv_g4 = 1.0 / (g2 * g2)
-    dL = kind.flow_sign * _integrate(gss2 / g2, f, dx)
+    dL = _integrate(gss2 / g2, f, dx)
+    dL *= kind.flow_sign
     if kind is BundleKind.TORUS:
         w4 = w2 * w2
         dV = _integrate((2.0 / 3.0) * w4 / g2 + gss2, f, dx)
@@ -137,44 +141,51 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
     naming the first non-finite field in field order (the sphere's
     dV_dt_formula is NaN by design and exempt).
     """
-    dx = profiles[0].dx
+    dx, n = profiles[0].dx, profiles[0].n
     f = np.array([p.f for p in profiles])
     g = np.array([p.g for p in profiles])
+    torus = kind is BundleKind.TORUS
     # a non-finite row is reported below by name; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         field = _curvature(f, g, dx, kind.kappa)
-        w, gss = field.w, field.w_s
-        gsss = ddx(gss, dx) / f
-        dL, dV, e2_rate = rate_formulas(g, f, dx, kind, w, gss, gsss)
-        vol = _integrate(g * g, f, dx)
+        w, gss, k23 = field.w, field.w_s, field.K23
+        gsss = ddx(gss, dx)
+        gsss /= f
+        g2, gss2, gsss2 = g * g, gss * gss, gsss * gsss
+        dL, dV, e2_rate = rate_formulas(g, f, dx, kind, w, gss, g2, gss2, gsss2)
+        vol = _integrate(g2, f, dx)
+        # ufunc reductions throughout; a mean is add.reduce / n, the bits of np.mean
         columns = dict(  # by field name; the record's field order is the only order
-            t=np.array([p.t for p in profiles]),
-            L=_integrate(1.0, f, dx),
-            V=vol if kind is BundleKind.TORUS else 4.0 * math.pi * vol,
-            g_max=g.max(axis=-1),
-            g_min=g.min(axis=-1),
-            sup_gs=np.abs(w).max(axis=-1),
-            sup_gss=np.abs(gss).max(axis=-1),
+            t=[p.t for p in profiles],
+            L=np.add.reduce(f, axis=-1) * dx,  # the integral of 1 ds
+            V=vol if torus else 4.0 * math.pi * vol,
+            g_max=np.maximum.reduce(g, axis=-1),
+            g_min=np.minimum.reduce(g, axis=-1),
+            sup_gs=np.maximum.reduce(np.abs(w), axis=-1),
+            sup_gss=np.maximum.reduce(np.abs(gss), axis=-1),
             E2=kind.flow_sign * dL,  # dL/dt = +/- E2: one sum, sign flip exact
-            l2_gss=_integrate(gss * gss, f, dx),
-            l2_gsss=_integrate(gsss * gsss, f, dx),
-            zero_count=np.array([count_sign_changes(row) for row in w]),
+            l2_gss=_integrate(gss2, f, dx),
+            l2_gsss=_integrate(gsss2, f, dx),
             dL_dt_formula=dL,
-            dV_dt_formula=np.full(len(profiles), math.nan) if dV is None else dV,
-            K12_sup=np.abs(field.K12).max(axis=-1),
-            K23_mean=field.K23.mean(axis=-1),
-            K23_spread=field.K23.max(axis=-1) - field.K23.min(axis=-1),
-            R_mean=field.R.mean(axis=-1),
+            dV_dt_formula=dV if torus else np.full(len(profiles), math.nan),
+            K12_sup=np.maximum.reduce(np.abs(field.K12), axis=-1),
+            K23_mean=np.add.reduce(k23, axis=-1) / n,
+            K23_spread=np.maximum.reduce(k23, axis=-1) - np.minimum.reduce(k23, axis=-1),
+            R_mean=np.add.reduce(field.R, axis=-1) / n,
             E2_rate_formula=e2_rate,
         )
-        values = [columns[name] for name in _RECORD_FIELDS]
-        finite = np.isfinite(np.array(values))  # (fields, rows)
-    if kind is BundleKind.SPHERE:
-        finite[_RECORD_FIELDS.index("dV_dt_formula")] = True  # NaN by design
+        values = np.array([columns[name] for name in _FLOAT_FIELDS])  # (fields, rows)
+        finite = np.isfinite(values)
+    if not torus:
+        finite[_FLOAT_FIELDS.index("dV_dt_formula")] = True  # NaN by design
     if not finite.all():
         row = int(np.argmin(finite.all(axis=0)))  # the first row with a non-finite field
         curvature_field(profiles[row], kind)  # raises first when the curvature is not finite
-        name = _RECORD_FIELDS[int(np.argmin(finite[:, row]))]
+        name = _FLOAT_FIELDS[int(np.argmin(finite[:, row]))]
         raise NumericOverflowError(f"record field {name}", None, profiles[row].t)
-    # tolist gives builtin floats and ints, whose repr is the series text
-    return [DiagnosticsRecord(*row) for row in zip(*(v.tolist() for v in values))]
+    # one tolist gives builtin floats, whose repr is the series text;
+    # zero_count, an int and always finite, goes in at its place
+    records = values.T.tolist()
+    for row, w_row in zip(records, w):
+        row.insert(_ZERO_COUNT, count_sign_changes(w_row))
+    return [DiagnosticsRecord(*row) for row in records]

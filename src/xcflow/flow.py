@@ -30,16 +30,15 @@ that cover it. The cap of S = 6 stages, (S^2 + S - 2)/2 = 20, is the
 largest that keeps the sphere run's time error within 5% of its grid
 difference at n = 256 (TestStageCap in tests/test_flow.py); at a fixed
 cap the time error falls as dx^4 against the grid's dx^2. The step's
-first RHS evaluation also gives D_max, so w is formed once per step,
-and s and dt depend only on the state at the step's start.
+first RHS evaluation also gives D_max, so w is formed once per step.
 
 Derivatives use the periodic operator of `_periodic` that geometry and
-diagnostics share. `step` is one fused kernel: one np.errstate block,
-stage combinations summed in place in rotating buffers, positivity
-checked by reductions, and the result built by the trusted
-`MetricProfile._trusted`. Its work buffers are allocated per call and no
-array is written once returned or handed to a sink, so distinct runs
-share no state and may execute in parallel.
+diagnostics share. Buffers: `_rhs_arrays` writes only its `out` and
+arrays it allocates; `step` allocates its stage buffers once per call,
+copies Y_0 once, reads `start` without writing it, and returns rows of
+a fresh array; `evolve` enters one np.errstate block per batch of steps
+and none around the sink. No array handed to a profile or a sink is
+written again, so distinct runs share no state and may run in parallel.
 """
 
 from __future__ import annotations
@@ -164,46 +163,45 @@ def validate_initial(profile: MetricProfile, kind: BundleKind) -> MetricProfile:
     return profile
 
 
-def _shift(kind: BundleKind, epsilon: float) -> float:
-    """c in the g-equation's diffusion coefficient flow_sign (w^2 + c) / g^2."""
-    return epsilon if kind is BundleKind.TORUS else -1.0
-
-
-def _rhs_arrays(
-    f: np.ndarray,
-    g: np.ndarray,
-    dx: float,
-    kind: BundleKind,
-    epsilon: float,
-    t: float,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _rhs_arrays(f: np.ndarray, g: np.ndarray, dx: float, kind: BundleKind, epsilon: float,
+                t: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(df/dt, dg/dt) per node, into the rows of a (2, n) out if given; call under np.errstate.
 
     A (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
-    in its last row, which `stable_dt` reduces.
+    in its last row, which `stable_dt` reduces; c is eps on the torus and
+    -1 on the sphere.
     """
+    n = f.size
     if out is None:
-        out = np.empty((2, f.size))
-    w = ddx(g, dx) / f
+        out = np.empty((2, n))
+    sphere = kind is BundleKind.SPHERE
+    shift = -1.0 if sphere else epsilon
+    w = ddx(g, dx)
+    w /= f
     dxw = ddx(w, dx)
-    den = kind.flow_sign * f * g * g  # +/- f g^2; the sign is exact
-    shifted = w * w + _shift(kind, epsilon)
-    df = np.divide(dxw * dxw, den, out=out[0])
-    dg = np.divide(shifted * dxw, den, out=out[1])
+    den = np.multiply(f, g)  # flow_sign f g^2; the sign is exact
+    den *= g
+    if sphere:
+        np.negative(den, out=den)
+    shifted = np.multiply(w, w, out=w)  # w is not needed past here
+    if shift != 0.0:  # w^2 + 0.0 is w^2 bit for bit
+        shifted += shift
+    np.divide(np.multiply(dxw, dxw, out=out[0]), den, out=out[0])
+    np.divide(np.multiply(shifted, dxw, out=out[1]), den, out=out[1])
     if len(out) == 3:
-        np.multiply(shifted, kind.flow_sign, out=out[2])
-        out[2] /= g * g
-    for name, arr in (("df/dt", df), ("dg/dt", dg)):
-        node = first_nonfinite(arr)
-        if node is not None:
-            raise NumericOverflowError(name, node, t)
-    return df, dg
+        np.multiply(g, g, out=den)
+        np.divide(shifted, den, out=out[2])
+        if sphere:  # -(a / b) is (-a) / b bit for bit
+            np.negative(out[2], out=out[2])
+    bad = first_nonfinite(out[:2])  # one scan; df/dt's row comes first
+    if bad is not None:
+        row, node = divmod(bad, n)
+        raise NumericOverflowError(("df/dt", "dg/dt")[row], node, t)
+    return out[0], out[1]
 
 
-def rhs(
-    profile: MetricProfile, kind: BundleKind, epsilon: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+def rhs(profile: MetricProfile, kind: BundleKind,
+        epsilon: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (df/dt, dg/dt) of the reduced system per node.
 
     epsilon regularises the torus diffusion coefficient (w^2 + eps) and
@@ -221,7 +219,7 @@ def stable_dt(
     """Diffusion-limited explicit step size: one unit of RKL2's stable span.
 
     dt = min(f dx)^2 / D_max with D_max the largest diffusion coefficient
-    max(flow_sign (w^2 + c), 0) / g^2 over the grid, c as in `_shift`
+    max(flow_sign (w^2 + c), 0) / g^2 over the grid, c as in `_rhs_arrays`
     (the sphere's turns negative where |w| > 1); inf when it vanishes
     everywhere, as on a constant torus profile. coeff is that coefficient
     per node when the caller has it from an RHS evaluation at this
@@ -240,20 +238,24 @@ def stable_dt(
     and the bound must be derived again for it.
     """
     if coeff is None:
-        return _start_of_step(profile, kind, epsilon)[1]
-    d_max = max(float(np.max(coeff)), 0.0)  # clipping the max clips every node
+        # overflow is detected and reported with the node; silence numpy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _start_of_step(profile, kind, epsilon)[1]
+    d_max = max(float(np.maximum.reduce(coeff)), 0.0)  # clipping the max clips every node
     if d_max == 0.0:
         return math.inf
-    ds_min = float(np.min(profile.f)) * profile.dx
+    ds_min = float(np.minimum.reduce(profile.f)) * profile.dx
     return ds_min * ds_min / d_max
 
 
 @functools.cache
-def _rkl2_coefficients(s: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
+def _rkl2_coefficients(s: int) -> tuple[float, tuple[tuple, ...]]:
     """(mu~_1, ((mu_j, nu_j, 1 - mu_j - nu_j, mu~_j, gamma~_j) for j = 2..s)) of s-stage RKL2.
 
     Meyer, Balsara & Aslam 2014, J. Comput. Phys. 257, eqs. 16-17, with
-    w1 = 4 / (s^2 + s - 2) and b_0 = b_1 = b_2 = 1/3.
+    w1 = 4 / (s^2 + s - 2) and b_0 = b_1 = b_2 = 1/3. The three weights
+    that take no factor dt come as read-only 0-d arrays: numpy multiplies
+    by one without converting a Python float, and the product is the same.
     """
     w1 = 4.0 / (s * s + s - 2)
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
@@ -262,7 +264,9 @@ def _rkl2_coefficients(s: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
         mu_w = mu * w1
-        rows.append((mu, nu, 1.0 - mu - nu, mu_w, -(1.0 - b[j - 1]) * mu_w))
+        weights = np.array((mu, nu, 1.0 - mu - nu))
+        weights.flags.writeable = False
+        rows.append((*(weights[i, ...] for i in range(3)), mu_w, -(1.0 - b[j - 1]) * mu_w))
     return b[1] * w1, tuple(rows)
 
 
@@ -279,31 +283,23 @@ def _stages(dt: float, bound: float) -> int:
     return s
 
 
-def _start_of_step(
-    profile: MetricProfile, kind: BundleKind, epsilon: float
-) -> tuple[np.ndarray, float]:
-    """(L(Y0) as a (2, n) array, stable_dt) of the profile from one RHS evaluation."""
+def _start_of_step(profile: MetricProfile, kind: BundleKind,
+                   epsilon: float) -> tuple[np.ndarray, float]:
+    """(L(Y0) as a (2, n) array, stable_dt) from one RHS evaluation; call under np.errstate."""
     out = np.empty((3, profile.n))
-    # overflow is detected and reported with the node; silence numpy
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t, out=out)
+    _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t, out=out)
     return out[:2], stable_dt(profile, kind, epsilon, out[2])
 
 
-def step(
-    profile: MetricProfile,
-    kind: BundleKind,
-    epsilon: float,
-    dt: float,
-    start: tuple[np.ndarray, float] | None = None,
-) -> MetricProfile:
+def step(profile: MetricProfile, kind: BundleKind, epsilon: float, dt: float,
+         start: tuple[np.ndarray, float] | None = None) -> MetricProfile:
     """Advance (f, g) together by one RKL2 super-step of dt.
 
     It takes s stages, the fewest s >= 2 whose stable span
     (s^2 + s - 2)/2 * stable_dt covers dt, and at most _MAX_STAGES: a dt
     past that cap's span is not stable. start, if given, is
     `_start_of_step` of this profile, which evolve forms once per step
-    and reuses on a retry.
+    and reuses on a retry; it is read, never written.
 
     Raises StepFailureError if f or g loses positivity at any stage or
     is not finite and positive in the result; the caller may retry with
@@ -311,22 +307,24 @@ def step(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    dx, t = profile.dx, profile.t
-    y0 = np.array((profile.f, profile.g))
-    if y0.min() <= 0.0:
-        raise StepFailureError(t, dt, "positivity lost at an internal stage")
-    k0, bound = _start_of_step(profile, kind, epsilon) if start is None else start
-    mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
-    k, y_prev2, y = np.empty_like(y0), y0.copy(), np.empty_like(y0)
-
+    n, dx, t = profile.n, profile.dx, profile.t
+    y0 = np.array((profile.f, profile.g))  # Y_0, and Y_{j-2} of the first stage
     # overflow is detected in _rhs_arrays and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if np.minimum.reduce(y0, axis=None) <= 0.0:
+            raise StepFailureError(t, dt, "positivity lost at an internal stage")
+        k0, bound = _start_of_step(profile, kind, epsilon) if start is None else start
+        mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
+        # each stage writes only k and the Y_j buffer it rotates in; a fresh
+        # buffer replaces y0 in the rotation, so the result is an array of its own
+        k, y, spare = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+        y_prev2 = y0
         y_prev = np.multiply(k0, mu_1 * dt)  # Y_1
         y_prev += y0
         # Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0
         #       + mu~ dt L(Y_{j-1}) + gamma~ dt L(Y_0), summed in y with k as scratch
         for mu, nu, c0, mu_w, gamma_w in rows:
-            if y_prev.min() <= 0.0:
+            if np.minimum.reduce(y_prev, axis=None) <= 0.0:
                 raise StepFailureError(t, dt, "positivity lost at an internal stage")
             _rhs_arrays(y_prev[0], y_prev[1], dx, kind, epsilon, t, out=k)
             k *= mu_w * dt
@@ -338,11 +336,12 @@ def step(
             y += k
             np.multiply(k0, gamma_w * dt, out=k)
             y += k
-            y_prev2, y_prev, y = y_prev, y, y_prev2
-        ok = y_prev.min() > 0.0 and y_prev.max() < math.inf
+            y_prev2, y_prev, y = y_prev, y, spare if y_prev2 is y0 else y_prev2
+        ok = (np.minimum.reduce(y_prev, axis=None) > 0.0
+              and np.maximum.reduce(y_prev, axis=None) < math.inf)
     if not ok:
         raise StepFailureError(t, dt)
-    return MetricProfile._trusted(profile.n, profile.period, t + dt, y_prev[0], y_prev[1])
+    return MetricProfile._trusted(n, profile.period, t + dt, y_prev[0], y_prev[1])
 
 
 def next_record_index(t: float, every: float) -> int:
@@ -357,12 +356,9 @@ def next_record_index(t: float, every: float) -> int:
     return k
 
 
-def evolve(
-    profile: MetricProfile,
-    config: FlowConfig,
-    sink: RecordSink | None = None,
-    stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
-) -> tuple[MetricProfile, RunSummary]:
+def evolve(profile: MetricProfile, config: FlowConfig, sink: RecordSink | None = None,
+           stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
+           ) -> tuple[MetricProfile, RunSummary]:
     """Run the flow from the profile's time up to config.t_end.
 
     The sink is invoked with (record, profile) at the start time, at
@@ -399,37 +395,42 @@ def evolve(
                 sink(rec, prof)
         return stop_when is not None and stop_when(rec)  # a batch of one when set
 
+    kind, epsilon, span = config.kind, config.epsilon, _span(_MAX_STAGES)
     try:
         while not (len(pending) == batch and emit()) and t_end - profile.t > eps_t:
-            target = min(k * every, t_end)
-            gap = target - profile.t
-            start = _start_of_step(profile, config.kind, config.epsilon)
-            dt = min(gap, _span(_MAX_STAGES) * start[1])
-            for attempt in range(MAX_STEP_RETRIES + 1):
-                try:
-                    advanced = step(profile, config.kind, config.epsilon, dt, start)
-                    break
-                except StepFailureError:
-                    summary.retries += 1
-                    if attempt == MAX_STEP_RETRIES:
-                        raise StepFailureError(
-                            profile.t, dt,
-                            f"still failing after {MAX_STEP_RETRIES} halvings; "
-                            f"last good t={profile.t!r}",
-                        ) from None
-                    dt *= 0.5
-            summary.steps += 1
-            # a step that the bound or a retry shortened can still land by rounding
-            if dt == gap or advanced.t >= target:
-                # assign the boundary time exactly so record times stay on the
-                # global grid regardless of floating-point accumulation
-                profile = MetricProfile._trusted(
-                    advanced.n, advanced.period, target, advanced.f, advanced.g
-                )
-                k += 1
-                pending.append(profile)
-            else:
-                profile = advanced
+            # the steps that fill the next batch, outside the sink; overflow is
+            # detected in _rhs_arrays and reported with the node; silence numpy
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                while len(pending) < batch and t_end - profile.t > eps_t:
+                    target = min(k * every, t_end)
+                    gap = target - profile.t
+                    start = _start_of_step(profile, kind, epsilon)
+                    dt = min(gap, span * start[1])
+                    for attempt in range(MAX_STEP_RETRIES + 1):
+                        try:
+                            advanced = step(profile, kind, epsilon, dt, start)
+                            break
+                        except StepFailureError:
+                            summary.retries += 1
+                            if attempt == MAX_STEP_RETRIES:
+                                raise StepFailureError(
+                                    profile.t, dt,
+                                    f"still failing after {MAX_STEP_RETRIES} halvings; "
+                                    f"last good t={profile.t!r}",
+                                ) from None
+                            dt *= 0.5
+                    summary.steps += 1
+                    # a step that the bound or a retry shortened can still land by rounding
+                    if dt == gap or advanced.t >= target:
+                        # assign the boundary time exactly so record times stay on the
+                        # global grid regardless of floating-point accumulation
+                        profile = MetricProfile._trusted(
+                            advanced.n, advanced.period, target, advanced.f, advanced.g
+                        )
+                        k += 1
+                        pending.append(profile)
+                    else:
+                        profile = advanced
     finally:
         if pending:  # the records made before a failing step reach the sink before its error
             emit()

@@ -182,6 +182,28 @@ class TestRhs:
         with pytest.raises(NumericOverflowError, match="t=1.5"):
             rhs(p, TORUS, 0.0)
 
+    @pytest.mark.parametrize("df_node, dg_node, what, node", [
+        (9, None, "df/dt", 9),
+        (None, 2, "dg/dt", 2),
+        (9, 2, "df/dt", 9),  # df/dt's row is named first, at its own node
+    ], ids=["df-only", "dg-only", "both"])
+    def test_overflow_names_field_and_node(self, monkeypatch, df_node, dg_node, what, node):
+        # w and D w as the two derivatives; at f = 1, g = 2, eps = 0:
+        # df/dt = (D w)^2 / 4 and dg/dt = w^2 D w / 4
+        n = 16
+        w, dxw = np.zeros(n), np.ones(n)
+        if df_node is not None:
+            dxw[df_node] = 1e200  # (D w)^2 overflows; w^2 D w = 0 there
+        if dg_node is not None:
+            w[dg_node] = 1e200  # w^2 overflows; D w = 1 keeps df/dt finite
+        derivatives = iter((w, dxw))
+        monkeypatch.setattr(flow_mod, "ddx", lambda values, dx: next(derivatives).copy())
+        p = make_profile(n=n, f=1.0, g=2.0, t=1.5)
+        with pytest.raises(NumericOverflowError) as caught:
+            rhs(p, TORUS, 0.0)
+        assert (caught.value.what, caught.value.node, caught.value.t) == (what, node, 1.5)
+        assert str(caught.value) == f"non-finite {what} at node {node} (t=1.5)"
+
 
 class TestStableDt:
     def test_frozen_example(self):
