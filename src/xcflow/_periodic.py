@@ -10,22 +10,19 @@ import numpy as np
 def ddx(values: np.ndarray, dx: float) -> np.ndarray:
     """Centred x-derivative (values[i+1] - values[i-1]) / (2 dx) along the last axis, modulo n."""
     out = np.empty_like(values)
-    if values.ndim == 1:  # what every step differentiates: plain slices, scalar wraps
-        np.subtract(values[2:], values[:-2], out=out[1:-1])
-        out[0] = values[1] - values[-1]
-        out[-1] = values[0] - values[-2]
-    else:  # both wrapped columns of a stack in one call: (v1 - v[-1], v0 - v[-2])
-        np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
-        np.subtract(values[..., 1::-1], values[..., :-3:-1], out=out[..., ::values.shape[-1] - 1])
+    # the last axis first; (n,) arrays, which every step differentiates, skip the views
+    v, o = (values.T, out.T) if values.ndim > 1 else (values, out)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    o[0] = v[1] - v[-1]
+    o[-1] = v[0] - v[-2]
     out /= 2.0 * dx
     return out
 
 
 def first_nonfinite(arr: np.ndarray) -> int | None:
-    """Flat (C-order) index of the first non-finite sample, or None when all are finite.
+    """Flat (C-order) index of the first non-finite sample of any shape, or None.
 
-    One scan covers an array of any shape. Call it under np.errstate: the
-    sum may overflow or meet inf - inf.
+    Call it under np.errstate: the sum may overflow or meet inf - inf.
     """
     if math.isfinite(np.add.reduce(arr, axis=None)):  # one non-finite sample spoils the sum
         return None

@@ -239,7 +239,13 @@ def sinusoid_profile(
 ) -> MetricProfile:
     """g = base + amplitude * sin(wavenumber * x), f = 1, at t = 0."""
     x = np.arange(n) * (period / n)
-    return MetricProfile(n, period, 0.0, np.ones(n), base + amplitude * np.sin(wavenumber * x))
+    return MetricProfile(
+        n=n,
+        period=period,
+        t=0.0,
+        f=np.ones(n),
+        g=base + amplitude * np.sin(wavenumber * x),
+    )
 
 
 def build_profile(config: ScenarioConfig) -> MetricProfile:
@@ -251,9 +257,14 @@ def build_profile(config: ScenarioConfig) -> MetricProfile:
 
 
 def save_snapshot(profile: MetricProfile, path: str | Path) -> None:
-    # tolist gives builtin floats, whose JSON text round-trips bit for bit
-    payload = {"n": profile.n, "period": profile.period, "t": profile.t,
-               "f": profile.f.tolist(), "g": profile.g.tolist()}
+    payload = {
+        "n": profile.n,
+        "period": profile.period,
+        "t": profile.t,
+        # tolist gives builtin floats, whose JSON text round-trips bit for bit
+        "f": profile.f.tolist(),
+        "g": profile.g.tolist(),
+    }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
@@ -262,8 +273,13 @@ def load_snapshot(path: str | Path) -> MetricProfile:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: snapshot is not a JSON object")
     try:
-        return MetricProfile(int(data["n"]), float(data["period"]), float(data["t"]),
-                             np.asarray(data["f"], dtype=float), np.asarray(data["g"], dtype=float))
+        return MetricProfile(
+            n=int(data["n"]),
+            period=float(data["period"]),
+            t=float(data["t"]),
+            f=np.asarray(data["f"], dtype=float),
+            g=np.asarray(data["g"], dtype=float),
+        )
     except KeyError as exc:
         raise ValueError(f"{path}: snapshot has no field {exc.args[0]!r}") from None
 

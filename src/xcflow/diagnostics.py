@@ -67,8 +67,7 @@ class DiagnosticsRecord:
 
 _RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 _ZERO_COUNT = _RECORD_FIELDS.index("zero_count")
-# the fields that `functionals` stacks as floats, in record order
-_FLOAT_FIELDS = _RECORD_FIELDS[:_ZERO_COUNT] + _RECORD_FIELDS[_ZERO_COUNT + 1:]
+_FLOAT_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "zero_count")  # in order
 # the series.csv columns, in order
 SERIES_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "E2_rate_formula")
 
@@ -115,8 +114,7 @@ def rate_formulas(g, f, dx, kind, w, gss, g2, gss2, gsss2):
     gss3 = gss2 * gss
     gss4 = gss2 * gss2
     inv_g4 = 1.0 / (g2 * g2)
-    dL = _integrate(gss2 / g2, f, dx)
-    dL *= kind.flow_sign
+    dL = kind.flow_sign * _integrate(gss2 / g2, f, dx)
     if kind is BundleKind.TORUS:
         w4 = w2 * w2
         dV = _integrate((2.0 / 3.0) * w4 / g2 + gss2, f, dx)
@@ -144,13 +142,11 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
     dx, n = profiles[0].dx, profiles[0].n
     f = np.array([p.f for p in profiles])
     g = np.array([p.g for p in profiles])
-    torus = kind is BundleKind.TORUS
     # a non-finite row is reported below by name; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         field = _curvature(f, g, dx, kind.kappa)
         w, gss, k23 = field.w, field.w_s, field.K23
-        gsss = ddx(gss, dx)
-        gsss /= f
+        gsss = ddx(gss, dx) / f
         g2, gss2, gsss2 = g * g, gss * gss, gsss * gsss
         dL, dV, e2_rate = rate_formulas(g, f, dx, kind, w, gss, g2, gss2, gsss2)
         vol = _integrate(g2, f, dx)
@@ -158,7 +154,7 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
         columns = dict(  # by field name; the record's field order is the only order
             t=[p.t for p in profiles],
             L=np.add.reduce(f, axis=-1) * dx,  # the integral of 1 ds
-            V=vol if torus else 4.0 * math.pi * vol,
+            V=vol if kind is BundleKind.TORUS else 4.0 * math.pi * vol,
             g_max=np.maximum.reduce(g, axis=-1),
             g_min=np.minimum.reduce(g, axis=-1),
             sup_gs=np.maximum.reduce(np.abs(w), axis=-1),
@@ -167,7 +163,7 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
             l2_gss=_integrate(gss2, f, dx),
             l2_gsss=_integrate(gsss2, f, dx),
             dL_dt_formula=dL,
-            dV_dt_formula=dV if torus else np.full(len(profiles), math.nan),
+            dV_dt_formula=np.full(len(profiles), math.nan) if dV is None else dV,
             K12_sup=np.maximum.reduce(np.abs(field.K12), axis=-1),
             K23_mean=np.add.reduce(k23, axis=-1) / n,
             K23_spread=np.maximum.reduce(k23, axis=-1) - np.minimum.reduce(k23, axis=-1),
@@ -176,16 +172,14 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
         )
         values = np.array([columns[name] for name in _FLOAT_FIELDS])  # (fields, rows)
         finite = np.isfinite(values)
-    if not torus:
+    if kind is BundleKind.SPHERE:
         finite[_FLOAT_FIELDS.index("dV_dt_formula")] = True  # NaN by design
     if not finite.all():
         row = int(np.argmin(finite.all(axis=0)))  # the first row with a non-finite field
         curvature_field(profiles[row], kind)  # raises first when the curvature is not finite
         name = _FLOAT_FIELDS[int(np.argmin(finite[:, row]))]
         raise NumericOverflowError(f"record field {name}", None, profiles[row].t)
-    # one tolist gives builtin floats, whose repr is the series text;
-    # zero_count, an int and always finite, goes in at its place
-    records = values.T.tolist()
-    for row, w_row in zip(records, w):
+    records = values.T.tolist()  # builtin floats, whose repr is the series text
+    for row, w_row in zip(records, w):  # zero_count, an int and always finite
         row.insert(_ZERO_COUNT, count_sign_changes(w_row))
     return [DiagnosticsRecord(*row) for row in records]

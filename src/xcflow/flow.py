@@ -30,15 +30,18 @@ that cover it. The cap of S = 6 stages, (S^2 + S - 2)/2 = 20, is the
 largest that keeps the sphere run's time error within 5% of its grid
 difference at n = 256 (TestStageCap in tests/test_flow.py); at a fixed
 cap the time error falls as dx^4 against the grid's dx^2. The step's
-first RHS evaluation also gives D_max, so w is formed once per step.
+first RHS evaluation also gives D_max, so w is formed once per step,
+and s and dt depend only on the state at the step's start.
 
 Derivatives use the periodic operator of `_periodic` that geometry and
-diagnostics share. Buffers: `_rhs_arrays` writes only its `out` and
-arrays it allocates; `step` allocates its stage buffers once per call,
-copies Y_0 once, reads `start` without writing it, and returns rows of
-a fresh array; `evolve` enters one np.errstate block per batch of steps
-and none around the sink. No array handed to a profile or a sink is
-written again, so distinct runs share no state and may run in parallel.
+diagnostics share. `step` is one fused kernel: one np.errstate block,
+stage combinations summed in place in rotating buffers, positivity
+checked by reductions, and the result built by the trusted
+`MetricProfile._trusted`. Buffers: `_rhs_arrays` writes only its `out`
+and arrays it allocates; `step` allocates its stage buffers once per
+call, reads `start` and Y_0 without writing them, and returns rows of
+an array of its own. No array handed to a profile or a sink is written
+again, so distinct runs share no state and may execute in parallel.
 """
 
 from __future__ import annotations
@@ -163,17 +166,23 @@ def validate_initial(profile: MetricProfile, kind: BundleKind) -> MetricProfile:
     return profile
 
 
-def _rhs_arrays(f: np.ndarray, g: np.ndarray, dx: float, kind: BundleKind, epsilon: float,
-                t: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _rhs_arrays(
+    f: np.ndarray,
+    g: np.ndarray,
+    dx: float,
+    kind: BundleKind,
+    epsilon: float,
+    t: float,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """(df/dt, dg/dt) per node, into the rows of a (2, n) out if given; call under np.errstate.
 
     A (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
     in its last row, which `stable_dt` reduces; c is eps on the torus and
     -1 on the sphere.
     """
-    n = f.size
     if out is None:
-        out = np.empty((2, n))
+        out = np.empty((2, f.size))
     sphere = kind is BundleKind.SPHERE
     shift = -1.0 if sphere else epsilon
     w = ddx(g, dx)
@@ -195,13 +204,14 @@ def _rhs_arrays(f: np.ndarray, g: np.ndarray, dx: float, kind: BundleKind, epsil
             np.negative(out[2], out=out[2])
     bad = first_nonfinite(out[:2])  # one scan; df/dt's row comes first
     if bad is not None:
-        row, node = divmod(bad, n)
+        row, node = divmod(bad, f.size)
         raise NumericOverflowError(("df/dt", "dg/dt")[row], node, t)
     return out[0], out[1]
 
 
-def rhs(profile: MetricProfile, kind: BundleKind,
-        epsilon: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def rhs(
+    profile: MetricProfile, kind: BundleKind, epsilon: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (df/dt, dg/dt) of the reduced system per node.
 
     epsilon regularises the torus diffusion coefficient (w^2 + eps) and
@@ -238,9 +248,7 @@ def stable_dt(
     and the bound must be derived again for it.
     """
     if coeff is None:
-        # overflow is detected and reported with the node; silence numpy
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _start_of_step(profile, kind, epsilon)[1]
+        return _start_of_step(profile, kind, epsilon)[1]
     d_max = max(float(np.maximum.reduce(coeff)), 0.0)  # clipping the max clips every node
     if d_max == 0.0:
         return math.inf
@@ -283,16 +291,24 @@ def _stages(dt: float, bound: float) -> int:
     return s
 
 
-def _start_of_step(profile: MetricProfile, kind: BundleKind,
-                   epsilon: float) -> tuple[np.ndarray, float]:
-    """(L(Y0) as a (2, n) array, stable_dt) from one RHS evaluation; call under np.errstate."""
+def _start_of_step(
+    profile: MetricProfile, kind: BundleKind, epsilon: float
+) -> tuple[np.ndarray, float]:
+    """(L(Y0) as a (2, n) array, stable_dt) of the profile from one RHS evaluation."""
     out = np.empty((3, profile.n))
-    _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t, out=out)
+    # overflow is detected and reported with the node; silence numpy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t, out=out)
     return out[:2], stable_dt(profile, kind, epsilon, out[2])
 
 
-def step(profile: MetricProfile, kind: BundleKind, epsilon: float, dt: float,
-         start: tuple[np.ndarray, float] | None = None) -> MetricProfile:
+def step(
+    profile: MetricProfile,
+    kind: BundleKind,
+    epsilon: float,
+    dt: float,
+    start: tuple[np.ndarray, float] | None = None,
+) -> MetricProfile:
     """Advance (f, g) together by one RKL2 super-step of dt.
 
     It takes s stages, the fewest s >= 2 whose stable span
@@ -307,18 +323,16 @@ def step(profile: MetricProfile, kind: BundleKind, epsilon: float, dt: float,
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n, dx, t = profile.n, profile.dx, profile.t
-    y0 = np.array((profile.f, profile.g))  # Y_0, and Y_{j-2} of the first stage
+    dx, t = profile.dx, profile.t
+    y0 = np.array((profile.f, profile.g))
+    if np.minimum.reduce(y0, axis=None) <= 0.0:
+        raise StepFailureError(t, dt, "positivity lost at an internal stage")
+    k0, bound = _start_of_step(profile, kind, epsilon) if start is None else start
+    mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
+    k, y_prev2, y = np.empty_like(y0), y0.copy(), np.empty_like(y0)
+
     # overflow is detected in _rhs_arrays and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if np.minimum.reduce(y0, axis=None) <= 0.0:
-            raise StepFailureError(t, dt, "positivity lost at an internal stage")
-        k0, bound = _start_of_step(profile, kind, epsilon) if start is None else start
-        mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
-        # each stage writes only k and the Y_j buffer it rotates in; a fresh
-        # buffer replaces y0 in the rotation, so the result is an array of its own
-        k, y, spare = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
-        y_prev2 = y0
         y_prev = np.multiply(k0, mu_1 * dt)  # Y_1
         y_prev += y0
         # Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0
@@ -336,12 +350,12 @@ def step(profile: MetricProfile, kind: BundleKind, epsilon: float, dt: float,
             y += k
             np.multiply(k0, gamma_w * dt, out=k)
             y += k
-            y_prev2, y_prev, y = y_prev, y, spare if y_prev2 is y0 else y_prev2
+            y_prev2, y_prev, y = y_prev, y, y_prev2
         ok = (np.minimum.reduce(y_prev, axis=None) > 0.0
               and np.maximum.reduce(y_prev, axis=None) < math.inf)
     if not ok:
         raise StepFailureError(t, dt)
-    return MetricProfile._trusted(n, profile.period, t + dt, y_prev[0], y_prev[1])
+    return MetricProfile._trusted(profile.n, profile.period, t + dt, y_prev[0], y_prev[1])
 
 
 def next_record_index(t: float, every: float) -> int:
@@ -356,9 +370,12 @@ def next_record_index(t: float, every: float) -> int:
     return k
 
 
-def evolve(profile: MetricProfile, config: FlowConfig, sink: RecordSink | None = None,
-           stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
-           ) -> tuple[MetricProfile, RunSummary]:
+def evolve(
+    profile: MetricProfile,
+    config: FlowConfig,
+    sink: RecordSink | None = None,
+    stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
+) -> tuple[MetricProfile, RunSummary]:
     """Run the flow from the profile's time up to config.t_end.
 
     The sink is invoked with (record, profile) at the start time, at
@@ -395,42 +412,37 @@ def evolve(profile: MetricProfile, config: FlowConfig, sink: RecordSink | None =
                 sink(rec, prof)
         return stop_when is not None and stop_when(rec)  # a batch of one when set
 
-    kind, epsilon, span = config.kind, config.epsilon, _span(_MAX_STAGES)
     try:
         while not (len(pending) == batch and emit()) and t_end - profile.t > eps_t:
-            # the steps that fill the next batch, outside the sink; overflow is
-            # detected in _rhs_arrays and reported with the node; silence numpy
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                while len(pending) < batch and t_end - profile.t > eps_t:
-                    target = min(k * every, t_end)
-                    gap = target - profile.t
-                    start = _start_of_step(profile, kind, epsilon)
-                    dt = min(gap, span * start[1])
-                    for attempt in range(MAX_STEP_RETRIES + 1):
-                        try:
-                            advanced = step(profile, kind, epsilon, dt, start)
-                            break
-                        except StepFailureError:
-                            summary.retries += 1
-                            if attempt == MAX_STEP_RETRIES:
-                                raise StepFailureError(
-                                    profile.t, dt,
-                                    f"still failing after {MAX_STEP_RETRIES} halvings; "
-                                    f"last good t={profile.t!r}",
-                                ) from None
-                            dt *= 0.5
-                    summary.steps += 1
-                    # a step that the bound or a retry shortened can still land by rounding
-                    if dt == gap or advanced.t >= target:
-                        # assign the boundary time exactly so record times stay on the
-                        # global grid regardless of floating-point accumulation
-                        profile = MetricProfile._trusted(
-                            advanced.n, advanced.period, target, advanced.f, advanced.g
-                        )
-                        k += 1
-                        pending.append(profile)
-                    else:
-                        profile = advanced
+            target = min(k * every, t_end)
+            gap = target - profile.t
+            start = _start_of_step(profile, config.kind, config.epsilon)
+            dt = min(gap, _span(_MAX_STAGES) * start[1])
+            for attempt in range(MAX_STEP_RETRIES + 1):
+                try:
+                    advanced = step(profile, config.kind, config.epsilon, dt, start)
+                    break
+                except StepFailureError:
+                    summary.retries += 1
+                    if attempt == MAX_STEP_RETRIES:
+                        raise StepFailureError(
+                            profile.t, dt,
+                            f"still failing after {MAX_STEP_RETRIES} halvings; "
+                            f"last good t={profile.t!r}",
+                        ) from None
+                    dt *= 0.5
+            summary.steps += 1
+            # a step that the bound or a retry shortened can still land by rounding
+            if dt == gap or advanced.t >= target:
+                # assign the boundary time exactly so record times stay on the
+                # global grid regardless of floating-point accumulation
+                profile = MetricProfile._trusted(
+                    advanced.n, advanced.period, target, advanced.f, advanced.g
+                )
+                k += 1
+                pending.append(profile)
+            else:
+                profile = advanced
     finally:
         if pending:  # the records made before a failing step reach the sink before its error
             emit()
