@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord
+from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _series_values
 from .geometry import BundleKind
 
 __all__ = [
@@ -190,25 +190,37 @@ def _na(claim_id: str, note: str) -> ClaimVerdict:
     return ClaimVerdict(claim_id, NOT_APPLICABLE, math.nan, math.nan, note)
 
 
+# a non-finite cell makes its claim's measure NaN, which fails; silence numpy
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def evaluate_claims(
-    records: Sequence[DiagnosticsRecord],
+    records: Sequence[DiagnosticsRecord] | np.ndarray,
     kind: BundleKind,
     tolerances: ClaimTolerances | None = None,
 ) -> list[ClaimVerdict]:
     """Turn an ordered record stream into one verdict per claim.
 
-    Claims of the other bundle family are reported not-applicable, as is
-    T-L2/T-T6 when the initial fibre size is constant (the flow is then
-    stationary and the statements are vacuous). Requires at least 3
-    records at strictly increasing times.
+    `records` is a sequence of DiagnosticsRecord or a series table: a
+    float64 array of shape (rows, len(SERIES_FIELDS)), its columns in
+    SERIES_FIELDS order, as `read_series` returns it. Both give the same
+    verdicts. Claims of the other bundle family are reported
+    not-applicable, as is T-L2/T-T6 when the initial fibre size is
+    constant (the flow is then stationary and the statements are
+    vacuous). Requires at least 3 records at strictly increasing times.
     """
     tol = tolerances if tolerances is not None else ClaimTolerances()
-    if len(records) < 3:
+    table = records if isinstance(records, np.ndarray) else np.array(
+        list(map(_series_values, records)), dtype=float
+    ).reshape(-1, len(SERIES_FIELDS))
+    if table.ndim != 2 or table.shape[1] != len(SERIES_FIELDS):
+        raise ValueError(
+            f"a series table has {len(SERIES_FIELDS)} columns, got shape {table.shape}"
+        )
+    if len(table) < 3:
         raise InsufficientDataError(
-            f"claim evaluation needs at least 3 records, got {len(records)}"
+            f"claim evaluation needs at least 3 records, got {len(table)}"
         )
     t, L, V, g_max, g_min, sup_gs, sup_gss, l2_gss, l2_gsss, zc, dL_formula = (
-        np.array([getattr(r, name) for r in records])
+        table[:, SERIES_FIELDS.index(name)]
         for name in ("t", "L", "V", "g_max", "g_min", "sup_gs", "sup_gss",
                      "l2_gss", "l2_gsss", "zero_count", "dL_dt_formula")
     )
@@ -324,12 +336,15 @@ def evaluate_claims(
             "final l2 norm of g_sss against theta times its start value",
         ))
 
-        rec = records[-1]
+        k12_sup, k23_mean, k23_spread, r_mean = (
+            float(table[-1, SERIES_FIELDS.index(name)])
+            for name in ("K12_sup", "K23_mean", "K23_spread", "R_mean")
+        )
         parts = (
-            _ratio(rec.K12_sup, tol.tol_k),
-            _ratio(rec.K23_spread, tol.tol_k),
-            _ratio(abs(rec.R_mean - 2.0 * rec.K23_mean), tol.tol_r_pair),
-            _ratio(abs(rec.K23_mean - 1.0 / alpha_hat**2), tol.tol_alpha_k23),
+            _ratio(k12_sup, tol.tol_k),
+            _ratio(k23_spread, tol.tol_k),
+            _ratio(abs(r_mean - 2.0 * k23_mean), tol.tol_r_pair),
+            _ratio(abs(k23_mean - 1.0 / alpha_hat**2), tol.tol_alpha_k23),
         )
         out.append(_verdict(
             "S-K", _max(*parts), 1.0,

@@ -26,17 +26,17 @@ import csv
 import dataclasses
 import json
 import math
-import operator
 import os
 import sys
 import typing
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .claims import ClaimTolerances, ClaimVerdict, FieldError, NOT_APPLICABLE, evaluate_claims
-from .diagnostics import SERIES_FIELDS, DiagnosticsRecord
+from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _series_values
 from ._periodic import first_nonfinite
 from .flow import FlowConfig, evolve, next_record_index, validate_initial
 from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field
@@ -60,7 +60,6 @@ __all__ = [
 
 SERIES_HEADER = ",".join(SERIES_FIELDS)
 _MIN_N = 8  # the coarsest grid: grid.n and `check --n`
-_series_values = operator.attrgetter(*SERIES_FIELDS)
 # each column parses as its field's declared type
 _SERIES_TYPES = {name: cls for name, cls in typing.get_type_hints(DiagnosticsRecord).items()
                  if name in SERIES_FIELDS}
@@ -284,15 +283,27 @@ def load_snapshot(path: str | Path) -> MetricProfile:
         raise ValueError(f"{path}: snapshot has no field {exc.args[0]!r}") from None
 
 
-def _series_row(rec: DiagnosticsRecord) -> str:
-    """The record's series values; `functionals` gives builtin floats and ints,
-    whose repr is already the shortest round-trip form."""
-    return ",".join(map(repr, _series_values(rec)))
+def _series_row(values: tuple) -> str:
+    """One record's series values as a row; `functionals` gives builtin floats
+    and ints, whose repr is already the shortest round-trip form."""
+    return ",".join(map(repr, values))
 
 
-def read_series(path: str | Path) -> list[DiagnosticsRecord]:
-    """Load a series CSV back into records (E2_rate_formula is NaN)."""
-    records = []
+def _table(cells: array) -> np.ndarray:
+    """The packed series cells as a (rows, len(SERIES_FIELDS)) float64 view."""
+    return np.frombuffer(cells, dtype=float).reshape(-1, len(SERIES_FIELDS))
+
+
+def read_series(path: str | Path) -> np.ndarray:
+    """Load a series CSV into a series table.
+
+    The table is a float64 array of shape (rows, len(SERIES_FIELDS)), its
+    columns in SERIES_FIELDS order whatever the file's column order; each
+    cell parses as its field's declared type (zero_count as an int). A
+    malformed row or cell is a ValueError naming the file, its line and,
+    for a cell, its column.
+    """
+    cells = array("d")
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -300,13 +311,19 @@ def read_series(path: str | Path) -> list[DiagnosticsRecord]:
         if missing:
             raise ValueError(f"{path}: series has no column {missing[0]!r}")
         at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        columns = [(at[name], parse) for name, parse in _SERIES_TYPES.items()]  # field order
-        for cells in filter(None, reader):  # blank lines skipped
-            if len(cells) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: row has {len(cells)} cells, "
+        columns = [(name, at[name], parse) for name, parse in _SERIES_TYPES.items()]  # field order
+        for row in filter(None, reader):  # blank lines skipped
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: row has {len(row)} cells, "
                                  f"header has {len(header)}")
-            records.append(DiagnosticsRecord(*[parse(cells[i]) for i, parse in columns]))
-    return records
+            for name, i, parse in columns:
+                try:
+                    cells.append(parse(row[i]))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: column {name!r}: {exc}"
+                    ) from None
+    return _table(cells)
 
 
 def _out_dir(config: ScenarioConfig) -> Path:
@@ -363,7 +380,7 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     if config.flow.kind is BundleKind.SPHERE:
         validate_initial(profile, config.flow.kind)
 
-    records: list[DiagnosticsRecord] = []
+    cells = array("d")  # the series table's rows, packed; no record is kept
     snaps = _SnapshotSchedule(out, config.snapshot_every, profile.t)
     final_profile = profile
     with open(out / "series.csv", "w", encoding="utf-8") as series:
@@ -371,18 +388,19 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
 
         def sink(rec: DiagnosticsRecord, prof: MetricProfile) -> None:
             nonlocal final_profile
-            records.append(rec)
-            series.write(_series_row(rec) + "\n")
-            snaps.offer(prof, force=len(records) == 1)
+            values = _series_values(rec)
+            cells.extend(values)
+            series.write(_series_row(values) + "\n")
+            snaps.offer(prof, force=len(cells) == len(values))
             final_profile = prof
 
         try:
             final_profile, _ = evolve(profile, config.flow, sink=sink)
         finally:
-            if records:  # a run that recorded nothing leaves no checkpoint
+            if cells:  # a run that recorded nothing leaves no checkpoint
                 snaps.offer(final_profile, force=True)
 
-    verdicts = evaluate_claims(records, config.flow.kind, config.flow.tolerances)
+    verdicts = evaluate_claims(_table(cells), config.flow.kind, config.flow.tolerances)
     _write_claims(out / "claims.txt", verdicts)
     return _claims_exit_status(verdicts)
 
@@ -437,7 +455,7 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
             series.write(SERIES_HEADER + "\n")
             final, _ = evolve(
                 initial, flow,
-                sink=lambda rec, prof: series.write(_series_row(rec) + "\n"),
+                sink=lambda rec, prof: series.write(_series_row(_series_values(rec)) + "\n"),
             )
         finals[eps] = final.g
 
@@ -456,12 +474,13 @@ def check_series(
 ) -> int:
     """Re-run the claim checker on an existing series CSV.
 
-    The series format carries no grid metadata, so the grid spacing of
-    the monotonicity slack is `tolerances.dx`; the default tolerances
-    assume the standard grid, n = 256 on a period of 2 pi.
+    `read_series` loads the file as a series table, which `evaluate_claims`
+    takes as it is. The series format carries no grid metadata, so the
+    grid spacing of the monotonicity slack is `tolerances.dx`; the
+    default tolerances assume the standard grid, n = 256 on a period of
+    2 pi.
     """
-    records = read_series(series_path)
-    verdicts = evaluate_claims(records, kind, tolerances)
+    verdicts = evaluate_claims(read_series(series_path), kind, tolerances)
     for v in verdicts:
         print(_claim_line(v))
     return _claims_exit_status(verdicts)

@@ -12,12 +12,15 @@ closed-form rates are written once, in `rate_formulas`, and
 
 `DiagnosticsRecord` states the record schema once: its fields in order,
 less the in-memory `E2_rate_formula`, are the `series.csv` columns
-(`SERIES_FIELDS`), each of its field's declared type.
+(`SERIES_FIELDS`), each of its field's declared type. Outside `evolve`
+a series is held as a float64 table of shape (rows, len(SERIES_FIELDS)),
+its columns in that order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -70,6 +73,7 @@ _ZERO_COUNT = _RECORD_FIELDS.index("zero_count")
 _FLOAT_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "zero_count")  # in order
 # the series.csv columns, in order
 SERIES_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "E2_rate_formula")
+_series_values = operator.attrgetter(*SERIES_FIELDS)  # one record's series row
 
 
 def _integrate(values, f: np.ndarray, dx: float) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from xcflow import (
     ALL_CLAIMS,
+    SERIES_FIELDS,
     SPHERE_CLAIMS,
     TORUS_CLAIMS,
     BundleKind,
@@ -225,6 +226,27 @@ def test_determinism():
         assert (va.measured == vb.measured) or (
             math.isnan(va.measured) and math.isnan(vb.measured)
         )
+
+
+@pytest.mark.parametrize("kind", [TORUS, SPHERE], ids=["torus", "sphere"])
+def test_table_gives_the_record_verdicts(kind):
+    rng = np.random.default_rng(3)
+    columns = {  # every float column jitters, so that each claim reads its own
+        name: (value * (1.0 + 0.01 * rng.standard_normal(9))).tolist()
+        for name, value in DEFAULTS.items() if name != "zero_count"
+    }
+    records = stream(n=9, dt=0.25, zero_count=[2, 2, 2, 4, 2, 2, 2, 2, 2], **columns)
+    table = np.array([[getattr(r, name) for name in SERIES_FIELDS] for r in records])
+    from_records = evaluate_claims(records, kind)
+    assert {v.status for v in from_records} >= {"pass", "fail"}
+    assert list(map(repr, evaluate_claims(table, kind))) == list(map(repr, from_records))
+
+
+@pytest.mark.parametrize("shape", [(5, len(SERIES_FIELDS) - 1), (5, len(SERIES_FIELDS) + 1),
+                                   (5 * len(SERIES_FIELDS),)])
+def test_table_of_wrong_width_rejected(shape):
+    with pytest.raises(ValueError, match=f"a series table has {len(SERIES_FIELDS)} columns"):
+        evaluate_claims(np.zeros(shape), TORUS)
 
 
 def test_tightening_never_flips_fail_to_pass():

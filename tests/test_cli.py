@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from xcflow import (
     ClaimTolerances,
     ConfigError,
     DiagnosticsRecord,
+    SERIES_FIELDS,
     NotApplicableError,
     SlopeConditionError,
     StationaryFlowWarning,
@@ -33,6 +35,11 @@ def config_text(out_dir, **keys):
     lines = [f"{k} = {v}" for k, v in keys.items()]
     lines.append(f"output.dir = {out_dir}")
     return "\n".join(lines) + "\n"
+
+
+def series_row(**cells):
+    """One series.csv row: "0" in every column that `cells` does not name."""
+    return ",".join(cells.get(name, "0") for name in SERIES_FIELDS)
 
 
 class TestLoadConfig:
@@ -179,16 +186,36 @@ class TestRunScenario:
         out = tmp_path / "out"
         cfg = load_config(config_text(out, bundle="torus", t_end="0.2"))
         run_scenario(cfg)
-        records = read_series(out / "series.csv")
-        assert len(records) == 101  # t_end / record_every + 1 with the default cadence
-        rewritten = [  # reformatting parsed floats reproduces the file exactly
+        table = read_series(out / "series.csv")
+        assert table.dtype == np.float64
+        assert table.shape == (101, len(SERIES_FIELDS))  # t_end / record_every + 1 rows
+        rewritten = [  # reformatting the table's cells reproduces the file exactly
             ",".join(
-                str(rec.zero_count) if name == "zero_count" else repr(getattr(rec, name))
-                for name in SERIES_HEADER.split(",")
+                str(int(cell)) if name == "zero_count" else repr(float(cell))
+                for name, cell in zip(SERIES_FIELDS, row)
             )
-            for rec in records
+            for row in table
         ]
         assert rewritten == (out / "series.csv").read_text().splitlines()[1:]
+
+    def test_retained_memory_per_record(self, tmp_path):
+        """A run holds each record as one packed table row, 136 B, not as a record object."""
+        def rows_and_peak(t_end):
+            out = tmp_path / t_end
+            cfg = load_config(config_text(out, bundle="torus", t_end=t_end,
+                                          **{"grid.n": "16", "record_every": "0.002"}))
+            tracemalloc.start()
+            try:
+                run_scenario(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return len((out / "series.csv").read_text().splitlines()) - 1, peak
+
+        # the longer run first, so that one-time allocations cannot hide its growth
+        (long_rows, long_peak), (short_rows, short_peak) = rows_and_peak("3.0"), rows_and_peak("1.0")
+        assert (long_rows, short_rows) == (1501, 501)
+        assert (long_peak - short_peak) / (long_rows - short_rows) < 300
 
     def test_xcf_out_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "elsewhere"
@@ -322,14 +349,15 @@ class TestEpsilonSweep:
 
 class TestCheckSeries:
     def test_reproduces_run_verdicts(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = load_config(config_text(out, bundle="torus", t_end="0.2"))
-        status = run_scenario(cfg)
-        check_status = check_series(out / "series.csv", BundleKind.TORUS)
-        printed = capsys.readouterr().out
-        claims_file = (out / "claims.txt").read_text()
-        assert check_status == status
-        assert printed == claims_file
+        for kind in BundleKind:
+            out = tmp_path / kind.value
+            cfg = load_config(config_text(out, bundle=kind.value, t_end="0.2"))
+            status = run_scenario(cfg)
+            check_status = check_series(out / "series.csv", kind)
+            printed = capsys.readouterr().out
+            claims_file = (out / "claims.txt").read_text()
+            assert check_status == status
+            assert printed == claims_file
 
     def test_grid_flags_set_the_tolerance_dx(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -564,13 +592,40 @@ class TestMalformedInputs:
         series.write_text("\n".join([header, *rows]) + "\n")
         assert main(["check", "--series", str(series), "--kind", "torus"]) == 1
 
+    @pytest.mark.parametrize("kind, column, claim_id", [
+        ("torus", "L", "T-L5"),
+        ("torus", "V", "T-C7"),
+        ("torus", "dL_dt_formula", "T-L5"),
+        ("sphere", "g_max", "S-L8"),
+    ])
+    def test_inf_in_series_fails_check_quietly(self, tmp_path, capsys, kind, column, claim_id):
+        out = tmp_path / "out"
+        run_scenario(load_config(config_text(out, bundle=kind, t_end="0.2", **{"grid.n": "32"})))
+        series = out / "series.csv"
+        argv = ["check", "--series", str(series), "--kind", kind]
+        main(argv)
+        assert f"{claim_id} pass " in capsys.readouterr().out
+        header, *rows = series.read_text().splitlines()
+        cells = rows[2].split(",")
+        cells[header.split(",").index(column)] = "inf"
+        rows[2] = ",".join(cells)
+        series.write_text("\n".join([header, *rows]) + "\n")
+        assert main(argv) == 1
+        printed = capsys.readouterr()
+        assert f"{claim_id} fail measured=nan " in printed.out
+        assert printed.err == ""
+
     @pytest.mark.parametrize(
         "body, message",
         [("t,V\n0.0,1.0\n", "series.csv: series has no column 'L'"),
          (SERIES_HEADER + "\n0.0\n", "series.csv: line 2: row has 1 cells, header has 17"),
          (SERIES_HEADER + "\n" + ",".join(["0.0"] * 18) + "\n",
-          "series.csv: line 2: row has 18 cells, header has 17")],
-        ids=["missing-column", "short-row", "long-row"],
+          "series.csv: line 2: row has 18 cells, header has 17"),
+         (SERIES_HEADER + "\n" + series_row() + "\n" + series_row(zero_count="2.5") + "\n",
+          "series.csv: line 3: column 'zero_count': invalid literal for int() with base 10: '2.5'"),
+         (SERIES_HEADER + "\n" + series_row(L="abc") + "\n",
+          "series.csv: line 2: column 'L': could not convert string to float: 'abc'")],
+        ids=["missing-column", "short-row", "long-row", "fractional-count", "not-a-number"],
     )
     def test_malformed_series_exits_2(self, tmp_path, capsys, body, message):
         series = tmp_path / "series.csv"
