@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -208,8 +209,8 @@ def evaluate_claims(
     vacuous). Requires at least 3 records at strictly increasing times.
     """
     tol = tolerances if tolerances is not None else ClaimTolerances()
-    table = records if isinstance(records, np.ndarray) else np.array(
-        list(map(_series_values, records)), dtype=float
+    table = records if isinstance(records, np.ndarray) else np.fromiter(
+        chain.from_iterable(map(_series_values, records)), dtype=float
     ).reshape(-1, len(SERIES_FIELDS))
     if table.ndim != 2 or table.shape[1] != len(SERIES_FIELDS):
         raise ValueError(

@@ -320,7 +320,7 @@ def read_series(path: str | Path) -> np.ndarray:
             for name, i, parse in columns:
                 try:
                     cells.append(parse(row[i]))
-                except ValueError as exc:
+                except (ValueError, OverflowError) as exc:  # OverflowError: a huge integer
                     raise ValueError(
                         f"{path}: line {reader.line_num}: column {name!r}: {exc}"
                     ) from None

@@ -624,8 +624,11 @@ class TestMalformedInputs:
          (SERIES_HEADER + "\n" + series_row() + "\n" + series_row(zero_count="2.5") + "\n",
           "series.csv: line 3: column 'zero_count': invalid literal for int() with base 10: '2.5'"),
          (SERIES_HEADER + "\n" + series_row(L="abc") + "\n",
-          "series.csv: line 2: column 'L': could not convert string to float: 'abc'")],
-        ids=["missing-column", "short-row", "long-row", "fractional-count", "not-a-number"],
+          "series.csv: line 2: column 'L': could not convert string to float: 'abc'"),
+         (SERIES_HEADER + "\n" + series_row(zero_count="1" + "0" * 400) + "\n",
+          "series.csv: line 2: column 'zero_count': int too large to convert to float")],
+        ids=["missing-column", "short-row", "long-row", "fractional-count", "not-a-number",
+             "huge-count"],
     )
     def test_malformed_series_exits_2(self, tmp_path, capsys, body, message):
         series = tmp_path / "series.csv"
