@@ -10,8 +10,8 @@ from xcflow import (
     ClaimTolerances,
     ConfigError,
     DiagnosticsRecord,
-    SERIES_FIELDS,
     NotApplicableError,
+    SERIES_FIELDS,
     SlopeConditionError,
     StationaryFlowWarning,
     build_profile,
