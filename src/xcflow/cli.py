@@ -381,7 +381,7 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     if config.flow.kind is BundleKind.SPHERE:
         validate_initial(profile, config.flow.kind)
 
-    # imported on use: the array module adds ~0.15 MiB to the peak RSS of
+    # imported on use: the array module adds ~0.13 MiB to the peak RSS of
     # a process that never builds a series table
     from array import array
 
