@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import typing
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -437,10 +438,11 @@ def curvature_dump(config: ScenarioConfig) -> int:
 def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
     """Compare regularised torus runs against the degenerate run.
 
-    Every listed epsilon (plus the epsilon = 0 baseline) evolves the
-    same initial data to t_end in its own subdirectory; eps_sweep.csv
-    reports sup|g_eps(t_end) - g_0(t_end)| per listed epsilon, in the
-    listed order.
+    Every listed epsilon (plus the epsilon = 0 baseline) evolves the same
+    initial data to t_end in its own subdirectory; eps_sweep.csv reports
+    sup|g_eps(t_end) - g_0(t_end)| per listed epsilon, in the listed order.
+    Members run round-robin on one lane per CPU in the affinity mask, lanes
+    after the first in forked workers; no output or error depends on that.
     """
     if config.flow.kind is not BundleKind.TORUS:
         raise NotApplicableError("epsilon sweep applies to torus runs only")
@@ -451,18 +453,53 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
     }
     out = _out_dir(config)
     initial = build_profile(config)
-
+    members = list(flows)
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    lanes = min(len(members), len(os.sched_getaffinity(0)) if forks else 1)
     finals: dict[float, np.ndarray] = {}
-    for eps, flow in flows.items():
-        sub = out / f"eps_{eps!r}"
-        sub.mkdir(parents=True, exist_ok=True)
-        with open(sub / "series.csv", "w", encoding="utf-8") as series:
-            series.write(SERIES_HEADER + "\n")
-            final, _ = evolve(
-                initial, flow,
-                sink=lambda rec, prof: series.write(_series_row(_series_values(rec)) + "\n"),
-            )
-        finals[eps] = final.g
+
+    def run(chosen: list[float]) -> Exception | None:  # into finals; the error that stops it
+        for eps in chosen:
+            sub = out / f"eps_{eps!r}"
+            sub.mkdir(parents=True, exist_ok=True)
+            try:
+                with open(sub / "series.csv", "w", encoding="utf-8") as series:
+                    series.write(SERIES_HEADER + "\n")
+                    final, _ = evolve(initial, flows[eps], sink=lambda rec, prof: series.write(
+                        _series_row(_series_values(rec)) + "\n"))
+            except Exception as exc:
+                return exc
+            finals[eps] = final.g
+
+    workers = {}  # pid -> (read end of its pipe, its members)
+    try:
+        for lane in range(1, lanes):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker: the final g of its members go back bit for bit
+                try:
+                    warnings.simplefilter("ignore")  # the first lane issues them for the same data
+                    run(members[lane::lanes])
+                    os.write(write, b"".join(g.tobytes() for g in finals.values()))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers[pid] = open(read, "rb"), members[lane::lanes]
+        error = run(members[::lanes])
+        for pipe, chosen in workers.values():  # a worker's pipe ends as it exits
+            with pipe:
+                finals.update(zip(chosen, np.frombuffer(pipe.read()).reshape(-1, initial.n)))
+        # each lane stops at its first failure, so the first member without a final failed first;
+        # the flow is deterministic, so a worker's failed member fails the same way re-run here
+        first = next((i for i, eps in enumerate(members) if eps not in finals), None)
+        if first is not None:
+            raise error if first % lanes == 0 else (run([members[first]]) or RuntimeError(
+                f"the worker of epsilons {members[first % lanes::lanes]} ended without reporting"))
+    finally:  # reap every worker, also one that an error here left running
+        for pid, (pipe, _) in workers.items():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
     with open(out / "eps_sweep.csv", "w", encoding="utf-8") as handle:
         handle.write("epsilon,sup_gap\n")
@@ -531,7 +568,10 @@ def main(argv: list[str] | None = None) -> int:
             return run_scenario(config, resume=args.resume)
         if args.command == "curvature":
             return curvature_dump(config)
-        epsilons = [float(part) for part in args.epsilons.split(",") if part.strip()]
+        try:
+            epsilons = [float(part) for part in args.epsilons.split(",") if part.strip()]
+        except ValueError as exc:
+            raise ValueError(f"--epsilons must be comma-separated numbers: {exc}") from None
         return epsilon_sweep(config, epsilons)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,14 +34,14 @@ first RHS evaluation also gives D_max, so w is formed once per step,
 and s and dt depend only on the state at the step's start.
 
 Derivatives use the periodic operator of `_periodic` that geometry and
-diagnostics share. `step` is one fused kernel: one np.errstate block,
-stage combinations summed in place in rotating buffers, positivity
-checked by reductions, and the result built by the trusted
-`MetricProfile._trusted`. Buffers: `_rhs_arrays` writes only its `out`
-and arrays it allocates; `step` allocates its stage buffers once per
-call, reads `start` and Y_0 without writing them, and returns rows of
-an array of its own. No array handed to a profile or a sink is written
-again, so distinct runs share no state and may execute in parallel.
+diagnostics share. `step` is one fused kernel: one np.errstate block, stage
+combinations summed in place in rotating buffers, positivity checked by
+reductions, and the result built by the trusted `MetricProfile._trusted`.
+Buffers: `_rhs_arrays` writes only its `out` and arrays it allocates;
+`step` allocates its stage buffers once per call, reads `start` and Y_0
+without writing them, and returns rows of an array of its own. No array
+handed to a profile or a sink is written again, so distinct runs share no
+state and may run in parallel, as `cli.epsilon_sweep`'s members do.
 """
 
 from __future__ import annotations

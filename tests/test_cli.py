@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from xcflow import (
     SERIES_FIELDS,
     SlopeConditionError,
     StationaryFlowWarning,
+    StepFailureError,
     build_profile,
     check_series,
     curvature_dump,
@@ -26,6 +29,7 @@ from xcflow import (
     save_snapshot,
     sinusoid_profile,
 )
+from xcflow import cli
 from xcflow.cli import SERIES_HEADER
 
 from conftest import TWO_PI
@@ -345,6 +349,137 @@ class TestEpsilonSweep:
         cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
         with pytest.raises(ValueError, match=">= 0"):
             epsilon_sweep(cfg, [-1e-3])
+
+
+# members 0, 1e-2, 1e-3 and 1e-4; with two lanes, 0 and 1e-3 run in the sweep's own process
+SWEEP_EPSILONS = ["1e-2", "1e-3", "1e-4"]
+
+
+def cpus(monkeypatch, count):
+    """Give the sweep `count` CPUs in its affinity mask and count the workers it forks."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class SetupDone(Exception):
+    """Raised at the first call into evolve, as the benchmark's setup probe does."""
+
+
+class TestEpsilonSweepLanes:
+    def test_lane_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+        trees = []
+        for count, workers in [(1, 0), (4, 3)]:
+            forks = cpus(monkeypatch, count)
+            out = tmp_path / f"cpus{count}"
+            epsilon_sweep(load_config(config_text(out, bundle="torus", t_end="0.2")),
+                          [float(eps) for eps in SWEEP_EPSILONS])
+            assert len(forks) == workers
+            trees.append(files(out))
+        assert len(trees[0]) == 5  # eps_sweep.csv and four series
+        assert trees[0] == trees[1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, message", [
+        ({1e-2, 1e-3}, "member eps=0.01"),
+        ({1e-3, 1e-4}, "member eps=0.001"),
+    ], ids=["worker-first", "parent-first"])
+    def test_error_of_the_first_failing_member(self, tmp_path, monkeypatch, capsys,
+                                               failing, message):
+        evolve = cli.evolve
+
+        def failing_evolve(profile, config, **kwargs):  # forked workers inherit it
+            if config.epsilon in failing:
+                raise StepFailureError(0.0, 1e-3, f"member eps={config.epsilon!r}")
+            return evolve(profile, config, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", failing_evolve)
+        errors = []
+        for count in (1, 2):
+            forks = cpus(monkeypatch, count)
+            path = tmp_path / f"cpus{count}.txt"
+            path.write_text(config_text(tmp_path / f"cpus{count}", bundle="torus", t_end="0.2"))
+            argv = ["eps-sweep", "--config", str(path), "--epsilons", ",".join(SWEEP_EPSILONS)]
+            assert main(argv) == 2
+            assert len(forks) == count - 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: step of dt=0.001 from t=0.0 failed: {message}\n"] * 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [SetupDone, KeyboardInterrupt])
+    def test_error_at_first_evolve_leaves_no_child(self, tmp_path, monkeypatch, error):
+        # each process raises at its own first call, workers included
+        evolve, calls = cli.evolve, []
+
+        def stopping_evolve(*args, **kwargs):
+            if not calls:
+                calls.append(os.getpid())
+                raise error
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", stopping_evolve)
+        forks = cpus(monkeypatch, 2)
+        cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
+        with pytest.raises(error):
+            epsilon_sweep(cfg, [1e-2, 1e-3, 1e-4])
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_worker_that_dies_is_named(self, tmp_path, monkeypatch):
+        evolve, parent = cli.evolve, os.getpid()
+
+        def dying_evolve(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", dying_evolve)
+        cpus(monkeypatch, 2)
+        cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
+        with pytest.raises(RuntimeError, match=r"epsilons \[0.01, 0.0001\] ended without reporting"):
+            epsilon_sweep(cfg, [1e-2, 1e-3, 1e-4])
+        assert_no_child_left()
+
+    def test_workers_issue_no_warning(self, tmp_path, monkeypatch, capfd):
+        cpus(monkeypatch, 2)
+        cfg = load_config(config_text(
+            tmp_path / "out", bundle="torus", t_end="0.2", **{"profile.amplitude": "0.0"},
+        ))
+
+        def show(message, category, *args, **kwargs):  # to fd 2 from every process
+            os.write(2, f"{category.__name__}\n".encode())
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # once per process and place
+            warnings.showwarning = show
+            epsilon_sweep(cfg, [1e-2, 1e-3, 1e-4])
+        assert capfd.readouterr().err == "StationaryFlowWarning\n"
+
+    def test_unparsable_epsilons_name_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
+        assert main(["eps-sweep", "--config", str(path), "--epsilons", "1e-2,abc"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --epsilons must be comma-separated numbers: "
+            "could not convert string to float: 'abc'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheckSeries:

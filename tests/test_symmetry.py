@@ -1,14 +1,17 @@
 """Exact symmetries of the discrete flow on fixed cases.
 
-The reduced equations commute with a rotation of the base circle and
-with the scaling (f, g, t) -> (lam f, lam g, lam^4 t). The discrete flow
-keeps both bit for bit: the stencil sees a rotated grid as the same
-grid, and for lam = 2 every scaling is a power of two, exact in floating
-point (w and D w do not change, the right-hand side scales by 2^-3 and
-stable_dt by 2^4). So a rotated or scaled run must end on the rotated or
-scaled final state exactly, after the same number of steps. Unlike a
-comparison with stored outputs, this guard survives any change to the
-stencil or the step rule that keeps the symmetries.
+The reduced equations commute with a rotation and a reflection of the
+base circle and with the scaling (f, g, t) -> (lam f, lam g, lam^4 t).
+The discrete flow keeps all three bit for bit: the stencil sees a
+rotated grid as the same grid, the centred difference of a reversed
+array is the reversed difference negated (so w changes sign, and w^2 and
+D w do not), and for lam = 2 every scaling is a power of two, exact in
+floating point (w and D w do not change, the right-hand side scales by
+2^-3 and stable_dt by 2^4). So a rotated, reflected or scaled run must
+end on the rotated, reflected or scaled final state exactly, after the
+same number of steps. Unlike a comparison with stored outputs, this
+guard survives any change to the stencil or the step rule that keeps the
+symmetries.
 """
 
 import functools
@@ -59,6 +62,18 @@ def test_rotation_is_exact(case):
     assert rotated_steps == steps
     assert np.array_equal(rotated.f, np.roll(final.f, -SHIFT))
     assert np.array_equal(rotated.g, np.roll(final.g, -SHIFT))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_reflection_is_exact(case):
+    final, steps = base_run(case)
+    start = initial()
+    reflected, reflected_steps = run(
+        case, MetricProfile(N, TWO_PI, 0.0, start.f[::-1], start.g[::-1])
+    )
+    assert reflected_steps == steps
+    assert np.array_equal(reflected.f, final.f[::-1])
+    assert np.array_equal(reflected.g, final.g[::-1])
 
 
 @pytest.mark.parametrize("case", CASES)
