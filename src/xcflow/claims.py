@@ -49,12 +49,11 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _series_values
-from .geometry import BundleKind
+from .geometry import BundleKind, FieldError, require  # noqa: F401 (xcflow.claims.FieldError)
 
 __all__ = [
     "ClaimTolerances",
     "ClaimVerdict",
-    "FieldError",
     "InsufficientDataError",
     "TORUS_CLAIMS",
     "SPHERE_CLAIMS",
@@ -75,15 +74,6 @@ SLOPE_BOUND = 0.25
 
 class InsufficientDataError(ValueError):
     """Fewer records than the claim checker needs."""
-
-
-class FieldError(ValueError):
-    """A configuration value is out of range; `keys` name the fields involved,
-    the most specific first."""
-
-    def __init__(self, message: str, *keys: str):
-        self.keys = keys
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -113,13 +103,11 @@ class ClaimTolerances:
         for f in fields(self):
             value = float(getattr(self, f.name))
             if f.name == "theta":
-                ok, rule = 0.0 < value <= 1.0, "be in (0, 1]"
+                require(0.0 < value <= 1.0, f.name, "be in (0, 1]", value)
             elif f.name in ("dx", "rate_abs"):
-                ok, rule = 0.0 < value < math.inf, "be finite and positive"
+                require(0.0 < value < math.inf, f.name, "be finite and positive", value)
             else:
-                ok, rule = 0.0 <= value < math.inf, "be finite and >= 0"
-            if not ok:
-                raise FieldError(f"{f.name} must {rule}, got {value!r}", f.name)
+                require(0.0 <= value < math.inf, f.name, "be finite and >= 0", value)
 
     def mono_tol(self, scale: float) -> float:
         return (self.mono_base + self.mono_dx2 * self.dx**2) * abs(scale)

@@ -35,11 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import ClaimTolerances, ClaimVerdict, FieldError, NOT_APPLICABLE, evaluate_claims
+from .claims import ClaimTolerances, ClaimVerdict, NOT_APPLICABLE, evaluate_claims
 from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _series_values
 from ._periodic import first_nonfinite
 from .flow import FlowConfig, evolve, next_record_index, validate_initial
-from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field
+from .geometry import (
+    MIN_N, BundleKind, FieldError, MetricProfile, NumericOverflowError, curvature_field, require,
+)
 
 __all__ = [
     "ConfigError",
@@ -59,14 +61,13 @@ __all__ = [
 ]
 
 SERIES_HEADER = ",".join(SERIES_FIELDS)
-_MIN_N = 8  # the coarsest grid: grid.n and `check --n`
 # each column parses as its field's declared type
 _SERIES_TYPES = {name: cls for name, cls in typing.get_type_hints(DiagnosticsRecord).items()
                  if name in SERIES_FIELDS}
 
 CURVATURE_HEADER = "i,x,f,g,w,w_s,K12,K23,Ric11,Ric22,R,P11,P22,h11,h22"
 
-# dx comes from the grid and theta has its own key
+# dx comes from the profile that runs and theta has its own key
 _TOLERANCE_KEYS = {f.name for f in dataclasses.fields(ClaimTolerances)} - {"dx", "theta"}
 _FLOW_DEFAULTS = {
     f.name: f.default
@@ -91,8 +92,10 @@ class NotApplicableError(ValueError):
 class ScenarioConfig:
     """One scenario: flow parameters, grid, initial profile and outputs.
 
-    snapshot_every defaults to t_end / 2. flow.tolerances.dx is set to
-    the grid spacing period / n. Errors name the config keys.
+    snapshot_every defaults to t_end / 2; inf means snapshots at the start
+    and the end only. Each check raises a FieldError that names its config
+    key. flow.tolerances.dx is left as given: `run_scenario` sets it to the
+    spacing of the profile that runs, which a snapshot may give.
     """
 
     flow: FlowConfig
@@ -107,13 +110,11 @@ class ScenarioConfig:
     snapshot_every: float | None = None
 
     def __post_init__(self):
-        # comparisons are written so that NaN fails them
-        if not self.n >= _MIN_N:
-            raise FieldError(f"grid.n must be >= {_MIN_N}, got {self.n}", "grid.n")
-        if not self.period > 0.0:
-            raise FieldError(f"grid.period must be positive, got {self.period!r}", "grid.period")
-        if self.period == math.inf:
-            raise FieldError("grid.period must be finite, got inf", "grid.period")
+        require(self.n >= MIN_N, "grid.n", f"be >= {MIN_N}", self.n)
+        require(self.period > 0.0, "grid.period", "be positive", self.period)
+        require(self.period < math.inf, "grid.period", "be finite", self.period)
+        require(self.family in ("sinusoid", "file"), "profile.family",
+                "be 'sinusoid' or 'file'", self.family)
         if self.family == "sinusoid":
             if not 0.0 <= self.amplitude < self.base:
                 raise FieldError(
@@ -121,27 +122,15 @@ class ScenarioConfig:
                     f"got base={self.base!r} amplitude={self.amplitude!r}",
                     "profile.amplitude", "profile.base",
                 )
-            if self.wavenumber < 1:
-                raise FieldError(
-                    f"profile.wavenumber must be a positive integer, got {self.wavenumber}",
-                    "profile.wavenumber",
-                )
-        elif self.family != "file":
-            raise FieldError(
-                f"profile.family must be 'sinusoid' or 'file', got {self.family!r}",
-                "profile.family",
-            )
+            require(self.base < math.inf, "profile.base", "be finite", self.base)
+            require(self.wavenumber >= 1, "profile.wavenumber", "be a positive integer",
+                    self.wavenumber)
         elif self.profile_path is None:
             raise FieldError("profile.family = file requires profile.path", "profile.family")
         if self.snapshot_every is None:
             object.__setattr__(self, "snapshot_every", 0.5 * self.flow.t_end)
-        if not self.snapshot_every > 0.0:
-            raise FieldError(
-                f"output.snapshot_every must be positive, got {self.snapshot_every!r}",
-                "output.snapshot_every",
-            )
-        tolerances = dataclasses.replace(self.flow.tolerances, dx=self.period / self.n)
-        object.__setattr__(self, "flow", dataclasses.replace(self.flow, tolerances=tolerances))
+        require(self.snapshot_every > 0.0, "output.snapshot_every", "be positive",
+                self.snapshot_every)
 
 
 def _fmt(value: float) -> str:
@@ -373,8 +362,8 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
 
     With resume, the profile comes entirely from the snapshot file (the
     config's profile and grid sections are ignored) and the series
-    covers t >= the snapshot time. Returns 0 iff every applicable claim
-    passes.
+    covers t >= the snapshot time. The claims take dx from the profile
+    that runs. Returns 0 iff every applicable claim passes.
     """
     out = _out_dir(config)
     profile = load_snapshot(resume) if resume is not None else build_profile(config)
@@ -406,7 +395,8 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
             if cells:  # a run that recorded nothing leaves no checkpoint
                 snaps.offer(final_profile, force=True)
 
-    verdicts = evaluate_claims(_table(cells), config.flow.kind, config.flow.tolerances)
+    tolerances = dataclasses.replace(config.flow.tolerances, dx=profile.dx)
+    verdicts = evaluate_claims(_table(cells), config.flow.kind, tolerances)
     _write_claims(out / "claims.txt", verdicts)
     return _claims_exit_status(verdicts)
 
@@ -480,7 +470,9 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
                 try:
                     warnings.simplefilter("ignore")  # the first lane issues them for the same data
                     run(members[lane::lanes])
-                    os.write(write, b"".join(g.tobytes() for g in finals.values()))
+                    with open(write, "wb") as pipe:  # buffered: writes every byte or raises
+                        for g in finals.values():
+                            pipe.write(g.tobytes())
                 finally:
                     os._exit(0)
             os.close(write)
@@ -488,7 +480,10 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
         error = run(members[::lanes])
         for pipe, chosen in workers.values():  # a worker's pipe ends as it exits
             with pipe:
-                finals.update(zip(chosen, np.frombuffer(pipe.read()).reshape(-1, initial.n)))
+                data = pipe.read()
+            # whole rows only: a worker that died while writing reported the members before
+            rows = np.frombuffer(data, count=len(data) // initial.g.nbytes * initial.n)
+            finals.update(zip(chosen, rows.reshape(-1, initial.n)))
         # each lane stops at its first failure, so the first member without a final failed first;
         # the flow is deterministic, so a worker's failed member fails the same way re-run here
         first = next((i for i, eps in enumerate(members) if eps not in finals), None)
@@ -556,11 +551,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "check":
-            # comparisons are written so that NaN fails them
-            if not args.n >= _MIN_N:
-                raise ValueError(f"--n must be >= {_MIN_N}, got {args.n}")
-            if not 0.0 < args.period < math.inf:
-                raise ValueError(f"--period must be finite and positive, got {args.period!r}")
+            require(args.n >= MIN_N, "--n", f"be >= {MIN_N}", args.n)
+            require(0.0 < args.period < math.inf, "--period", "be finite and positive", args.period)
             tolerances = ClaimTolerances(dx=args.period / args.n)
             return check_series(args.series, BundleKind(args.kind), tolerances)
         config = load_config(Path(args.config).read_text(encoding="utf-8"))
@@ -577,6 +569,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

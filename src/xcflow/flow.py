@@ -54,10 +54,10 @@ from typing import Callable
 
 import numpy as np
 
-from .claims import ClaimTolerances, FieldError, SLOPE_BOUND
+from .claims import ClaimTolerances, SLOPE_BOUND
 from ._periodic import ddx, first_nonfinite
 from .diagnostics import DiagnosticsRecord, functionals
-from .geometry import BundleKind, MetricProfile, NumericOverflowError, s_derivative
+from .geometry import BundleKind, MetricProfile, NumericOverflowError, require, s_derivative
 
 __all__ = [
     "FlowConfig",
@@ -121,21 +121,14 @@ class FlowConfig:
     tolerances: ClaimTolerances = field(default_factory=ClaimTolerances)
 
     def __post_init__(self):
-        # comparisons are written so that NaN fails them
-        if not self.epsilon >= 0.0:
-            raise FieldError(f"epsilon must be >= 0, got {self.epsilon!r}", "epsilon")
-        if not self.t_end > 0.0:
-            raise FieldError(f"t_end must be positive, got {self.t_end!r}", "t_end")
+        require(self.epsilon >= 0.0, "epsilon", "be >= 0", self.epsilon)
+        require(self.t_end > 0.0, "t_end", "be positive", self.t_end)
         if self.record_every is None:
             object.__setattr__(self, "record_every", 0.01 * self.t_end)
-        if not self.record_every > 0.0:
-            raise FieldError(
-                f"record_every must be positive, got {self.record_every!r}", "record_every"
-            )
+        require(self.record_every > 0.0, "record_every", "be positive", self.record_every)
         # inf would fail later, far from its key
         for name in ("t_end", "epsilon", "record_every"):
-            if getattr(self, name) == math.inf:
-                raise FieldError(f"{name} must be finite, got inf", name)
+            require(getattr(self, name) < math.inf, name, "be finite", getattr(self, name))
 
 
 @dataclass

@@ -43,6 +43,7 @@ is shared: the package never writes an array that a profile holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,10 +55,13 @@ __all__ = [
     "BundleKind",
     "MetricProfile",
     "CurvatureField",
+    "FieldError",
     "NumericOverflowError",
     "s_derivative",
     "curvature_field",
 ]
+
+MIN_N = 8  # the coarsest grid: MetricProfile.n, grid.n and `check --n`
 
 
 class BundleKind(Enum):
@@ -75,6 +79,25 @@ class BundleKind(Enum):
     def flow_sign(self) -> float:
         """Sign of the metric flow: +1 for the torus family, -1 for the sphere family."""
         return 1.0 if self is BundleKind.TORUS else -1.0
+
+
+class FieldError(ValueError):
+    """A configuration value is out of range; `keys` name the fields involved,
+    the most specific first."""
+
+    def __init__(self, message: str, *keys: str):
+        self.keys = keys
+        super().__init__(message)
+
+
+def require(ok: bool, key: str, rule: str, value: object) -> None:
+    """Raise FieldError(f"{key} must {rule}, got {value!r}", key) unless ok.
+
+    Write `ok` as the comparison that valid values pass, such as `x > 0.0`
+    rather than `not x <= 0.0`: NaN compares false, so it fails every check.
+    """
+    if not ok:
+        raise FieldError(f"{key} must {rule}, got {value!r}", key)
 
 
 class NumericOverflowError(ArithmeticError):
@@ -111,19 +134,13 @@ class MetricProfile:
     g: np.ndarray
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 8:
-            raise ValueError(f"need an integer node count >= 8, got {self.n!r}")
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"period must be positive and finite, got {self.period!r}")
-        if not np.isfinite(self.t):
-            raise ValueError(f"flow time must be finite, got {self.t!r}")
+        require(int(self.n) == self.n >= MIN_N, "n", f"be an integer >= {MIN_N}", self.n)
+        require(0.0 < self.period < math.inf, "period", "be finite and positive", self.period)
+        require(-math.inf < self.t < math.inf, "flow time", "be finite", self.t)
         f = np.array(self.f, dtype=float)
         g = np.array(self.g, dtype=float)
         for name, arr in (("f", f), ("g", g)):
-            if arr.shape != (self.n,):
-                raise ValueError(
-                    f"{name} must have shape ({self.n},), got {arr.shape}"
-                )
+            require(arr.shape == (self.n,), name, f"have shape ({self.n},)", arr.shape)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite samples")
             if np.any(arr <= 0.0):

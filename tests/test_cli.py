@@ -118,7 +118,6 @@ class TestLoadConfig:
         )
         assert cfg.flow.tolerances.theta == 0.2
         assert cfg.flow.tolerances.tol_k == 0.5
-        assert cfg.flow.tolerances.dx == pytest.approx(TWO_PI / 256)
 
     def test_unknown_tolerance_key(self):
         with pytest.raises(ConfigError, match="tol.bogus"):
@@ -247,6 +246,24 @@ class TestRunScenario:
         rows_b = (tmp_path / "b" / "series.csv").read_text().splitlines()[1:]
         tail_a = [r for r in rows_a if float(r.split(",")[0]) >= 0.5]
         assert rows_b == tail_a
+
+    @pytest.mark.parametrize("source", ["profile.family", "--resume"])
+    def test_claims_take_dx_from_the_profile_that_runs(self, tmp_path, source):
+        # an n = 64 snapshot, run under a config whose grid section keeps n = 256
+        grid = {"grid.n": "64"}
+        run_scenario(load_config(config_text(tmp_path / "a", bundle="torus", t_end="0.2", **grid)))
+        snap = tmp_path / "a" / "snap_0.1.json"
+        want = config_text(tmp_path / "want", bundle="torus", t_end="0.2", **grid)
+        run_scenario(load_config(want), resume=snap)
+        if source == "--resume":
+            got = config_text(tmp_path / "got", bundle="torus", t_end="0.2")
+            run_scenario(load_config(got), resume=snap)
+        else:
+            got = config_text(tmp_path / "got", bundle="torus", t_end="0.2",
+                              **{"profile.family": "file", "profile.path": str(snap)})
+            run_scenario(load_config(got))
+        for name in ("series.csv", "claims.txt"):
+            assert (tmp_path / "got" / name).read_text() == (tmp_path / "want" / name).read_text()
 
     def test_exit_status_tracks_claims(self, tmp_path):
         # an unreachable growth requirement forces a T-T6 failure
@@ -456,6 +473,25 @@ class TestEpsilonSweepLanes:
             epsilon_sweep(cfg, [1e-2, 1e-3, 1e-4])
         assert_no_child_left()
 
+    def test_worker_that_dies_while_reporting_is_named(self, tmp_path, monkeypatch):
+        # the worker sends its first final whole and half of its second, as one that dies
+        # while it writes them would
+        evolve, parent = cli.evolve, os.getpid()
+
+        def short_evolve(profile, config, **kwargs):
+            final, summary = evolve(profile, config, **kwargs)
+            if os.getpid() != parent and config.epsilon == 1e-4:
+                final = dataclasses.replace(final, n=8, g=final.g[:8], f=final.f[:8])
+            return final, summary
+
+        monkeypatch.setattr(cli, "evolve", short_evolve)
+        cpus(monkeypatch, 2)
+        cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.2",
+                                      **{"grid.n": "16"}))
+        with pytest.raises(RuntimeError, match=r"epsilons \[0.01, 0.0001\] ended without reporting"):
+            epsilon_sweep(cfg, [1e-2, 1e-3, 1e-4])
+        assert_no_child_left()
+
     def test_workers_issue_no_warning(self, tmp_path, monkeypatch, capfd):
         cpus(monkeypatch, 2)
         cfg = load_config(config_text(
@@ -648,16 +684,13 @@ class TestConfigValidation:
             load_config("bundle = torus\nt_end = 1.0\ntheta = 5\n")
         assert str(err.value) == f"line 3: {owner.value}"
 
-    def test_dx_follows_grid(self):
-        cfg = load_config("bundle = torus\nt_end = 1.0\ngrid.n = 64\ngrid.period = 2.0\n")
-        assert cfg.flow.tolerances.dx == 2.0 / 64
-
     def test_amplitude_error_falls_back_to_base_line(self):
         with pytest.raises(ConfigError) as err:
             load_config("bundle = torus\nt_end = 1.0\nprofile.base = 0.05\n")
         assert err.value.line == 3
 
-    @pytest.mark.parametrize("key", ["t_end", "epsilon", "record_every", "grid.period"])
+    @pytest.mark.parametrize("key", ["t_end", "epsilon", "record_every", "grid.period",
+                                     "profile.base"])
     def test_inf_rejected_at_its_line(self, tmp_path, capsys, key):
         keys = {"bundle": "torus", "t_end": "1.0", "grid.n": "64", key: "inf"}
         text = "".join(f"{k} = {v}\n" for k, v in keys.items())

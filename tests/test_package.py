@@ -25,6 +25,14 @@ def test_package_does_not_import_sympy():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_python_m_xcflow_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "xcflow", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: xcf ")
+
+
 def test_benchmark_tracer_targets_resolve():
     # the benchmark's tracer wraps these names by string; a renamed or removed
     # one would read as `missing:` in a traced run (tracer.py imports only the stdlib)
