@@ -262,14 +262,16 @@ def load_snapshot(path: str | Path) -> MetricProfile:
         raise ValueError(f"{path}: snapshot is not a JSON object")
     try:
         return MetricProfile(
-            n=int(data["n"]),
+            n=data["n"],  # as it is: MetricProfile's integer rule rejects 16.7
             period=float(data["period"]),
             t=float(data["t"]),
-            f=np.asarray(data["f"], dtype=float),
-            g=np.asarray(data["g"], dtype=float),
+            f=data["f"],  # MetricProfile converts the samples to float arrays
+            g=data["g"],
         )
     except KeyError as exc:
         raise ValueError(f"{path}: snapshot has no field {exc.args[0]!r}") from None
+    except TypeError as exc:  # such as "t": null, "f": {...} or "n": [16]
+        raise ValueError(f"{path}: snapshot has a field of the wrong type: {exc}") from None
 
 
 def _series_row(values: tuple) -> str:
@@ -323,23 +325,6 @@ def _out_dir(config: ScenarioConfig) -> Path:
     return out
 
 
-class _SnapshotSchedule:
-    """Write snapshots at the start, at every snapshot_every crossing, and at the end."""
-
-    def __init__(self, out: Path, every: float, t_start: float):
-        self.out = out
-        self.every = every
-        self.next_k = next_record_index(t_start, every)
-        self.last_t: float | None = None
-
-    def offer(self, profile: MetricProfile, force: bool = False) -> None:
-        crossed = profile.t >= self.next_k * self.every - 1e-12 * max(1.0, abs(profile.t))
-        if (force or crossed) and self.last_t != profile.t:
-            save_snapshot(profile, self.out / f"snap_{profile.t!r}.json")
-            self.last_t = profile.t
-            self.next_k = next_record_index(profile.t, self.every)
-
-
 def _claim_line(v: ClaimVerdict) -> str:
     """One verdict as written to claims.txt and printed by `check`."""
     status = "n/a" if v.status == NOT_APPLICABLE else v.status
@@ -376,24 +361,28 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     from array import array
 
     cells = array("d")  # the series table's rows, packed; no record is kept
-    snaps = _SnapshotSchedule(out, config.snapshot_every, profile.t)
-    final_profile = profile
+    last = saved = None  # the last recorded profile; the last snapshot's profile
+    saved_k = 0  # next_record_index of the last snapshot's time
     with open(out / "series.csv", "w", encoding="utf-8") as series:
         series.write(SERIES_HEADER + "\n")
 
         def sink(rec: DiagnosticsRecord, prof: MetricProfile) -> None:
-            nonlocal final_profile
+            nonlocal last, saved, saved_k
             values = _series_values(rec)
             cells.extend(values)
             series.write(_series_row(values) + "\n")
-            snaps.offer(prof, force=len(cells) == len(values))
-            final_profile = prof
+            # the first record, and each that reached the multiple after the last snapshot
+            k = next_record_index(prof.t, config.snapshot_every)
+            if saved is None or k > saved_k:
+                save_snapshot(prof, out / f"snap_{prof.t!r}.json")
+                saved, saved_k = prof, k
+            last = prof
 
         try:
-            final_profile, _ = evolve(profile, config.flow, sink=sink)
+            evolve(profile, config.flow, sink=sink)
         finally:
-            if cells:  # a run that recorded nothing leaves no checkpoint
-                snaps.offer(final_profile, force=True)
+            if last is not saved:  # the end; a run that recorded nothing leaves no checkpoint
+                save_snapshot(last, out / f"snap_{last.t!r}.json")
 
     tolerances = dataclasses.replace(config.flow.tolerances, dx=profile.dx)
     verdicts = evaluate_claims(_table(cells), config.flow.kind, tolerances)

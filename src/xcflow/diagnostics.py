@@ -44,8 +44,8 @@ class DiagnosticsRecord:
 
     dV_dt_formula is NaN for sphere runs (no closed-form volume rate is
     available for that family). E2_rate_formula is carried in memory but
-    is not part of the CSV row schema; rows loaded back from CSV have it
-    set to NaN.
+    is not part of the CSV row schema: the series table that `read_series`
+    loads has no column for it.
     """
 
     t: float

@@ -166,16 +166,14 @@ def _rhs_arrays(
     kind: BundleKind,
     epsilon: float,
     t: float,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dt, dg/dt) per node, into the rows of a (2, n) out if given; call under np.errstate.
+    """(df/dt, dg/dt) per node, into the first two rows of out; call under np.errstate.
 
     A (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
     in its last row, which `stable_dt` reduces; c is eps on the torus and
     -1 on the sphere.
     """
-    if out is None:
-        out = np.empty((2, f.size))
     sphere = kind is BundleKind.SPHERE
     shift = -1.0 if sphere else epsilon
     w = ddx(g, dx)
@@ -210,9 +208,7 @@ def rhs(
     epsilon regularises the torus diffusion coefficient (w^2 + eps) and
     is ignored for the sphere family.
     """
-    # overflow is detected and reported with the node; silence numpy
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t)
+    return tuple(_start_of_step(profile, kind, epsilon)[0])
 
 
 def stable_dt(
@@ -314,8 +310,7 @@ def step(
     is not finite and positive in the result; the caller may retry with
     a smaller dt.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    require(0.0 < dt < math.inf, "dt", "be finite and positive", dt)
     dx, t = profile.dx, profile.t
     y0 = np.array((profile.f, profile.g))
     if np.minimum.reduce(y0, axis=None) <= 0.0:
@@ -351,14 +346,26 @@ def step(
     return MetricProfile._trusted(profile.n, profile.period, t + dt, y_prev[0], y_prev[1])
 
 
+def _reached(t: float, target: float) -> bool:
+    """Whether flow time t has reached target, up to 1e-12 * max(1, |target|).
+
+    The one time rule: it decides record landings, the end of a run and
+    (through `next_record_index`) snapshot crossings. The tolerance is far
+    above the rounding of t + dt, so a step of dt = target - t lands.
+    """
+    return t >= target - 1e-12 * max(1.0, abs(target))
+
+
 def next_record_index(t: float, every: float) -> int:
-    """Index k of the first record time k * every after t (or 1e-9 gaps before it).
+    """Index k of the first grid time k * every that t has not reached.
 
     Record times are global multiples of `every`, so a resumed run lands
-    on exactly the grid of the original run.
+    on exactly the grid of the original run. A t within the tolerance of
+    `_reached` below a grid time counts as at it. With every = inf, k is 1:
+    no finite t reaches inf.
     """
-    k = math.floor(t / every + 1e-9) + 1
-    while k * every <= t:  # t / every can round low at long horizons
+    k = math.floor(t / every) + 1
+    while _reached(t, k * every):  # t / every can round low at long horizons, too
         k += 1
     return k
 
@@ -374,7 +381,11 @@ def evolve(
     The sink is invoked with (record, profile) at the start time, at
     every global multiple of record_every, and at t_end; clamping steps
     to those boundaries makes the record stream deterministic and
-    bit-reproducible across resumes. Records are evaluated in batches of
+    bit-reproducible across resumes. One rule, `_reached`, decides
+    whether a time has reached another: a step that reaches its boundary
+    lands on it, taking the boundary time exactly, and the run ends once
+    the profile's time reaches t_end. So the profile returned is always
+    the last one the sink was given. Records are evaluated in batches of
     up to 4096 grid nodes, so the sink gets them in order, up to one
     batch after the step that made them. stop_when, if given, is
     evaluated on each record right after its step (batches of one) and
@@ -388,7 +399,6 @@ def evolve(
     summary = RunSummary()
     t_end, every = config.t_end, config.record_every
     k = next_record_index(profile.t, every)
-    eps_t = 1e-12 * max(1.0, abs(t_end))
     batch = 1 if stop_when is not None else max(1, _RECORD_NODES // profile.n)
     pending = [profile]  # landed profiles whose records the sink has not seen yet
 
@@ -406,11 +416,10 @@ def evolve(
         return stop_when is not None and stop_when(rec)  # a batch of one when set
 
     try:
-        while not (len(pending) == batch and emit()) and t_end - profile.t > eps_t:
+        while not (len(pending) == batch and emit()) and not _reached(profile.t, t_end):
             target = min(k * every, t_end)
-            gap = target - profile.t
             start = _start_of_step(profile, config.kind, config.epsilon)
-            dt = min(gap, _span(_MAX_STAGES) * start[1])
+            dt = min(target - profile.t, _span(_MAX_STAGES) * start[1])
             for attempt in range(MAX_STEP_RETRIES + 1):
                 try:
                     advanced = step(profile, config.kind, config.epsilon, dt, start)
@@ -425,8 +434,8 @@ def evolve(
                         ) from None
                     dt *= 0.5
             summary.steps += 1
-            # a step that the bound or a retry shortened can still land by rounding
-            if dt == gap or advanced.t >= target:
+            # a step that the bound or a retry shortened can still land
+            if _reached(advanced.t, target):
                 # assign the boundary time exactly so record times stay on the
                 # global grid regardless of floating-point accumulation
                 profile = MetricProfile._trusted(

@@ -247,6 +247,20 @@ class TestRunScenario:
         tail_a = [r for r in rows_a if float(r.split(",")[0]) >= 0.5]
         assert rows_b == tail_a
 
+    @pytest.mark.parametrize("every, names", [
+        ("0.25", ["0.0", "0.30000000000000004", "0.5", "0.8", "1.0", "1.05"]),
+        ("inf", ["0.0", "1.05"]),  # no record reaches inf: the start and the end only
+    ])
+    def test_snapshot_cadence(self, tmp_path, every, names):
+        # the first record at or past each multiple of snapshot_every, and the end
+        cfg = load_config(config_text(
+            tmp_path, bundle="torus", t_end="1.05", record_every="0.1",
+            **{"grid.n": "16", "output.snapshot_every": every},
+        ))
+        run_scenario(cfg)
+        got = sorted(float(p.stem[len("snap_"):]) for p in tmp_path.glob("snap_*.json"))
+        assert list(map(repr, got)) == names
+
     @pytest.mark.parametrize("source", ["profile.family", "--resume"])
     def test_claims_take_dx_from_the_profile_that_runs(self, tmp_path, source):
         # an n = 64 snapshot, run under a config whose grid section keeps n = 256
@@ -814,6 +828,23 @@ class TestMalformedInputs:
         path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.1"))
         assert main(["run", "--config", str(path), "--resume", str(snap)]) == 2
         assert f"{snap}: snapshot has no field 'g'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("t", None, "snap.json: snapshot has a field of the wrong type"),
+        ("f", {"0": 1.0}, "snap.json: snapshot has a field of the wrong type"),
+        ("n", [16], "snap.json: snapshot has a field of the wrong type"),
+        ("n", 16.7, "n must be an integer >= 8, got 16.7"),  # no longer truncated to 16
+    ], ids=["t-null", "f-object", "n-list", "n-fraction"])
+    def test_snapshot_field_of_wrong_type_exits_2(self, tmp_path, capsys, field, value, message):
+        snap = tmp_path / "snap.json"
+        save_snapshot(sinusoid_profile(16, TWO_PI, 2.0, 0.1, 1), snap)
+        data = json.loads(snap.read_text())
+        data[field] = value
+        snap.write_text(json.dumps(data))
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.1"))
+        assert main(["run", "--config", str(path), "--resume", str(snap)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", ["[1, 2]", "3"])
     def test_snapshot_not_an_object_exits_2(self, tmp_path, capsys, body):

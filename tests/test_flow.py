@@ -235,7 +235,8 @@ class TestStableDt:
 
         def rhs_flat(y):
             with np.errstate(all="ignore"):
-                return np.concatenate(flow_mod._rhs_arrays(y[:n], y[n:], p.dx, kind, eps, 0.0))
+                return np.concatenate(flow_mod._rhs_arrays(y[:n], y[n:], p.dx, kind, eps, 0.0,
+                                                           out=np.empty((2, n))))
 
         jac = np.empty((2 * n, 2 * n))
         for j in range(2 * n):
@@ -318,6 +319,9 @@ class TestStep:
     def test_rejects_nonpositive_dt(self, profile_a):
         with pytest.raises(ValueError):
             step(profile_a, TORUS, 0.0, 0.0)
+        for dt in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"dt must be finite and positive, got {dt}"):
+                step(profile_a, TORUS, 0.0, dt)
 
     def test_positivity_failure(self, profile_a):
         with pytest.raises(StepFailureError):
@@ -482,6 +486,18 @@ class TestEvolve:
         else:
             assert all(dt == 0.5 for dt in steps)
 
+    def test_step_short_of_t_end_by_rounding_lands(self, monkeypatch):
+        # the one step falls 5e-13 short of t_end, inside the tolerance: it must
+        # land on t_end and be recorded, not end the run unrecorded
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: (1.0 - 5e-13) / 20)
+        cfg = FlowConfig(kind=TORUS, t_end=1.0, record_every=1.0)
+        records = []
+        final, summary = evolve(sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1), cfg,
+                                sink=lambda r, _: records.append(r.t))
+        assert records == [0.0, 1.0]
+        assert final.t == 1.0
+        assert summary.steps == 1
+
     def test_stop_when(self, profile_a):
         cfg = FlowConfig(kind=TORUS, t_end=10.0, record_every=0.1)
         records = []
@@ -552,6 +568,25 @@ class TestEvolve:
         d1 = np.max(np.abs(g128[::2] - g64))
         d2 = np.max(np.abs(g256[::2] - g128))
         assert d1 / d2 >= 3.0  # second order in space
+
+
+class TestNextRecordIndex:
+    def test_grid_time(self):
+        assert flow_mod.next_record_index(0.3, 0.1) == 4  # 3 * 0.1 is 0.30000000000000004
+        assert flow_mod.next_record_index(0.5, 0.25) == 3
+        assert flow_mod.next_record_index(0.0, 0.25) == 1
+
+    def test_just_below_a_grid_time(self):
+        # within 1e-12 * max(1, |T|) below T = 2.0 counts as at it; further below, before it
+        assert flow_mod.next_record_index(2.0 - 1e-12, 0.5) == 5
+        assert flow_mod.next_record_index(2.0 - 1e-6, 0.5) == 4
+
+    def test_long_horizon(self):
+        # t / every rounds below the index of t itself here
+        assert flow_mod.next_record_index(0.07 * 2.6e8, 0.07) == 260000001
+
+    def test_infinite_every_is_never_reached(self):
+        assert flow_mod.next_record_index(1e300, math.inf) == 1
 
 
 class TestStageCap:
