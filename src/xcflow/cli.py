@@ -22,11 +22,14 @@ the remaining record rows byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
+import pickle
 import sys
 import typing
 import warnings
@@ -38,7 +41,7 @@ import numpy as np
 from .claims import ClaimTolerances, ClaimVerdict, NOT_APPLICABLE, evaluate_claims
 from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _series_values
 from ._periodic import first_nonfinite
-from .flow import FlowConfig, evolve, next_record_index, validate_initial
+from .flow import FlowConfig, evolve, next_record_index, record_landings, validate_initial
 from .geometry import (
     MIN_N, BundleKind, FieldError, MetricProfile, NumericOverflowError, curvature_field, require,
 )
@@ -74,14 +77,21 @@ _FLOW_DEFAULTS = {
     for f in dataclasses.fields(FlowConfig)
     if f.name not in ("kind", "tolerances")
 }
+# the errors that `main` reports as "error: ..." with exit status 2
+_REPORTED = (ValueError, ArithmeticError, RuntimeError, OSError)
+_FEED_BYTES = 1 << 20  # a worker's input pipe: 255 landed profiles at n = 256
 
 
 class ConfigError(ValueError):
     """Scenario text failed to parse or validate."""
 
     def __init__(self, message: str, line: int = 0):
+        self.message = message
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+    def __reduce__(self):  # rebuilt from its arguments, not from its message
+        return type(self), (self.message, self.line), self.__dict__
 
 
 class NotApplicableError(ValueError):
@@ -272,6 +282,8 @@ def load_snapshot(path: str | Path) -> MetricProfile:
         raise ValueError(f"{path}: snapshot has no field {exc.args[0]!r}") from None
     except TypeError as exc:  # such as "t": null, "f": {...} or "n": [16]
         raise ValueError(f"{path}: snapshot has a field of the wrong type: {exc}") from None
+    except ValueError as exc:  # a value that MetricProfile rejects, such as "n": 16.7 or "f": "abc"
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _series_row(values: tuple) -> str:
@@ -342,13 +354,175 @@ def _claims_exit_status(verdicts: list[ClaimVerdict]) -> int:
     return 0 if all(v.status != "fail" for v in verdicts) else 1
 
 
+def _cpus() -> int:
+    """CPUs in the affinity mask where processes can be forked, else 1."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+class _Workers:
+    """Forked worker processes, each reaped when the `with` block ends.
+
+    Reaping sends SIGKILL and then waits, so no worker outlives the block,
+    whatever ends it; a worker that has already exited is only waited for.
+    """
+
+    def __init__(self):
+        self._pids: list[int] = []
+        self._ends: list = []  # this process's ends of the workers' pipes
+
+    def __enter__(self) -> _Workers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for end in self._ends:
+            with contextlib.suppress(OSError):  # bytes that a broken pipe did not take
+                end.close()
+        for pid in self._pids:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+
+    def fork(self, work, feed: bool = False):
+        """Run work(report), or work(report, feed), in a forked worker.
+
+        report is the buffered write end of a pipe to this process and feed
+        the buffered read end of one from it, which holds up to
+        _FEED_BYTES where the system allows, so that a sender is seldom
+        held up by a worker that is busy. The worker leaves by os._exit
+        when work returns or raises, so it flushes nothing it inherited.
+        Returns this process's ends: the report's read end, and the feed's
+        write end or None.
+        """
+        report_r, report_w = os.pipe()
+        feed_r, feed_w = os.pipe() if feed else (None, None)
+        if feed:
+            import fcntl
+
+            with contextlib.suppress(AttributeError, OSError):  # Linux only, up to a limit
+                fcntl.fcntl(feed_w, fcntl.F_SETPIPE_SZ, _FEED_BYTES)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(report_r)
+                if feed:
+                    os.close(feed_w)  # else the feed would never end
+                with open(report_w, "wb") as report:  # buffered: writes every byte or raises
+                    if feed:
+                        work(report, open(feed_r, "rb"))
+                    else:
+                        work(report)
+            finally:
+                os._exit(0)
+        self._pids.append(pid)
+        os.close(report_w)
+        if feed:
+            os.close(feed_r)
+        ends = open(report_r, "rb"), open(feed_w, "wb") if feed else None
+        self._ends += filter(None, ends)
+        return ends
+
+
+@contextlib.contextmanager
+def _recording(out: Path, snapshot_every: float, cells):
+    """Yield `run_scenario`'s record sink, which writes series.csv and snapshots.
+
+    The sink appends each record's series values to cells, the packed
+    series table, and its row to series.csv; it snapshots the first record
+    and each that reached the multiple of snapshot_every after the last
+    snapshot. Leaving the block, also by an error, snapshots the last
+    record unless it was saved; a run that recorded nothing leaves none.
+    """
+    last = saved = None  # the last recorded profile; the last snapshot's profile
+    saved_k = 0  # next_record_index of the last snapshot's time
+    with open(out / "series.csv", "w", encoding="utf-8") as series:
+        series.write(SERIES_HEADER + "\n")
+
+        def sink(rec: DiagnosticsRecord, prof: MetricProfile) -> None:
+            nonlocal last, saved, saved_k
+            values = _series_values(rec)
+            cells.extend(values)
+            series.write(_series_row(values) + "\n")
+            k = next_record_index(prof.t, snapshot_every)
+            if saved is None or k > saved_k:
+                save_snapshot(prof, out / f"snap_{prof.t!r}.json")
+                saved, saved_k = prof, k
+            last = prof
+
+        try:
+            yield sink
+        finally:
+            if last is not saved:  # the end
+                save_snapshot(last, out / f"snap_{last.t!r}.json")
+
+
+def _received(feed, n: int, period: float):
+    """The landed profiles that `_record_lane` sends, each as its 1 + 2n float64 (t, f, g)."""
+    while True:
+        buf = np.empty(1 + 2 * n)
+        if feed.readinto(buf) < buf.nbytes:  # the sender has closed its end
+            return
+        yield MetricProfile._trusted(n, period, float(buf[0]), buf[1:n + 1], buf[n + 1:])
+
+
+def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path):
+    """Step here and make the records, series rows and snapshots in one forked process.
+
+    `evolve` sends each landed profile down a pipe; the record process
+    runs `record_landings` with the `_recording` sink on them and, when
+    they end, reports its packed series table and its error. Returns the
+    table, read into its array in place. The record process's error wins
+    over this process's, as a record error raised after a failing step
+    does in `evolve`. On an error that `main` reports, the records made
+    before it are finished first; on any other, such as
+    KeyboardInterrupt, the record process is killed.
+    """
+    from array import array  # on use: see run_scenario
+
+    def record(report, feed):
+        cells, error = array("d"), None
+        try:
+            with _recording(out, config.snapshot_every, cells) as sink:
+                record_landings(_received(feed, profile.n, profile.period), config.flow.kind, sink)
+        except Exception as exc:
+            error = exc
+        feed.close()  # a sender still writing gets a broken pipe, not a full one
+        report.write(len(cells).to_bytes(8, sys.byteorder))
+        report.write(cells)
+        report.write(pickle.dumps(error))
+
+    with _Workers() as workers:
+        report, feed = workers.fork(record, feed=True)
+        error = None
+        try:
+            evolve(profile, config.flow,
+                   landed=lambda prof: feed.write(np.concatenate(((prof.t,), prof.f, prof.g))))
+        except _REPORTED as exc:  # such as a broken pipe: the record process has failed
+            error = exc
+        with contextlib.suppress(OSError):  # a broken pipe: the report tells why
+            feed.close()
+        head = report.read(8)  # the table's length in cells
+        cells = array("d", [0.0]) * (int.from_bytes(head, sys.byteorder) if len(head) == 8 else 0)
+        try:  # the whole table and a whole error, or the record process died
+            if len(head) < 8 or report.readinto(memoryview(cells).cast("B")) < 8 * len(cells):
+                raise EOFError
+            error = pickle.load(report) or error
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("the record process ended without reporting") from error
+    if error is not None:
+        raise error
+    return cells
+
+
 def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> int:
     """Run one scenario and write series.csv, snapshots, and claims.txt.
 
     With resume, the profile comes entirely from the snapshot file (the
     config's profile and grid sections are ignored) and the series
     covers t >= the snapshot time. The claims take dx from the profile
-    that runs. Returns 0 iff every applicable claim passes.
+    that runs. Returns 0 iff every applicable claim passes. With two or
+    more CPUs, `_record_lane` makes the records, series rows and
+    snapshots in a forked process; the outputs are the same.
     """
     out = _out_dir(config)
     profile = load_snapshot(resume) if resume is not None else build_profile(config)
@@ -360,29 +534,12 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     # a process that never builds a series table
     from array import array
 
-    cells = array("d")  # the series table's rows, packed; no record is kept
-    last = saved = None  # the last recorded profile; the last snapshot's profile
-    saved_k = 0  # next_record_index of the last snapshot's time
-    with open(out / "series.csv", "w", encoding="utf-8") as series:
-        series.write(SERIES_HEADER + "\n")
-
-        def sink(rec: DiagnosticsRecord, prof: MetricProfile) -> None:
-            nonlocal last, saved, saved_k
-            values = _series_values(rec)
-            cells.extend(values)
-            series.write(_series_row(values) + "\n")
-            # the first record, and each that reached the multiple after the last snapshot
-            k = next_record_index(prof.t, config.snapshot_every)
-            if saved is None or k > saved_k:
-                save_snapshot(prof, out / f"snap_{prof.t!r}.json")
-                saved, saved_k = prof, k
-            last = prof
-
-        try:
+    if _cpus() >= 2:
+        cells = _record_lane(profile, config, out)
+    else:
+        cells = array("d")  # the series table's rows, packed; no record is kept
+        with _recording(out, config.snapshot_every, cells) as sink:
             evolve(profile, config.flow, sink=sink)
-        finally:
-            if last is not saved:  # the end; a run that recorded nothing leaves no checkpoint
-                save_snapshot(last, out / f"snap_{last.t!r}.json")
 
     tolerances = dataclasses.replace(config.flow.tolerances, dx=profile.dx)
     verdicts = evaluate_claims(_table(cells), config.flow.kind, tolerances)
@@ -433,8 +590,7 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
     out = _out_dir(config)
     initial = build_profile(config)
     members = list(flows)
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    lanes = min(len(members), len(os.sched_getaffinity(0)) if forks else 1)
+    lanes = min(len(members), _cpus())
     finals: dict[float, np.ndarray] = {}
 
     def run(chosen: list[float]) -> Exception | None:  # into finals; the error that stops it
@@ -450,26 +606,19 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
                 return exc
             finals[eps] = final.g
 
-    workers = {}  # pid -> (read end of its pipe, its members)
-    try:
-        for lane in range(1, lanes):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # a worker: the final g of its members go back bit for bit
-                try:
-                    warnings.simplefilter("ignore")  # the first lane issues them for the same data
-                    run(members[lane::lanes])
-                    with open(write, "wb") as pipe:  # buffered: writes every byte or raises
-                        for g in finals.values():
-                            pipe.write(g.tobytes())
-                finally:
-                    os._exit(0)
-            os.close(write)
-            workers[pid] = open(read, "rb"), members[lane::lanes]
+    def work(chosen: list[float], report) -> None:  # a worker: its finals go back bit for bit
+        warnings.simplefilter("ignore")  # the first lane issues them for the same data
+        run(chosen)
+        for g in finals.values():
+            report.write(g.tobytes())
+
+    with _Workers() as workers:
+        reports = [(workers.fork(functools.partial(work, members[lane::lanes]))[0],
+                    members[lane::lanes]) for lane in range(1, lanes)]
         error = run(members[::lanes])
-        for pipe, chosen in workers.values():  # a worker's pipe ends as it exits
-            with pipe:
-                data = pipe.read()
+        for report, chosen in reports:  # a worker's report ends as it exits
+            with report:
+                data = report.read()
             # whole rows only: a worker that died while writing reported the members before
             rows = np.frombuffer(data, count=len(data) // initial.g.nbytes * initial.n)
             finals.update(zip(chosen, rows.reshape(-1, initial.n)))
@@ -479,11 +628,6 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
         if first is not None:
             raise error if first % lanes == 0 else (run([members[first]]) or RuntimeError(
                 f"the worker of epsilons {members[first % lanes::lanes]} ended without reporting"))
-    finally:  # reap every worker, also one that an error here left running
-        for pid, (pipe, _) in workers.items():
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
 
     with open(out / "eps_sweep.csv", "w", encoding="utf-8") as handle:
         handle.write("epsilon,sup_gap\n")
@@ -554,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             raise ValueError(f"--epsilons must be comma-separated numbers: {exc}") from None
         return epsilon_sweep(config, epsilons)
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

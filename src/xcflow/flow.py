@@ -41,7 +41,11 @@ Buffers: `_rhs_arrays` writes only its `out` and arrays it allocates;
 `step` allocates its stage buffers once per call, reads `start` and Y_0
 without writing them, and returns rows of an array of its own. No array
 handed to a profile or a sink is written again, so distinct runs share no
-state and may run in parallel, as `cli.epsilon_sweep`'s members do.
+state and may run in parallel, as `cli.epsilon_sweep`'s members do, and a
+landed profile can be recorded after later steps or elsewhere: `evolve`
+with `landed` hands each one out unrecorded, and `record_landings`, the
+one record stage, makes the records wherever they are made, as
+`cli.run_scenario`'s forked record process does.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,6 +74,7 @@ __all__ = [
     "stable_dt",
     "step",
     "next_record_index",
+    "record_landings",
     "evolve",
 ]
 
@@ -96,6 +101,9 @@ class SlopeConditionError(ValueError):
             f"sphere runs require sup|g_s| <= {bound} initially, got {sup_gs!r}"
         )
 
+    def __reduce__(self):  # rebuilt from its arguments, not from its message
+        return type(self), (self.sup_gs, self.bound), self.__dict__
+
 
 class StepFailureError(RuntimeError):
     """A time step lost positivity of f or g."""
@@ -103,7 +111,11 @@ class StepFailureError(RuntimeError):
     def __init__(self, t: float, dt: float, detail: str = "positivity lost"):
         self.t = t
         self.dt = dt
+        self.detail = detail
         super().__init__(f"step of dt={dt!r} from t={t!r} failed: {detail}")
+
+    def __reduce__(self):  # rebuilt from its arguments, not from its message
+        return type(self), (self.t, self.dt, self.detail), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -370,11 +382,58 @@ def next_record_index(t: float, every: float) -> int:
     return k
 
 
+def record_landings(
+    landings: Iterable[MetricProfile],
+    kind: BundleKind,
+    sink: RecordSink | None = None,
+    stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
+) -> int:
+    """Evaluate the records of landed profiles and hand them to the sink in order.
+
+    Records are evaluated in batches of up to 4096 grid nodes, so the sink
+    gets each one up to one batch after its landing arrives. stop_when, if
+    given, is evaluated on each record as its landing arrives (batches of
+    one) and ends the stage at the first record it holds for. A
+    NumericOverflowError of a record reaches the caller once the sink has
+    seen every record before it. If the landings raise, the records of the
+    landings before reach the sink first, and an error of those records or
+    of the sink wins. Returns the number of records handed to the sink.
+    """
+    pending: list[MetricProfile] = []  # landings whose records the sink has not seen yet
+    count = 0
+
+    def emit() -> bool:
+        """Hand the pending records to the sink in order; True if stop_when ends the stage."""
+        nonlocal count
+        profiles, pending[:] = pending[:], []
+        try:
+            records = functionals(profiles, kind)
+        except NumericOverflowError:  # one at a time: the sink sees every good record
+            records = (functionals([prof], kind)[0] for prof in profiles)
+        for rec, prof in zip(records, profiles):
+            count += 1
+            if sink is not None:
+                sink(rec, prof)
+        return stop_when is not None and stop_when(rec)  # a batch of one when set
+
+    try:
+        for prof in landings:
+            pending.append(prof)
+            batch = 1 if stop_when is not None else max(1, _RECORD_NODES // prof.n)
+            if len(pending) == batch and emit():
+                break
+    finally:
+        if pending:  # the records made before a failing landing reach the sink before its error
+            emit()
+    return count
+
+
 def evolve(
     profile: MetricProfile,
     config: FlowConfig,
     sink: RecordSink | None = None,
     stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
+    landed: Callable[[MetricProfile], object] | None = None,
 ) -> tuple[MetricProfile, RunSummary]:
     """Run the flow from the profile's time up to config.t_end.
 
@@ -385,38 +444,33 @@ def evolve(
     whether a time has reached another: a step that reaches its boundary
     lands on it, taking the boundary time exactly, and the run ends once
     the profile's time reaches t_end. So the profile returned is always
-    the last one the sink was given. Records are evaluated in batches of
-    up to 4096 grid nodes, so the sink gets them in order, up to one
-    batch after the step that made them. stop_when, if given, is
-    evaluated on each record right after its step (batches of one) and
-    ends the run early at that record's time.
+    the last one the sink was given. `record_landings` makes the records:
+    in batches of up to 4096 grid nodes, so the sink gets them in order,
+    up to one batch after the step that made them. stop_when, if given,
+    is evaluated on each record right after its step (batches of one)
+    and ends the run early at that record's time.
+
+    landed, if given, takes the place of sink and stop_when: it gets each
+    landed profile right after its step, and no record is evaluated here.
+    A caller that makes the records elsewhere passes the profiles on to
+    `record_landings`; summary.records then counts landings.
 
     Steps that lose positivity are retried with halved dt up to 10
     times; the final failure propagates with the last good time in the
     message, once the sink has seen every record made before it.
     """
+    if landed is not None and (sink is not None or stop_when is not None):
+        raise TypeError("landed takes the place of sink and stop_when")
     validate_initial(profile, config.kind)
     summary = RunSummary()
     t_end, every = config.t_end, config.record_every
-    k = next_record_index(profile.t, every)
-    batch = 1 if stop_when is not None else max(1, _RECORD_NODES // profile.n)
-    pending = [profile]  # landed profiles whose records the sink has not seen yet
 
-    def emit() -> bool:
-        """Hand the pending records to the sink in order; True if stop_when ends the run."""
-        profiles, pending[:] = pending[:], []
-        try:
-            records = functionals(profiles, config.kind)
-        except NumericOverflowError:  # one at a time: the sink sees every good record
-            records = (functionals([prof], config.kind)[0] for prof in profiles)
-        for rec, prof in zip(records, profiles):
-            summary.records += 1
-            if sink is not None:
-                sink(rec, prof)
-        return stop_when is not None and stop_when(rec)  # a batch of one when set
-
-    try:
-        while not (len(pending) == batch and emit()) and not _reached(profile.t, t_end):
+    def landings() -> Iterator[MetricProfile]:
+        """The start profile, then each profile that lands on a record time or t_end."""
+        nonlocal profile
+        k = next_record_index(profile.t, every)
+        yield profile
+        while not _reached(profile.t, t_end):
             target = min(k * every, t_end)
             start = _start_of_step(profile, config.kind, config.epsilon)
             dt = min(target - profile.t, _span(_MAX_STAGES) * start[1])
@@ -442,12 +496,15 @@ def evolve(
                     advanced.n, advanced.period, target, advanced.f, advanced.g
                 )
                 k += 1
-                pending.append(profile)
+                yield profile
             else:
                 profile = advanced
-    finally:
-        if pending:  # the records made before a failing step reach the sink before its error
-            emit()
 
+    if landed is None:
+        summary.records = record_landings(landings(), config.kind, sink, stop_when)
+    else:
+        for prof in landings():
+            landed(prof)
+            summary.records += 1
     summary.t_final = profile.t
     return profile, summary

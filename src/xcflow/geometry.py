@@ -117,6 +117,9 @@ class NumericOverflowError(ArithmeticError):
             msg += f" (t={t!r})"
         super().__init__(msg)
 
+    def __reduce__(self):  # rebuilt from its arguments, not from its message
+        return type(self), (self.what, self.node, self.t), self.__dict__
+
 
 @dataclass(frozen=True)
 class MetricProfile:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from xcflow import (
     ClaimTolerances,
     ConfigError,
     DiagnosticsRecord,
+    MetricProfile,
     NotApplicableError,
     SERIES_FIELDS,
     SlopeConditionError,
@@ -30,6 +33,7 @@ from xcflow import (
     sinusoid_profile,
 )
 from xcflow import cli
+from xcflow import flow as flow_mod
 from xcflow.cli import SERIES_HEADER
 
 from conftest import TWO_PI
@@ -532,6 +536,92 @@ class TestEpsilonSweepLanes:
         assert not (tmp_path / "out").exists()
 
 
+class TestRunScenarioLanes:
+    """`xcf run` on two CPUs makes its records in one forked process; on one, in its own."""
+
+    def run_and_resume(self, tmp_path, monkeypatch, count):
+        """A run and a resume from its t=0.2 snapshot on `count` CPUs; the tree and the forks."""
+        keys = {"grid.n": "64", "record_every": "0.004", "output.snapshot_every": "0.1"}
+        out = tmp_path / f"cpus{count}"
+        forks = cpus(monkeypatch, count)
+        run_scenario(load_config(config_text(out / "full", bundle="torus", t_end="0.4", **keys)))
+        run_scenario(load_config(config_text(out / "resumed", bundle="torus", t_end="0.4", **keys)),
+                     resume=out / "full" / "snap_0.2.json")
+        return files(out), len(forks)
+
+    def test_lane_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+        one, serial = self.run_and_resume(tmp_path, monkeypatch, 1)
+        two, lane = self.run_and_resume(tmp_path, monkeypatch, 2)
+        assert (serial, lane) == (0, 2)  # one record process per run
+        assert len(one) == 12  # two series, two claims, five and three snapshots
+        assert one == two
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("f_bad, message", [
+        (1e-120, "non-finite record field E2 (t=0.02)"),
+        (None, "failed: still failing after 10 halvings; last good t=0.05"),
+    ], ids=["record-overflows", "step-fails"])
+    def test_failure_gives_the_same_outputs_on_both_paths(self, tmp_path, monkeypatch, capsys,
+                                                          f_bad, message):
+        # every step lands on the next record time; the one onto t = 0.02 collapses f, so
+        # the third record overflows, or the step from t = 0.05 fails
+        good = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
+
+        def fake_step(profile, kind, epsilon, dt, start=None):
+            t = profile.t + dt
+            if f_bad is None and profile.t >= 0.05:
+                raise StepFailureError(profile.t, dt, "collapsed")
+            f = np.full(256, f_bad) if f_bad and t == pytest.approx(0.02) else good.f
+            return MetricProfile(256, TWO_PI, t, f, good.g)
+
+        monkeypatch.setattr(flow_mod, "step", fake_step)
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: math.inf)
+        outcomes = []
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            path = tmp_path / f"cpus{count}.txt"
+            path.write_text(config_text(tmp_path / f"cpus{count}", bundle="torus", t_end="0.2",
+                                        record_every="0.01"))
+            assert main(["run", "--config", str(path)]) == 2
+            outcomes.append((capsys.readouterr().err, files(tmp_path / f"cpus{count}")))
+        assert outcomes[0][0].startswith("error: ") and outcomes[0][0].endswith(f"{message}\n")
+        rows = [line.split(",", 1)[0] for line in
+                outcomes[0][1][Path("series.csv")].decode().splitlines()[1:]]
+        assert rows == (["0.0", "0.01"] if f_bad else ["0.0", "0.01", "0.02", "0.03", "0.04", "0.05"])
+        assert outcomes[0] == outcomes[1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [SetupDone, KeyboardInterrupt])
+    def test_error_at_first_evolve_leaves_no_child(self, tmp_path, monkeypatch, error):
+        def stopping_evolve(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "evolve", stopping_evolve)
+        forks = cpus(monkeypatch, 2)
+        cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
+        with pytest.raises(error):
+            run_scenario(cfg)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_record_process_that_dies_is_an_error(self, tmp_path, monkeypatch, capsys):
+        series_row, parent = cli._series_row, os.getpid()
+
+        def dying_row(values):
+            if os.getpid() != parent:
+                os._exit(3)
+            return series_row(values)
+
+        monkeypatch.setattr(cli, "_series_row", dying_row)
+        cpus(monkeypatch, 2)
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: the record process ended without reporting\n"
+        assert not (tmp_path / "out" / "claims.txt").exists()
+        assert_no_child_left()
+
+
 class TestCheckSeries:
     def test_reproduces_run_verdicts(self, tmp_path, capsys):
         for kind in BundleKind:
@@ -834,7 +924,14 @@ class TestMalformedInputs:
         ("f", {"0": 1.0}, "snap.json: snapshot has a field of the wrong type"),
         ("n", [16], "snap.json: snapshot has a field of the wrong type"),
         ("n", 16.7, "n must be an integer >= 8, got 16.7"),  # no longer truncated to 16
-    ], ids=["t-null", "f-object", "n-list", "n-fraction"])
+        # values that MetricProfile rejects, prefixed with the path
+        ("n", 16.7, "snap.json: n must be an integer >= 8, got 16.7"),
+        ("f", [1.0] * 15, "snap.json: f must have shape (16,), got (15,)"),
+        ("g", [2.0] * 15 + [0.0], "snap.json: g must be strictly positive everywhere"),
+        ("f", [1.0] * 15 + [math.inf], "snap.json: f contains non-finite samples"),
+        ("f", "abc", "snap.json: could not convert string to float: 'abc'"),
+    ], ids=["t-null", "f-object", "n-list", "n-fraction", "n-fraction-path", "f-short",
+            "g-zero", "f-inf", "f-string"])
     def test_snapshot_field_of_wrong_type_exits_2(self, tmp_path, capsys, field, value, message):
         snap = tmp_path / "snap.json"
         save_snapshot(sinusoid_profile(16, TWO_PI, 2.0, 0.1, 1), snap)

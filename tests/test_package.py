@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,22 @@ def test_benchmark_tracer_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("error", [
+    xcflow.StepFailureError(0.5, 1e-3, "positivity lost at an internal stage"),
+    xcflow.NumericOverflowError("df/dt", 3, 0.25),
+    xcflow.NumericOverflowError("record field E2", None, 0.0),
+    xcflow.NumericOverflowError("integral", None),
+    xcflow.SlopeConditionError(0.3, 0.25),
+    xcflow.ConfigError("bad", 3),
+    xcflow.FieldError("sinusoid profiles need base > amplitude", "profile.amplitude", "profile.base"),
+    xcflow.NotApplicableError("epsilon sweep applies to torus runs only"),
+    xcflow.InsufficientDataError("need at least two records"),
+], ids=lambda error: type(error).__name__)
+def test_errors_survive_pickling(error):
+    # a forked record process sends its error back to `xcf run` pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
