@@ -7,9 +7,13 @@ import math
 import numpy as np
 
 
-def ddx(values: np.ndarray, dx: float) -> np.ndarray:
-    """Centred x-derivative (values[i+1] - values[i-1]) / (2 dx) along the last axis, modulo n."""
-    out = np.empty_like(values)
+def ddx(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Centred x-derivative (values[i+1] - values[i-1]) / (2 dx) along the last axis, modulo n.
+
+    out, if given, is an array of values' shape that does not overlap values; it is returned.
+    """
+    if out is None:
+        out = np.empty_like(values)
     # the last axis first; (n,) arrays, which every step differentiates, skip the views
     v, o = (values.T, out.T) if values.ndim > 1 else (values, out)
     np.subtract(v[2:], v[:-2], out=o[1:-1])

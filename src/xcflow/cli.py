@@ -267,10 +267,10 @@ def save_snapshot(profile: MetricProfile, path: str | Path) -> None:
 
 
 def load_snapshot(path: str | Path) -> MetricProfile:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: snapshot is not a JSON object")
     try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("snapshot is not a JSON object")
         return MetricProfile(
             n=data["n"],  # as it is: MetricProfile's integer rule rejects 16.7
             period=float(data["period"]),
@@ -282,7 +282,8 @@ def load_snapshot(path: str | Path) -> MetricProfile:
         raise ValueError(f"{path}: snapshot has no field {exc.args[0]!r}") from None
     except TypeError as exc:  # such as "t": null, "f": {...} or "n": [16]
         raise ValueError(f"{path}: snapshot has a field of the wrong type: {exc}") from None
-    except ValueError as exc:  # a value that MetricProfile rejects, such as "n": 16.7 or "f": "abc"
+    except ValueError as exc:  # text that is not UTF-8 or not JSON, or a value that
+        # MetricProfile rejects, such as "n": 16.7 or "f": "abc"
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -456,6 +457,13 @@ def _recording(out: Path, snapshot_every: float, cells):
                 save_snapshot(last, out / f"snap_{last.t!r}.json")
 
 
+def _report(report, cells, error: Exception | None) -> None:
+    """Write a worker's report: the count of its float64 cells, the cells, then its pickled error."""
+    report.write((memoryview(cells).nbytes // 8).to_bytes(8, sys.byteorder))
+    report.write(cells)
+    report.write(pickle.dumps(error))
+
+
 def _received(feed, n: int, period: float):
     """The landed profiles that `_record_lane` sends, each as its 1 + 2n float64 (t, f, g)."""
     while True:
@@ -487,16 +495,18 @@ def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path):
         except Exception as exc:
             error = exc
         feed.close()  # a sender still writing gets a broken pipe, not a full one
-        report.write(len(cells).to_bytes(8, sys.byteorder))
-        report.write(cells)
-        report.write(pickle.dumps(error))
+        _report(report, cells, error)
+
+    def send(prof: MetricProfile) -> None:  # as the 1 + 2n float64 that _received reads
+        feed.write(np.float64(prof.t))
+        feed.write(prof.f)
+        feed.write(prof.g)
 
     with _Workers() as workers:
         report, feed = workers.fork(record, feed=True)
         error = None
         try:
-            evolve(profile, config.flow,
-                   landed=lambda prof: feed.write(np.concatenate(((prof.t,), prof.f, prof.g))))
+            evolve(profile, config.flow, landed=send)
         except _REPORTED as exc:  # such as a broken pipe: the record process has failed
             error = exc
         with contextlib.suppress(OSError):  # a broken pipe: the report tells why
@@ -608,26 +618,31 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
 
     def work(chosen: list[float], report) -> None:  # a worker: its finals go back bit for bit
         warnings.simplefilter("ignore")  # the first lane issues them for the same data
-        run(chosen)
-        for g in finals.values():
-            report.write(g.tobytes())
+        error = run(chosen)
+        _report(report, b"".join(g.tobytes() for g in finals.values()), error)
 
     with _Workers() as workers:
         reports = [(workers.fork(functools.partial(work, members[lane::lanes]))[0],
                     members[lane::lanes]) for lane in range(1, lanes)]
-        error = run(members[::lanes])
+        errors = [run(members[::lanes])]  # per lane; None where a worker reported none
         for report, chosen in reports:  # a worker's report ends as it exits
             with report:
                 data = report.read()
+            count = int.from_bytes(data[:8], sys.byteorder) if len(data) >= 8 else 0
+            cells = data[8:8 + 8 * count]
             # whole rows only: a worker that died while writing reported the members before
-            rows = np.frombuffer(data, count=len(data) // initial.g.nbytes * initial.n)
+            rows = np.frombuffer(cells, count=len(cells) // initial.g.nbytes * initial.n)
             finals.update(zip(chosen, rows.reshape(-1, initial.n)))
-        # each lane stops at its first failure, so the first member without a final failed first;
-        # the flow is deterministic, so a worker's failed member fails the same way re-run here
+            error = None
+            if len(cells) == 8 * count:  # else it died before its error
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    error = pickle.loads(data[8 + 8 * count:])
+            errors.append(error)
+        # each lane stops at its first failure, so the first member without a final failed first
         first = next((i for i, eps in enumerate(members) if eps not in finals), None)
         if first is not None:
-            raise error if first % lanes == 0 else (run([members[first]]) or RuntimeError(
-                f"the worker of epsilons {members[first % lanes::lanes]} ended without reporting"))
+            raise errors[first % lanes] or RuntimeError(
+                f"the worker of epsilons {members[first % lanes::lanes]} ended without reporting")
 
     with open(out / "eps_sweep.csv", "w", encoding="utf-8") as handle:
         handle.write("epsilon,sup_gap\n")

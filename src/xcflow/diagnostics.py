@@ -67,6 +67,13 @@ class DiagnosticsRecord:
     R_mean: float
     E2_rate_formula: float = math.nan
 
+    @classmethod
+    def _trusted(cls, values: list) -> DiagnosticsRecord:
+        """A record of every field's value in field order, as `functionals` makes them; no checks."""
+        self = object.__new__(cls)
+        vars(self).update(zip(_RECORD_FIELDS, values))
+        return self
+
 
 _RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 _ZERO_COUNT = _RECORD_FIELDS.index("zero_count")
@@ -186,4 +193,4 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
     records = values.T.tolist()  # builtin floats, whose repr is the series text
     for row, w_row in zip(records, w):  # zero_count, an int and always finite
         row.insert(_ZERO_COUNT, count_sign_changes(w_row))
-    return [DiagnosticsRecord(*row) for row in records]
+    return [DiagnosticsRecord._trusted(row) for row in records]

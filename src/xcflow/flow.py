@@ -34,12 +34,17 @@ first RHS evaluation also gives D_max, so w is formed once per step,
 and s and dt depend only on the state at the step's start.
 
 Derivatives use the periodic operator of `_periodic` that geometry and
-diagnostics share. `step` is one fused kernel: one np.errstate block, stage
-combinations summed in place in rotating buffers, positivity checked by
-reductions, and the result built by the trusted `MetricProfile._trusted`.
-Buffers: `_rhs_arrays` writes only its `out` and arrays it allocates;
-`step` allocates its stage buffers once per call, reads `start` and Y_0
-without writing them, and returns rows of an array of its own. No array
+diagnostics share. `step` is one fused kernel: stage combinations summed
+in place in rotating buffers, positivity checked by reductions, and the
+result built by the trusted `MetricProfile._trusted`. `evolve` enters one
+np.errstate block per step, around its start, the step and its retries.
+Buffers: `_rhs_arrays` writes only its `out`, its `scratch` and arrays it
+allocates. `evolve` makes one `_StepState` per call, whose buffers hold
+the start of each step, the RHS scratch and the stages; they live for
+that call only, and while the records of a landing are made in the same
+process they are freed and made again for the next step. A step reads `start` and Y_0 without writing them, takes
+Y_0 from the array of the last step's result rather than stacking it
+again, and allocates only its result, whose rows it returns. No array
 handed to a profile or a sink is written again, so distinct runs share no
 state and may run in parallel, as `cli.epsilon_sweep`'s members do, and a
 landed profile can be recorded after later steps or elsewhere: `evolve`
@@ -179,19 +184,28 @@ def _rhs_arrays(
     epsilon: float,
     t: float,
     out: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(df/dt, dg/dt) per node, into the first two rows of out; call under np.errstate.
 
     A (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
     in its last row, which `stable_dt` reduces; c is eps on the torus and
-    -1 on the sphere.
+    -1 on the sphere. scratch, if given, is three (n,) arrays that take w,
+    D w and the denominator in place of fresh ones; the values are the same.
     """
     sphere = kind is BundleKind.SPHERE
     shift = -1.0 if sphere else epsilon
-    w = ddx(g, dx)
-    w /= f
-    dxw = ddx(w, dx)
-    den = np.multiply(f, g)  # flow_sign f g^2; the sign is exact
+    if scratch is None:
+        w = ddx(g, dx)
+        w /= f
+        dxw = ddx(w, dx)
+        den = np.multiply(f, g)  # flow_sign f g^2; the sign is exact
+    else:  # the same operations, into the caller's rows
+        w, dxw, den = scratch
+        ddx(g, dx, w)
+        w /= f
+        ddx(w, dx, dxw)
+        np.multiply(f, g, out=den)
     den *= g
     if sphere:
         np.negative(den, out=den)
@@ -292,10 +306,51 @@ def _stages(dt: float, bound: float) -> int:
     return s
 
 
+class _StepState:
+    """The buffers that the steps of one `evolve` call reuse.
+
+    start holds L(Y0) and the diffusion coefficient of the step's start,
+    scratch `_rhs_arrays`' rows for w, D w and the denominator, k the stage
+    scratch, and stages Y_1 ... Y_{s-1} of a step in rotation. y0 is the
+    (2, n) array whose rows f and g the last step returned: the next step
+    reads its Y0 from there instead of stacking the profile's rows again.
+    y0 is only read, and no other buffer is handed out. A state starts
+    released: `allocate` makes the buffers and `release` frees all but y0.
+    evolve frees them at each landing whose records its own process makes,
+    so that the records' temporaries can take the memory.
+    """
+
+    __slots__ = ("n", "start", "k0", "coeff", "scratch", "k", "stages", "y0", "f", "g")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.y0 = self.f = self.g = None
+        self.release()
+
+    def allocate(self) -> None:
+        n = self.n
+        self.start = np.empty((3, n))
+        self.k0, self.coeff = self.start[:2], self.start[2]
+        self.scratch = tuple(np.empty((3, n)))
+        self.k = np.empty((2, n))
+        self.stages = tuple(np.empty((2, n)) for _ in range(3))
+
+    def release(self) -> None:
+        self.start = self.k0 = self.coeff = self.scratch = self.k = self.stages = None
+
+
 def _start_of_step(
-    profile: MetricProfile, kind: BundleKind, epsilon: float
-) -> tuple[np.ndarray, float]:
-    """(L(Y0) as a (2, n) array, stable_dt) of the profile from one RHS evaluation."""
+    profile: MetricProfile, kind: BundleKind, epsilon: float, state: _StepState | None = None
+) -> tuple:
+    """(L(Y0) as a (2, n) array, stable_dt) of the profile from one RHS evaluation.
+
+    With a state, L(Y0) goes into the state's buffers and the state is the
+    third item; the caller holds np.errstate.
+    """
+    if state is not None:
+        _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t,
+                    out=state.start, scratch=state.scratch)
+        return state.k0, stable_dt(profile, kind, epsilon, state.coeff), state
     out = np.empty((3, profile.n))
     # overflow is detected and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -308,54 +363,83 @@ def step(
     kind: BundleKind,
     epsilon: float,
     dt: float,
-    start: tuple[np.ndarray, float] | None = None,
+    start: tuple | None = None,
 ) -> MetricProfile:
     """Advance (f, g) together by one RKL2 super-step of dt.
 
     It takes s stages, the fewest s >= 2 whose stable span
     (s^2 + s - 2)/2 * stable_dt covers dt, and at most _MAX_STAGES: a dt
     past that cap's span is not stable. start, if given, is
-    `_start_of_step` of this profile, which evolve forms once per step
-    and reuses on a retry; it is read, never written.
+    `_start_of_step` of this profile: (L(Y0) as a (2, n) array, stable_dt),
+    read and never written. evolve forms it once per step and reuses it on
+    a retry. evolve's start also carries the run's `_StepState` as a third
+    item: then Y0 is the state's y0 when the profile holds the last step's
+    result, the stages run in the state's buffers, the caller holds
+    np.errstate, and the result is the step's one allocation. Without a
+    state, the step allocates its Y0 and stage buffers itself.
 
     Raises StepFailureError if f or g loses positivity at any stage or
     is not finite and positive in the result; the caller may retry with
     a smaller dt.
     """
     require(0.0 < dt < math.inf, "dt", "be finite and positive", dt)
-    dx, t = profile.dx, profile.t
-    y0 = np.array((profile.f, profile.g))
+    state = start[2] if start is not None and len(start) == 3 else None
+    if state is not None and profile.f is state.f and profile.g is state.g:
+        y0 = state.y0  # the last step's result, stacked as it was made
+    else:
+        y0 = np.array((profile.f, profile.g))
     if np.minimum.reduce(y0, axis=None) <= 0.0:
-        raise StepFailureError(t, dt, "positivity lost at an internal stage")
-    k0, bound = _start_of_step(profile, kind, epsilon) if start is None else start
-    mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
-    k, y_prev2, y = np.empty_like(y0), y0.copy(), np.empty_like(y0)
-
+        raise StepFailureError(profile.t, dt, "positivity lost at an internal stage")
+    if state is not None:
+        y = _rkl2(profile, kind, epsilon, dt, y0, start, state.k, state.stages, state.scratch)
+        state.y0, (state.f, state.g) = y, y
+        return MetricProfile._trusted(profile.n, profile.period, profile.t + dt, state.f, state.g)
+    start = _start_of_step(profile, kind, epsilon) if start is None else start
     # overflow is detected in _rhs_arrays and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y_prev = np.multiply(k0, mu_1 * dt)  # Y_1
-        y_prev += y0
-        # Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0
-        #       + mu~ dt L(Y_{j-1}) + gamma~ dt L(Y_0), summed in y with k as scratch
-        for mu, nu, c0, mu_w, gamma_w in rows:
-            if np.minimum.reduce(y_prev, axis=None) <= 0.0:
-                raise StepFailureError(t, dt, "positivity lost at an internal stage")
+        y = _rkl2(profile, kind, epsilon, dt, y0, start, np.empty_like(y0),
+                  tuple(np.empty_like(y0) for _ in range(3)), None)
+    return MetricProfile._trusted(profile.n, profile.period, profile.t + dt, y[0], y[1])
+
+
+def _rkl2(profile, kind, epsilon, dt, y0, start, k, stages, scratch) -> np.ndarray:
+    """The result of `step`'s stages from Y0 = y0, as a fresh (2, n) array; call under np.errstate.
+
+    start is (L(Y0), stable_dt), k the stage scratch, stages three (2, n)
+    buffers for Y_1 ... Y_{s-1}, and scratch, if not None, goes to each
+    `_rhs_arrays` call.
+    """
+    dx, t = profile.dx, profile.t
+    k0, bound = start[0], start[1]
+    mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
+    last = len(rows) - 1
+    y_prev2, y_prev = y0, np.multiply(k0, mu_1 * dt, out=stages[0])  # Y_1
+    y_prev += y0
+    # Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0
+    #       + mu~ dt L(Y_{j-1}) + gamma~ dt L(Y_0), summed in y with k as scratch.
+    # Row i makes Y_j, j = i + 2, in stages[(j - 1) % 3], which holds neither
+    # Y_{j-1} nor Y_{j-2}; Y_s goes to a fresh array
+    for i, (mu, nu, c0, mu_w, gamma_w) in enumerate(rows):
+        if np.minimum.reduce(y_prev, axis=None) <= 0.0:
+            raise StepFailureError(t, dt, "positivity lost at an internal stage")
+        if scratch is None:
             _rhs_arrays(y_prev[0], y_prev[1], dx, kind, epsilon, t, out=k)
-            k *= mu_w * dt
-            np.multiply(y_prev, mu, out=y)
-            y += k
-            np.multiply(y_prev2, nu, out=k)
-            y += k
-            np.multiply(y0, c0, out=k)
-            y += k
-            np.multiply(k0, gamma_w * dt, out=k)
-            y += k
-            y_prev2, y_prev, y = y_prev, y, y_prev2
-        ok = (np.minimum.reduce(y_prev, axis=None) > 0.0
-              and np.maximum.reduce(y_prev, axis=None) < math.inf)
-    if not ok:
+        else:
+            _rhs_arrays(y_prev[0], y_prev[1], dx, kind, epsilon, t, out=k, scratch=scratch)
+        k *= mu_w * dt
+        y = np.multiply(y_prev, mu, out=None if i == last else stages[(i + 1) % 3])
+        y += k
+        np.multiply(y_prev2, nu, out=k)
+        y += k
+        np.multiply(y0, c0, out=k)
+        y += k
+        np.multiply(k0, gamma_w * dt, out=k)
+        y += k
+        y_prev2, y_prev = y_prev, y
+    if not (np.minimum.reduce(y_prev, axis=None) > 0.0
+            and np.maximum.reduce(y_prev, axis=None) < math.inf):
         raise StepFailureError(t, dt)
-    return MetricProfile._trusted(profile.n, profile.period, t + dt, y_prev[0], y_prev[1])
+    return y_prev
 
 
 def _reached(t: float, target: float) -> bool:
@@ -464,6 +548,7 @@ def evolve(
     validate_initial(profile, config.kind)
     summary = RunSummary()
     t_end, every = config.t_end, config.record_every
+    state = _StepState(profile.n)  # this call's buffers: runs share nothing
 
     def landings() -> Iterator[MetricProfile]:
         """The start profile, then each profile that lands on a record time or t_end."""
@@ -472,21 +557,26 @@ def evolve(
         yield profile
         while not _reached(profile.t, t_end):
             target = min(k * every, t_end)
-            start = _start_of_step(profile, config.kind, config.epsilon)
-            dt = min(target - profile.t, _span(_MAX_STAGES) * start[1])
-            for attempt in range(MAX_STEP_RETRIES + 1):
-                try:
-                    advanced = step(profile, config.kind, config.epsilon, dt, start)
-                    break
-                except StepFailureError:
-                    summary.retries += 1
-                    if attempt == MAX_STEP_RETRIES:
-                        raise StepFailureError(
-                            profile.t, dt,
-                            f"still failing after {MAX_STEP_RETRIES} halvings; "
-                            f"last good t={profile.t!r}",
-                        ) from None
-                    dt *= 0.5
+            if state.k is None:  # a new run, or the records of a landing were made here
+                state.allocate()
+            # one block for the start, the step and its retries: overflow is
+            # detected in _rhs_arrays and reported with the node; silence numpy
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                start = _start_of_step(profile, config.kind, config.epsilon, state)
+                dt = min(target - profile.t, _span(_MAX_STAGES) * start[1])
+                for attempt in range(MAX_STEP_RETRIES + 1):
+                    try:
+                        advanced = step(profile, config.kind, config.epsilon, dt, start)
+                        break
+                    except StepFailureError:
+                        summary.retries += 1
+                        if attempt == MAX_STEP_RETRIES:
+                            raise StepFailureError(
+                                profile.t, dt,
+                                f"still failing after {MAX_STEP_RETRIES} halvings; "
+                                f"last good t={profile.t!r}",
+                            ) from None
+                        dt *= 0.5
             summary.steps += 1
             # a step that the bound or a retry shortened can still land
             if _reached(advanced.t, target):
@@ -496,6 +586,8 @@ def evolve(
                     advanced.n, advanced.period, target, advanced.f, advanced.g
                 )
                 k += 1
+                if landed is None:  # its records are made in this process, maybe now
+                    state.release()
                 yield profile
             else:
                 profile = advanced

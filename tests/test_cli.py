@@ -457,6 +457,26 @@ class TestEpsilonSweepLanes:
         assert errors == [f"error: step of dt=0.001 from t=0.0 failed: {message}\n"] * 2
         assert_no_child_left()
 
+    def test_worker_reports_its_own_error(self, tmp_path, monkeypatch, capsys):
+        # 1e-2 fails in the worker; this process runs 0 and 1e-3 and no member of the worker's
+        evolve, parent, calls = cli.evolve, os.getpid(), []
+
+        def failing_evolve(profile, config, **kwargs):
+            if os.getpid() == parent:
+                calls.append(config.epsilon)
+            if config.epsilon == 1e-2:
+                raise StepFailureError(0.0, 1e-3, "member eps=0.01")
+            return evolve(profile, config, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", failing_evolve)
+        cpus(monkeypatch, 2)
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
+        assert main(["eps-sweep", "--config", str(path), "--epsilons", ",".join(SWEEP_EPSILONS)]) == 2
+        assert capsys.readouterr().err == "error: step of dt=0.001 from t=0.0 failed: member eps=0.01\n"
+        assert calls == [0.0, 1e-3]
+        assert_no_child_left()
+
     @pytest.mark.parametrize("error", [SetupDone, KeyboardInterrupt])
     def test_error_at_first_evolve_leaves_no_child(self, tmp_path, monkeypatch, error):
         # each process raises at its own first call, workers included
@@ -619,6 +639,51 @@ class TestRunScenarioLanes:
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "error: the record process ended without reporting\n"
         assert not (tmp_path / "out" / "claims.txt").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_no_landed_array_is_written_later(self, tmp_path, monkeypatch, count):
+        # f and g are copied as each landed profile arrives: in this process at the sink
+        # (one CPU) or at the hand-off to the pipe (two), and in the record process as it
+        # reads them; after the run, each must still equal its copy
+        evolve, record_landings = cli.evolve, cli.record_landings
+        arrived = []
+
+        def keep(prof):
+            arrived.append((prof, prof.f.copy(), prof.g.copy()))
+
+        def copying_evolve(profile, config, **kwargs):
+            for name in ("sink", "landed"):  # each takes the profile last
+                given = kwargs.get(name)
+                if given is not None:
+                    kwargs[name] = lambda *args, given=given: (keep(args[-1]), given(*args))[1]
+            return evolve(profile, config, **kwargs)
+
+        def checked_record_landings(landings, kind, sink=None, stop_when=None):
+            seen = []
+
+            def arriving():
+                for prof in landings:
+                    seen.append((prof, prof.f.copy(), prof.g.copy()))
+                    yield prof
+
+            records = record_landings(arriving(), kind, sink, stop_when)
+            # raised in the record process, this reaches run_scenario through its report
+            assert all(np.array_equal(p.f, f) and np.array_equal(p.g, g) for p, f, g in seen)
+            (tmp_path / "checked").write_text(str(len(seen)))
+            return records
+
+        monkeypatch.setattr(cli, "evolve", copying_evolve)
+        monkeypatch.setattr(cli, "record_landings", checked_record_landings)
+        forks = cpus(monkeypatch, count)
+        # 101 landings: the sink sees the first batch of 64 while later steps are still to come
+        run_scenario(load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.4",
+                                             record_every="0.004", **{"grid.n": "64"})))
+        assert len(forks) == count - 1 and len(arrived) == 101
+        for prof, f, g in arrived:
+            assert np.array_equal(prof.f, f) and np.array_equal(prof.g, g)
+        checked = tmp_path / "checked"
+        assert (checked.read_text() == "101") if count == 2 else not checked.exists()
         assert_no_child_left()
 
 
@@ -954,3 +1019,18 @@ class TestMalformedInputs:
         path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.1"))
         assert main(["run", "--config", str(path), "--resume", str(snap)]) == 2
         assert f"{snap}: snapshot is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        (b"{", "Expecting property name enclosed in double quotes"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["not-json", "not-utf-8"])
+    def test_snapshot_not_json_names_the_file(self, tmp_path, capsys, body, message):
+        snap = tmp_path / "snap.json"
+        snap.write_bytes(body)
+        with pytest.raises(ValueError) as err:
+            load_snapshot(snap)
+        assert str(err.value).startswith(f"{snap}: {message}")
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.1"))
+        assert main(["run", "--config", str(path), "--resume", str(snap)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {snap}: {message}")

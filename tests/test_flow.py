@@ -739,3 +739,104 @@ class TestRecordBatches:
         assert outcomes[0] == outcomes[1]
         assert len(outcomes[0][0]) == 51  # t = 0, 0.01, ..., 0.5: three past the last full batch
         assert "last good t=0.5" in outcomes[0][1]
+
+
+def public_steps(profile, cfg):
+    """(record reprs, final profile, RunSummary) of `evolve`'s loop spelled with the
+    public `stable_dt` and `step`, which take no step state and allocate every buffer."""
+    kind, eps, every, t_end = cfg.kind, cfg.epsilon, cfg.record_every, cfg.t_end
+    landed, summary = [profile], flow_mod.RunSummary()
+    k, span = flow_mod.next_record_index(profile.t, every), flow_mod._span(flow_mod._MAX_STAGES)
+    while not flow_mod._reached(profile.t, t_end):
+        target = min(k * every, t_end)
+        dt = min(target - profile.t, span * stable_dt(profile, kind, eps))
+        while True:
+            try:
+                advanced = step(profile, kind, eps, dt)
+                break
+            except StepFailureError:
+                summary.retries += 1
+                dt *= 0.5
+        summary.steps += 1
+        if flow_mod._reached(advanced.t, target):
+            profile = MetricProfile._trusted(advanced.n, advanced.period, target,
+                                             advanced.f, advanced.g)
+            landed.append(profile)
+            k += 1
+        else:
+            profile = advanced
+    summary.records, summary.t_final = len(landed), profile.t
+    return [repr(rec) for rec in functionals(landed, kind)], profile, summary
+
+
+def failing_once(after_t):
+    """An `_rhs_arrays` that spoils the first stage slope of the first step from a
+    time past after_t, so that the step loses positivity and is retried at half dt."""
+    real, fired = flow_mod._rhs_arrays, []
+
+    def rhs_arrays(f, g, dx, kind, epsilon, t, out, **scratch):
+        slopes = real(f, g, dx, kind, epsilon, t, out=out, **scratch)
+        if len(out) == 2 and t > after_t and not fired:  # a stage's out; a start's has 3 rows
+            fired.append(t)
+            out *= -1e6
+        return slopes
+
+    return rhs_arrays
+
+
+# (kind, eps, record gaps per run, record gap in units of the initial stable_dt, or None
+# for a gap of 0.01)
+STATE_CASES = [
+    (TORUS, 0.0, 50, None),  # record-bound: one step per record gap
+    (TORUS, 1e-2, 20, 2.5 * flow_mod._span(flow_mod._MAX_STAGES)),  # step-bound
+    (SPHERE, 0.0, 20, 2.5 * flow_mod._span(flow_mod._MAX_STAGES)),  # at the stage cap
+]
+STATE_IDS = ["torus-record-bound", "torus-step-bound", "sphere-cap"]
+
+
+class TestStepState:
+    """`evolve` steps in one state per run; its outputs are those of stateless public calls."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("kind, eps, gaps, units", STATE_CASES, ids=STATE_IDS)
+    def test_evolve_is_a_loop_of_public_steps(self, monkeypatch, n, kind, eps, gaps, units):
+        p = sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1)
+        every = 0.01 if units is None else units * stable_dt(p, kind, eps)
+        cfg = FlowConfig(kind=kind, t_end=gaps * every, epsilon=eps, record_every=every)
+        seen = []
+        monkeypatch.setattr(flow_mod, "_rhs_arrays", failing_once(0.5 * every))
+        final, summary = evolve(p, cfg, sink=lambda rec, _: seen.append(repr(rec)))
+        monkeypatch.setattr(flow_mod, "_rhs_arrays", failing_once(0.5 * every))
+        want, want_final, want_summary = public_steps(p, cfg)
+        assert summary == want_summary
+        assert (summary.retries, summary.records) == (1, gaps + 1)
+        if units is None:
+            assert summary.steps <= gaps + 1  # the halved step and the rest of its gap
+        else:
+            assert summary.steps >= 2 * gaps  # the bound, not the gap, sets dt
+        assert seen == want
+        assert final.t == want_final.t
+        assert final.f.tobytes() == want_final.f.tobytes()
+        assert final.g.tobytes() == want_final.g.tobytes()
+
+    @pytest.mark.parametrize("kind, eps, gaps, units", STATE_CASES, ids=STATE_IDS)
+    @pytest.mark.parametrize("way", ["landed", "sink", "sink-one-at-a-time"])
+    def test_no_landed_array_is_written_later(self, kind, eps, gaps, units, way):
+        # at n = 256 a batch of records holds 16 landings, so the sink sees the first
+        # batch while later steps are still to come
+        p = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
+        every = 0.01 if units is None else units * stable_dt(p, kind, eps)
+        cfg = FlowConfig(kind=kind, t_end=gaps * every, epsilon=eps, record_every=every)
+        arrived = []  # each landed profile with f and g as they arrived
+
+        def keep(prof):
+            arrived.append((prof, prof.f.copy(), prof.g.copy()))
+
+        if way == "landed":
+            final, _ = evolve(p, cfg, landed=keep)
+        else:
+            stop_when = (lambda rec: False) if way == "sink-one-at-a-time" else None
+            final, _ = evolve(p, cfg, sink=lambda rec, prof: keep(prof), stop_when=stop_when)
+        assert len(arrived) == gaps + 1 and arrived[-1][0] is final
+        for prof, f, g in arrived:
+            assert np.array_equal(prof.f, f) and np.array_equal(prof.g, g)
