@@ -464,6 +464,20 @@ def _report(report, cells, error: Exception | None) -> None:
     report.write(pickle.dumps(error))
 
 
+def _read_report(report) -> tuple[memoryview, Exception | None, bool]:
+    """(cells, error, whole) of a `_report` read to its end: the bytes of the cells that
+    arrived, read in place into one buffer of the announced size; the worker's error, None
+    unless it arrived whole; and whether both did, which a worker that died reporting misses."""
+    head = report.read(8)
+    size = 8 * int.from_bytes(head, sys.byteorder) if len(head) == 8 else 0
+    cells = memoryview(bytearray(size))
+    cells = cells[:report.readinto(cells)]  # reads until the buffer is full or the pipe ends
+    if len(head) == 8 and len(cells) == size:  # else it died before its error
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):  # a short or no error
+            return cells, pickle.load(report), True
+    return cells, None, False
+
+
 def _received(feed, n: int, period: float):
     """The landed profiles that `_record_lane` sends, each as its 1 + 2n float64 (t, f, g)."""
     while True:
@@ -479,11 +493,11 @@ def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path):
     `evolve` sends each landed profile down a pipe; the record process
     runs `record_landings` with the `_recording` sink on them and, when
     they end, reports its packed series table and its error. Returns the
-    table, read into its array in place. The record process's error wins
-    over this process's, as a record error raised after a failing step
-    does in `evolve`. On an error that `main` reports, the records made
-    before it are finished first; on any other, such as
-    KeyboardInterrupt, the record process is killed.
+    table's cells as `_read_report` reads them, in place. The record
+    process's error wins over this process's, as a record error raised
+    after a failing step does in `evolve`. On an error that `main`
+    reports, the records made before it are finished first; on any
+    other, such as KeyboardInterrupt, the record process is killed.
     """
     from array import array  # on use: see run_scenario
 
@@ -511,14 +525,10 @@ def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path):
             error = exc
         with contextlib.suppress(OSError):  # a broken pipe: the report tells why
             feed.close()
-        head = report.read(8)  # the table's length in cells
-        cells = array("d", [0.0]) * (int.from_bytes(head, sys.byteorder) if len(head) == 8 else 0)
-        try:  # the whole table and a whole error, or the record process died
-            if len(head) < 8 or report.readinto(memoryview(cells).cast("B")) < 8 * len(cells):
-                raise EOFError
-            error = pickle.load(report) or error
-        except (EOFError, pickle.UnpicklingError):
+        cells, lane_error, whole = _read_report(report)
+        if not whole:  # the record process died
             raise RuntimeError("the record process ended without reporting") from error
+        error = lane_error or error
     if error is not None:
         raise error
     return cells
@@ -627,16 +637,10 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
         errors = [run(members[::lanes])]  # per lane; None where a worker reported none
         for report, chosen in reports:  # a worker's report ends as it exits
             with report:
-                data = report.read()
-            count = int.from_bytes(data[:8], sys.byteorder) if len(data) >= 8 else 0
-            cells = data[8:8 + 8 * count]
+                cells, error, _ = _read_report(report)
             # whole rows only: a worker that died while writing reported the members before
             rows = np.frombuffer(cells, count=len(cells) // initial.g.nbytes * initial.n)
             finals.update(zip(chosen, rows.reshape(-1, initial.n)))
-            error = None
-            if len(cells) == 8 * count:  # else it died before its error
-                with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                    error = pickle.loads(data[8 + 8 * count:])
             errors.append(error)
         # each lane stops at its first failure, so the first member without a final failed first
         first = next((i for i, eps in enumerate(members) if eps not in finals), None)

@@ -36,21 +36,23 @@ and s and dt depend only on the state at the step's start.
 Derivatives use the periodic operator of `_periodic` that geometry and
 diagnostics share. `step` is one fused kernel: stage combinations summed
 in place in rotating buffers, positivity checked by reductions, and the
-result built by the trusted `MetricProfile._trusted`. `evolve` enters one
-np.errstate block per step, around its start, the step and its retries.
-Buffers: `_rhs_arrays` writes only its `out`, its `scratch` and arrays it
-allocates. `evolve` makes one `_StepState` per call, whose buffers hold
-the start of each step, the RHS scratch and the stages; they live for
-that call only, and while the records of a landing are made in the same
-process they are freed and made again for the next step. A step reads `start` and Y_0 without writing them, takes
-Y_0 from the array of the last step's result rather than stacking it
-again, and allocates only its result, whose rows it returns. No array
-handed to a profile or a sink is written again, so distinct runs share no
-state and may run in parallel, as `cli.epsilon_sweep`'s members do, and a
-landed profile can be recorded after later steps or elsewhere: `evolve`
-with `landed` hands each one out unrecorded, and `record_landings`, the
-one record stage, makes the records wherever they are made, as
-`cli.run_scenario`'s forked record process does.
+result built by the trusted `MetricProfile._trusted`.
+Buffers: every RHS evaluation and step runs in a `_StepState`, whose
+buffers hold the start of a step, the RHS scratch rows and the stages.
+`evolve` keeps one per call and enters one np.errstate block per step,
+around its start, the step and its retries; while the records of a
+landing are made in the same process, the buffers are freed and made
+again for the next step. The public `rhs`, `stable_dt` and `step` make
+a state of their own per call and hold np.errstate themselves. A step
+reads `start` and Y_0 without writing them, takes Y_0 from the array of
+the last step's result rather than stacking it again, and allocates only
+its result, whose rows it returns. No array handed to a profile or a
+sink is written again, so distinct runs share no state and may run in
+parallel, as `cli.epsilon_sweep`'s members do, and a landed profile can
+be recorded after later steps or elsewhere: `evolve` with `landed` hands
+each one out unrecorded, and `record_landings`, the one record stage,
+makes the records wherever they are made, as `cli.run_scenario`'s forked
+record process does.
 """
 
 from __future__ import annotations
@@ -184,28 +186,23 @@ def _rhs_arrays(
     epsilon: float,
     t: float,
     out: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """(df/dt, dg/dt) per node, into the first two rows of out; call under np.errstate.
 
     A (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
     in its last row, which `stable_dt` reduces; c is eps on the torus and
-    -1 on the sphere. scratch, if given, is three (n,) arrays that take w,
-    D w and the denominator in place of fresh ones; the values are the same.
+    -1 on the sphere. w, D w and the denominator go into the three (n,)
+    rows of scratch: a step's state passes its own, and other callers may
+    leave it out for fresh ones.
     """
     sphere = kind is BundleKind.SPHERE
     shift = -1.0 if sphere else epsilon
-    if scratch is None:
-        w = ddx(g, dx)
-        w /= f
-        dxw = ddx(w, dx)
-        den = np.multiply(f, g)  # flow_sign f g^2; the sign is exact
-    else:  # the same operations, into the caller's rows
-        w, dxw, den = scratch
-        ddx(g, dx, w)
-        w /= f
-        ddx(w, dx, dxw)
-        np.multiply(f, g, out=den)
+    w, dxw, den = scratch or np.empty((3, f.size))
+    ddx(g, dx, w)
+    w /= f
+    ddx(w, dx, dxw)
+    np.multiply(f, g, out=den)  # flow_sign f g^2; the sign is exact
     den *= g
     if sphere:
         np.negative(den, out=den)
@@ -234,7 +231,7 @@ def rhs(
     epsilon regularises the torus diffusion coefficient (w^2 + eps) and
     is ignored for the sphere family.
     """
-    return tuple(_start_of_step(profile, kind, epsilon)[0])
+    return tuple(_own_start(profile, kind, epsilon)[0])
 
 
 def stable_dt(
@@ -249,7 +246,7 @@ def stable_dt(
     everywhere, as on a constant torus profile. coeff is that coefficient
     per node when the caller has it from an RHS evaluation at this
     profile (the last row of a (3, n) `_rhs_arrays` out); otherwise one
-    RHS evaluation forms it here.
+    RHS evaluation, in a step state of its own, forms it here.
 
     Why this is the unit: linearised, the flow is g_t = D g_ss with g_ss
     the centred difference applied twice, a 2dx-wide stencil
@@ -263,7 +260,7 @@ def stable_dt(
     and the bound must be derived again for it.
     """
     if coeff is None:
-        return _start_of_step(profile, kind, epsilon)[1]
+        return _own_start(profile, kind, epsilon)[1]
     d_max = max(float(np.maximum.reduce(coeff)), 0.0)  # clipping the max clips every node
     if d_max == 0.0:
         return math.inf
@@ -307,7 +304,7 @@ def _stages(dt: float, bound: float) -> int:
 
 
 class _StepState:
-    """The buffers that the steps of one `evolve` call reuse.
+    """The buffers of the steps of one `evolve` call, or of one public call.
 
     start holds L(Y0) and the diffusion coefficient of the step's start,
     scratch `_rhs_arrays`' rows for w, D w and the denominator, k the stage
@@ -315,9 +312,10 @@ class _StepState:
     (2, n) array whose rows f and g the last step returned: the next step
     reads its Y0 from there instead of stacking the profile's rows again.
     y0 is only read, and no other buffer is handed out. A state starts
-    released: `allocate` makes the buffers and `release` frees all but y0.
-    evolve frees them at each landing whose records its own process makes,
-    so that the records' temporaries can take the memory.
+    released: `allocate`, which `_start_of_step` calls, makes the buffers,
+    and `release` frees all but y0. evolve frees them at each landing whose
+    records its own process makes, so that the records' temporaries can
+    take the memory.
     """
 
     __slots__ = ("n", "start", "k0", "coeff", "scratch", "k", "stages", "y0", "f", "g")
@@ -340,22 +338,33 @@ class _StepState:
 
 
 def _start_of_step(
-    profile: MetricProfile, kind: BundleKind, epsilon: float, state: _StepState | None = None
+    profile: MetricProfile, kind: BundleKind, epsilon: float, state: _StepState
 ) -> tuple:
-    """(L(Y0) as a (2, n) array, stable_dt) of the profile from one RHS evaluation.
+    """(L(Y0) as a (2, n) array, stable_dt, state) of the profile from one RHS evaluation.
 
-    With a state, L(Y0) goes into the state's buffers and the state is the
-    third item; the caller holds np.errstate.
+    L(Y0) goes into the state's buffers, which are made here when the
+    state is released; the caller holds np.errstate.
     """
-    if state is not None:
-        _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t,
-                    out=state.start, scratch=state.scratch)
-        return state.k0, stable_dt(profile, kind, epsilon, state.coeff), state
-    out = np.empty((3, profile.n))
-    # overflow is detected and reported with the node; silence numpy
+    if state.k is None:  # a new state, or one released at a landing
+        state.allocate()
+    _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t,
+                out=state.start, scratch=state.scratch)
+    return state.k0, stable_dt(profile, kind, epsilon, state.coeff), state
+
+
+def _own_start(profile: MetricProfile, kind: BundleKind, epsilon: float) -> tuple:
+    """`_start_of_step` in a state of its own, under np.errstate held here, for a public call."""
+    # overflow is detected in _rhs_arrays and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t, out=out)
-    return out[:2], stable_dt(profile, kind, epsilon, out[2])
+        return _start_of_step(profile, kind, epsilon, _StepState(profile.n))
+
+
+def _failure(y: np.ndarray, t: float, dt: float, detail: str) -> StepFailureError:
+    """The StepFailureError of a (2, n) y that failed a check, naming the row and node
+    of its first NaN or smallest entry, or of its largest if all are positive (an inf)."""
+    at = np.argmin(y) if not np.minimum.reduce(y, axis=None) > 0.0 else np.argmax(y)
+    row, node = divmod(int(at), y.shape[1])
+    return StepFailureError(t, dt, f"{detail}: {('f', 'g')[row]} at node {node}")
 
 
 def step(
@@ -370,47 +379,30 @@ def step(
     It takes s stages, the fewest s >= 2 whose stable span
     (s^2 + s - 2)/2 * stable_dt covers dt, and at most _MAX_STAGES: a dt
     past that cap's span is not stable. start, if given, is
-    `_start_of_step` of this profile: (L(Y0) as a (2, n) array, stable_dt),
-    read and never written. evolve forms it once per step and reuses it on
-    a retry. evolve's start also carries the run's `_StepState` as a third
-    item: then Y0 is the state's y0 when the profile holds the last step's
-    result, the stages run in the state's buffers, the caller holds
-    np.errstate, and the result is the step's one allocation. Without a
-    state, the step allocates its Y0 and stage buffers itself.
+    `_start_of_step` of this profile: (L(Y0) as a (2, n) array, stable_dt,
+    the `_StepState` it was made in), and the caller holds np.errstate.
+    L(Y0) is read and never written; evolve forms it once per step and
+    reuses it on a retry. Y0 is the state's y0 when the profile holds the
+    state's last result, the stages run in the state's buffers, and the
+    result is the step's one allocation. Without a start, the step makes a
+    state of its own and holds np.errstate itself.
 
-    Raises StepFailureError if f or g loses positivity at any stage or
-    is not finite and positive in the result; the caller may retry with
-    a smaller dt.
+    Raises StepFailureError, naming f or g and a node, if f or g loses
+    positivity at any stage or is not finite and positive in the result;
+    the caller may retry with a smaller dt.
     """
     require(0.0 < dt < math.inf, "dt", "be finite and positive", dt)
-    state = start[2] if start is not None and len(start) == 3 else None
-    if state is not None and profile.f is state.f and profile.g is state.g:
+    if start is None:  # a step of its own: its own state, under its own np.errstate
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return step(profile, kind, epsilon, dt, _own_start(profile, kind, epsilon))
+    k0, bound, state = start
+    dx, t, k, stages = profile.dx, profile.t, state.k, state.stages
+    if profile.f is state.f and profile.g is state.g:
         y0 = state.y0  # the last step's result, stacked as it was made
     else:
         y0 = np.array((profile.f, profile.g))
     if np.minimum.reduce(y0, axis=None) <= 0.0:
-        raise StepFailureError(profile.t, dt, "positivity lost at an internal stage")
-    if state is not None:
-        y = _rkl2(profile, kind, epsilon, dt, y0, start, state.k, state.stages, state.scratch)
-        state.y0, (state.f, state.g) = y, y
-        return MetricProfile._trusted(profile.n, profile.period, profile.t + dt, state.f, state.g)
-    start = _start_of_step(profile, kind, epsilon) if start is None else start
-    # overflow is detected in _rhs_arrays and reported with the node; silence numpy
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = _rkl2(profile, kind, epsilon, dt, y0, start, np.empty_like(y0),
-                  tuple(np.empty_like(y0) for _ in range(3)), None)
-    return MetricProfile._trusted(profile.n, profile.period, profile.t + dt, y[0], y[1])
-
-
-def _rkl2(profile, kind, epsilon, dt, y0, start, k, stages, scratch) -> np.ndarray:
-    """The result of `step`'s stages from Y0 = y0, as a fresh (2, n) array; call under np.errstate.
-
-    start is (L(Y0), stable_dt), k the stage scratch, stages three (2, n)
-    buffers for Y_1 ... Y_{s-1}, and scratch, if not None, goes to each
-    `_rhs_arrays` call.
-    """
-    dx, t = profile.dx, profile.t
-    k0, bound = start[0], start[1]
+        raise _failure(y0, t, dt, "positivity lost at an internal stage")
     mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
     last = len(rows) - 1
     y_prev2, y_prev = y0, np.multiply(k0, mu_1 * dt, out=stages[0])  # Y_1
@@ -421,11 +413,8 @@ def _rkl2(profile, kind, epsilon, dt, y0, start, k, stages, scratch) -> np.ndarr
     # Y_{j-1} nor Y_{j-2}; Y_s goes to a fresh array
     for i, (mu, nu, c0, mu_w, gamma_w) in enumerate(rows):
         if np.minimum.reduce(y_prev, axis=None) <= 0.0:
-            raise StepFailureError(t, dt, "positivity lost at an internal stage")
-        if scratch is None:
-            _rhs_arrays(y_prev[0], y_prev[1], dx, kind, epsilon, t, out=k)
-        else:
-            _rhs_arrays(y_prev[0], y_prev[1], dx, kind, epsilon, t, out=k, scratch=scratch)
+            raise _failure(y_prev, t, dt, "positivity lost at an internal stage")
+        _rhs_arrays(y_prev[0], y_prev[1], dx, kind, epsilon, t, out=k, scratch=state.scratch)
         k *= mu_w * dt
         y = np.multiply(y_prev, mu, out=None if i == last else stages[(i + 1) % 3])
         y += k
@@ -438,8 +427,9 @@ def _rkl2(profile, kind, epsilon, dt, y0, start, k, stages, scratch) -> np.ndarr
         y_prev2, y_prev = y_prev, y
     if not (np.minimum.reduce(y_prev, axis=None) > 0.0
             and np.maximum.reduce(y_prev, axis=None) < math.inf):
-        raise StepFailureError(t, dt)
-    return y_prev
+        raise _failure(y_prev, t, dt, "positivity lost")
+    state.y0, (state.f, state.g) = y_prev, y_prev
+    return MetricProfile._trusted(profile.n, profile.period, t + dt, state.f, state.g)
 
 
 def _reached(t: float, target: float) -> bool:
@@ -541,7 +531,8 @@ def evolve(
 
     Steps that lose positivity are retried with halved dt up to 10
     times; the final failure propagates with the last good time in the
-    message, once the sink has seen every record made before it.
+    message and the last attempt's error, which names its field and node,
+    as its cause, once the sink has seen every record made before it.
     """
     if landed is not None and (sink is not None or stop_when is not None):
         raise TypeError("landed takes the place of sink and stop_when")
@@ -557,8 +548,6 @@ def evolve(
         yield profile
         while not _reached(profile.t, t_end):
             target = min(k * every, t_end)
-            if state.k is None:  # a new run, or the records of a landing were made here
-                state.allocate()
             # one block for the start, the step and its retries: overflow is
             # detected in _rhs_arrays and reported with the node; silence numpy
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -568,14 +557,14 @@ def evolve(
                     try:
                         advanced = step(profile, config.kind, config.epsilon, dt, start)
                         break
-                    except StepFailureError:
+                    except StepFailureError as exc:
                         summary.retries += 1
-                        if attempt == MAX_STEP_RETRIES:
+                        if attempt == MAX_STEP_RETRIES:  # the last attempt's error is its cause
                             raise StepFailureError(
                                 profile.t, dt,
                                 f"still failing after {MAX_STEP_RETRIES} halvings; "
                                 f"last good t={profile.t!r}",
-                            ) from None
+                            ) from exc
                         dt *= 0.5
             summary.steps += 1
             # a step that the bound or a retry shortened can still land

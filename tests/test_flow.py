@@ -197,7 +197,8 @@ class TestRhs:
         if dg_node is not None:
             w[dg_node] = 1e200  # w^2 overflows; D w = 1 keeps df/dt finite
         derivatives = iter((w, dxw))
-        monkeypatch.setattr(flow_mod, "ddx", lambda values, dx: next(derivatives).copy())
+        monkeypatch.setattr(flow_mod, "ddx",
+                            lambda values, dx, out: np.copyto(out, next(derivatives)))
         p = make_profile(n=n, f=1.0, g=2.0, t=1.5)
         with pytest.raises(NumericOverflowError) as caught:
             rhs(p, TORUS, 0.0)
@@ -302,7 +303,7 @@ class TestStep:
         # on y' = lambda (y - 2) the step must multiply y - 2 by R_s(dt lambda)
         lam = -np.geomspace(1e-3, 1.0, 32)  # per unit of stable_dt
 
-        def linear(f, g, dx, kind, epsilon, t, out):
+        def linear(f, g, dx, kind, epsilon, t, out, scratch):
             np.multiply(lam, np.array((f, g)) - 2.0, out=out)
             return out[0], out[1]
 
@@ -310,7 +311,9 @@ class TestStep:
         y0 = 2.0 + 0.5 * np.cos(np.arange(32))
         p = MetricProfile(n=32, period=TWO_PI, t=0.0, f=y0, g=y0[::-1].copy())
         dt = flow_mod._span(s)  # the whole span of s stages at a bound of 1
-        start = (lam * (np.array((p.f, p.g)) - 2.0), 1.0)
+        state = flow_mod._StepState(p.n)
+        state.allocate()
+        start = (lam * (np.array((p.f, p.g)) - 2.0), 1.0, state)
         out = step(p, TORUS, 0.0, dt, start)
         amp = rkl2_amplification(s, dt * lam)
         assert np.allclose(out.f - 2.0, amp * (p.f - 2.0), rtol=0.0, atol=1e-14)
@@ -327,8 +330,32 @@ class TestStep:
         with pytest.raises(StepFailureError):
             step(profile_a, TORUS, 0.0, 1e8)
 
+    def test_positivity_failure_names_field_and_node(self, profile_a):
+        # dt = 1e8 takes the capped stage count; Y_1 = Y_0 + mu~_1 dt L(Y_0) already
+        # loses positivity, and the error names Y_1's smallest entry
+        y1 = np.array((profile_a.f, profile_a.g)) + (
+            flow_mod._rkl2_coefficients(flow_mod._MAX_STAGES)[0] * 1e8
+            * np.array(rhs(profile_a, TORUS, 0.0)))
+        row, node = divmod(int(np.argmin(y1)), profile_a.n)
+        assert y1[row, node] <= 0.0
+        with pytest.raises(StepFailureError) as caught:
+            step(profile_a, TORUS, 0.0, 1e8)
+        assert str(caught.value).endswith(
+            f"failed: positivity lost at an internal stage: {'fg'[row]} at node {node}")
+
+    def test_public_steps_share_no_memory(self, profile_a, kind):
+        dt = stable_dt(profile_a, kind)
+        first = step(profile_a, kind, 0.0, dt)
+        f, g = first.f.copy(), first.g.copy()
+        second = step(profile_a, kind, 0.0, dt)
+        for new in (second.f, second.g):
+            for old in (first.f, first.g):
+                assert not np.shares_memory(new, old)
+        assert first.f.tobytes() == f.tobytes() == second.f.tobytes()
+        assert first.g.tobytes() == g.tobytes() == second.g.tobytes()
+
     def test_nonfinite_result_is_a_step_failure(self, profile_a, monkeypatch):
-        def huge(f, g, dx, kind, epsilon, t, out):
+        def huge(f, g, dx, kind, epsilon, t, out, scratch):
             out[:] = 1e308  # finite slopes that carry y0 + dt * 1e308 past the largest float
             return out[0], out[1]
 
@@ -533,6 +560,21 @@ class TestEvolve:
         cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.1)
         with pytest.raises(StepFailureError, match="last good t=0.0"):
             evolve(profile_a, cfg)
+
+    def test_retry_exhaustion_names_field_and_node(self, profile_a, monkeypatch):
+        real = flow_mod._rhs_arrays
+
+        def sinking(f, g, dx, kind, epsilon, t, out, scratch=()):
+            slopes = real(f, g, dx, kind, epsilon, t, out, scratch)
+            out[1, 5] = -1e10  # g at node 5 turns negative in any step past ~1e-9
+            return slopes
+
+        monkeypatch.setattr(flow_mod, "_rhs_arrays", sinking)
+        cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.1)
+        with pytest.raises(StepFailureError, match="last good t=0.0") as caught:
+            evolve(profile_a, cfg)
+        assert str(caught.value.__cause__).endswith(
+            "failed: positivity lost at an internal stage: g at node 5")
 
     def test_commutator_identity_per_step(self, profile_a, kind):
         # d/dt log f tracks +/- (1/g^2) g_ss^2 along discrete steps
