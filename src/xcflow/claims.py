@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _series_values
+from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _packed_rows, _series_table
 from .geometry import BundleKind, FieldError, require  # noqa: F401 (xcflow.claims.FieldError)
 
 __all__ = [
@@ -197,9 +196,7 @@ def evaluate_claims(
     vacuous). Requires at least 3 records at strictly increasing times.
     """
     tol = tolerances if tolerances is not None else ClaimTolerances()
-    table = records if isinstance(records, np.ndarray) else np.fromiter(
-        chain.from_iterable(map(_series_values, records)), dtype=float
-    ).reshape(-1, len(SERIES_FIELDS))
+    table = records if isinstance(records, np.ndarray) else _series_table(_packed_rows(records))
     if table.ndim != 2 or table.shape[1] != len(SERIES_FIELDS):
         raise ValueError(
             f"a series table has {len(SERIES_FIELDS)} columns, got shape {table.shape}"

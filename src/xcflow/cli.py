@@ -31,7 +31,6 @@ import math
 import os
 import pickle
 import sys
-import typing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .claims import ClaimTolerances, ClaimVerdict, NOT_APPLICABLE, evaluate_claims
-from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _series_values
+from .diagnostics import SERIES_FIELDS, SERIES_HEADER, _SERIES_ROW, _SERIES_TYPES, DiagnosticsRecord
+from .diagnostics import _series_row, _series_table, _series_values
 from ._periodic import first_nonfinite
 from .flow import FlowConfig, evolve, next_record_index, record_landings, validate_initial
 from .geometry import (
@@ -62,11 +62,6 @@ __all__ = [
     "check_series",
     "main",
 ]
-
-SERIES_HEADER = ",".join(SERIES_FIELDS)
-# each column parses as its field's declared type
-_SERIES_TYPES = {name: cls for name, cls in typing.get_type_hints(DiagnosticsRecord).items()
-                 if name in SERIES_FIELDS}
 
 CURVATURE_HEADER = "i,x,f,g,w,w_s,K12,K23,Ric11,Ric22,R,P11,P22,h11,h22"
 
@@ -287,29 +282,16 @@ def load_snapshot(path: str | Path) -> MetricProfile:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _series_row(values: tuple) -> str:
-    """One record's series values as a row; `functionals` gives builtin floats
-    and ints, whose repr is already the shortest round-trip form."""
-    return ",".join(map(repr, values))
-
-
-def _table(cells) -> np.ndarray:
-    """The packed series cells as a (rows, len(SERIES_FIELDS)) float64 view."""
-    return np.frombuffer(cells, dtype=float).reshape(-1, len(SERIES_FIELDS))
-
-
 def read_series(path: str | Path) -> np.ndarray:
     """Load a series CSV into a series table.
 
-    The table is a float64 array of shape (rows, len(SERIES_FIELDS)), its
-    columns in SERIES_FIELDS order whatever the file's column order; each
-    cell parses as its field's declared type (zero_count as an int). A
-    malformed row or cell is a ValueError naming the file, its line and,
-    for a cell, its column.
+    The table is a float64 view of shape (rows, len(SERIES_FIELDS)) of the
+    file's packed rows, its columns in SERIES_FIELDS order whatever the
+    file's column order; each cell parses as its field's declared type
+    (zero_count as an int). A malformed row or cell is a ValueError naming
+    the file, its line and, for a cell, its column.
     """
-    from array import array  # on use: see run_scenario
-
-    cells = array("d")
+    rows = bytearray()
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -322,14 +304,16 @@ def read_series(path: str | Path) -> np.ndarray:
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num}: row has {len(row)} cells, "
                                  f"header has {len(header)}")
+            cells = []
             for name, i, parse in columns:
                 try:
-                    cells.append(parse(row[i]))
+                    cells.append(float(parse(row[i])))
                 except (ValueError, OverflowError) as exc:  # OverflowError: a huge integer
                     raise ValueError(
                         f"{path}: line {reader.line_num}: column {name!r}: {exc}"
                     ) from None
-    return _table(cells)
+            rows += _SERIES_ROW.pack(*cells)
+    return _series_table(rows)
 
 
 def _out_dir(config: ScenarioConfig) -> Path:
@@ -425,13 +409,13 @@ class _Workers:
 
 
 @contextlib.contextmanager
-def _recording(out: Path, snapshot_every: float, cells):
+def _recording(out: Path, snapshot_every: float, rows: bytearray):
     """Yield `run_scenario`'s record sink, which writes series.csv and snapshots.
 
-    The sink appends each record's series values to cells, the packed
-    series table, and its row to series.csv; it snapshots the first record
-    and each that reached the multiple of snapshot_every after the last
-    snapshot. Leaving the block, also by an error, snapshots the last
+    The sink appends each record's packed row to rows, the series table's
+    packed rows, and its text row to series.csv; it snapshots the first
+    record and each that reached the multiple of snapshot_every after the
+    last snapshot. Leaving the block, also by an error, snapshots the last
     record unless it was saved; a run that recorded nothing leaves none.
     """
     last = saved = None  # the last recorded profile; the last snapshot's profile
@@ -442,7 +426,7 @@ def _recording(out: Path, snapshot_every: float, cells):
         def sink(rec: DiagnosticsRecord, prof: MetricProfile) -> None:
             nonlocal last, saved, saved_k
             values = _series_values(rec)
-            cells.extend(values)
+            rows.extend(_SERIES_ROW.pack(*values))  # not +=, which would make rows local
             series.write(_series_row(values) + "\n")
             k = next_record_index(prof.t, snapshot_every)
             if saved is None or k > saved_k:
@@ -492,24 +476,22 @@ def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path):
 
     `evolve` sends each landed profile down a pipe; the record process
     runs `record_landings` with the `_recording` sink on them and, when
-    they end, reports its packed series table and its error. Returns the
-    table's cells as `_read_report` reads them, in place. The record
+    they end, reports the series table's packed rows and its error. Returns
+    the packed rows as `_read_report` reads them, in place. The record
     process's error wins over this process's, as a record error raised
     after a failing step does in `evolve`. On an error that `main`
     reports, the records made before it are finished first; on any
     other, such as KeyboardInterrupt, the record process is killed.
     """
-    from array import array  # on use: see run_scenario
-
     def record(report, feed):
-        cells, error = array("d"), None
+        rows, error = bytearray(), None
         try:
-            with _recording(out, config.snapshot_every, cells) as sink:
+            with _recording(out, config.snapshot_every, rows) as sink:
                 record_landings(_received(feed, profile.n, profile.period), config.flow.kind, sink)
         except Exception as exc:
             error = exc
         feed.close()  # a sender still writing gets a broken pipe, not a full one
-        _report(report, cells, error)
+        _report(report, rows, error)
 
     def send(prof: MetricProfile) -> None:  # as the 1 + 2n float64 that _received reads
         feed.write(np.float64(prof.t))
@@ -525,13 +507,13 @@ def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path):
             error = exc
         with contextlib.suppress(OSError):  # a broken pipe: the report tells why
             feed.close()
-        cells, lane_error, whole = _read_report(report)
+        rows, lane_error, whole = _read_report(report)
         if not whole:  # the record process died
             raise RuntimeError("the record process ended without reporting") from error
         error = lane_error or error
     if error is not None:
         raise error
-    return cells
+    return rows
 
 
 def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> int:
@@ -550,19 +532,15 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     if config.flow.kind is BundleKind.SPHERE:
         validate_initial(profile, config.flow.kind)
 
-    # imported on use: the array module adds ~0.13 MiB to the peak RSS of
-    # a process that never builds a series table
-    from array import array
-
     if _cpus() >= 2:
-        cells = _record_lane(profile, config, out)
+        rows = _record_lane(profile, config, out)
     else:
-        cells = array("d")  # the series table's rows, packed; no record is kept
-        with _recording(out, config.snapshot_every, cells) as sink:
+        rows = bytearray()  # the series table's packed rows; no record is kept
+        with _recording(out, config.snapshot_every, rows) as sink:
             evolve(profile, config.flow, sink=sink)
 
     tolerances = dataclasses.replace(config.flow.tolerances, dx=profile.dx)
-    verdicts = evaluate_claims(_table(cells), config.flow.kind, tolerances)
+    verdicts = evaluate_claims(_series_table(rows), config.flow.kind, tolerances)
     _write_claims(out / "claims.txt", verdicts)
     return _claims_exit_status(verdicts)
 

@@ -12,15 +12,17 @@ closed-form rates are written once, in `rate_formulas`, and
 
 `DiagnosticsRecord` states the record schema once: its fields in order,
 less the in-memory `E2_rate_formula`, are the `series.csv` columns
-(`SERIES_FIELDS`), each of its field's declared type. Outside `evolve`
-a series is held as a float64 table of shape (rows, len(SERIES_FIELDS)),
-its columns in that order.
+(`SERIES_FIELDS`), each of its field's declared type. The series codec
+after it is the one place of the series format: the header line, each
+column's cell type, a row's text, a row's packed float64 cells, and the
+float64 table view of packed rows, of shape (rows, len(SERIES_FIELDS)).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -78,9 +80,29 @@ class DiagnosticsRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 _ZERO_COUNT = _RECORD_FIELDS.index("zero_count")
 _FLOAT_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "zero_count")  # in order
-# the series.csv columns, in order
+# the series codec: the series.csv columns, in order, and their header line
 SERIES_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "E2_rate_formula")
-_series_values = operator.attrgetter(*SERIES_FIELDS)  # one record's series row
+SERIES_HEADER = ",".join(SERIES_FIELDS)
+# each column's cell type, in column order: its field's declared type
+_SERIES_TYPES = {name: float if name in _FLOAT_FIELDS else int for name in SERIES_FIELDS}
+_series_values = operator.attrgetter(*SERIES_FIELDS)  # one record's series values
+_SERIES_ROW = struct.Struct(f"{len(SERIES_FIELDS)}d")  # one row's cells, packed float64
+
+
+def _series_row(values: tuple) -> str:
+    """One record's series values as a series.csv row; `functionals` gives builtin
+    floats and ints, whose repr is already the shortest round-trip form."""
+    return ",".join(map(repr, values))
+
+
+def _packed_rows(records: Sequence[DiagnosticsRecord]) -> bytes:
+    """The records' series values as packed rows."""
+    return b"".join(_SERIES_ROW.pack(*_series_values(rec)) for rec in records)
+
+
+def _series_table(rows) -> np.ndarray:
+    """Packed rows as the series table: a (rows, len(SERIES_FIELDS)) float64 view."""
+    return np.frombuffer(rows, dtype=float).reshape(-1, len(SERIES_FIELDS))
 
 
 def _integrate(values, f: np.ndarray, dx: float) -> np.ndarray:

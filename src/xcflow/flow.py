@@ -115,6 +115,8 @@ class SlopeConditionError(ValueError):
 class StepFailureError(RuntimeError):
     """A time step lost positivity of f or g."""
 
+    field = node = None  # "f" or "g" and the node where, when a positivity check found it
+
     def __init__(self, t: float, dt: float, detail: str = "positivity lost"):
         self.t = t
         self.dt = dt
@@ -364,7 +366,10 @@ def _failure(y: np.ndarray, t: float, dt: float, detail: str) -> StepFailureErro
     of its first NaN or smallest entry, or of its largest if all are positive (an inf)."""
     at = np.argmin(y) if not np.minimum.reduce(y, axis=None) > 0.0 else np.argmax(y)
     row, node = divmod(int(at), y.shape[1])
-    return StepFailureError(t, dt, f"{detail}: {('f', 'g')[row]} at node {node}")
+    field = ("f", "g")[row]
+    error = StepFailureError(t, dt, f"{detail}: {field} at node {node}")
+    error.field, error.node = field, node
+    return error
 
 
 def step(
@@ -531,8 +536,8 @@ def evolve(
 
     Steps that lose positivity are retried with halved dt up to 10
     times; the final failure propagates with the last good time in the
-    message and the last attempt's error, which names its field and node,
-    as its cause, once the sink has seen every record made before it.
+    message, the last attempt's error as its cause, and that error's
+    field and node, once the sink has seen every record made before it.
     """
     if landed is not None and (sink is not None or stop_when is not None):
         raise TypeError("landed takes the place of sink and stop_when")
@@ -560,11 +565,13 @@ def evolve(
                     except StepFailureError as exc:
                         summary.retries += 1
                         if attempt == MAX_STEP_RETRIES:  # the last attempt's error is its cause
-                            raise StepFailureError(
+                            failure = StepFailureError(
                                 profile.t, dt,
                                 f"still failing after {MAX_STEP_RETRIES} halvings; "
                                 f"last good t={profile.t!r}",
-                            ) from exc
+                            )
+                            failure.field, failure.node = exc.field, exc.node
+                            raise failure from exc
                         dt *= 0.5
             summary.steps += 1
             # a step that the bound or a retry shortened can still land

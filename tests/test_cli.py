@@ -24,6 +24,8 @@ from xcflow import (
     check_series,
     curvature_dump,
     epsilon_sweep,
+    evaluate_claims,
+    evolve,
     load_config,
     load_snapshot,
     main,
@@ -642,6 +644,27 @@ class TestRunScenarioLanes:
         assert_no_child_left()
 
     @pytest.mark.parametrize("count", [1, 2])
+    def test_packed_table_round_trips(self, tmp_path, monkeypatch, count):
+        # the packed rows that the run hands to the claim checker are the file's, bit for
+        # bit, and a sink's record list gives the same claim lines as that table
+        tables = keep_tables(monkeypatch)
+        cpus(monkeypatch, count)
+        cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.4",
+                                      record_every="0.004", **{"grid.n": "64"}))
+        run_scenario(cfg)
+        (table,) = tables
+        assert len(table) == 101
+        assert table.tobytes() == read_series(tmp_path / "out" / "series.csv").tobytes()
+        records = []
+        evolve(build_profile(cfg), cfg.flow, sink=lambda rec, prof: records.append(rec))
+        tolerances = dataclasses.replace(cfg.flow.tolerances, dx=TWO_PI / 64)
+        lines = [list(map(cli._claim_line, evaluate_claims(given, BundleKind.TORUS, tolerances)))
+                 for given in (records, table)]
+        assert lines[0] == lines[1]
+        assert lines[0] == (tmp_path / "out" / "claims.txt").read_text().splitlines()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
     def test_no_landed_array_is_written_later(self, tmp_path, monkeypatch, count):
         # f and g are copied as each landed profile arrives: in this process at the sink
         # (one CPU) or at the hand-off to the pipe (two), and in the record process as it
@@ -687,8 +710,21 @@ class TestRunScenarioLanes:
         assert_no_child_left()
 
 
+def keep_tables(monkeypatch):
+    """Keep each series table that `cli` hands to `evaluate_claims`, in call order."""
+    tables, evaluate = [], cli.evaluate_claims
+
+    def keeping(table, *args):
+        tables.append(table)
+        return evaluate(table, *args)
+
+    monkeypatch.setattr(cli, "evaluate_claims", keeping)
+    return tables
+
+
 class TestCheckSeries:
-    def test_reproduces_run_verdicts(self, tmp_path, capsys):
+    def test_reproduces_run_verdicts(self, tmp_path, capsys, monkeypatch):
+        tables = keep_tables(monkeypatch)
         for kind in BundleKind:
             out = tmp_path / kind.value
             cfg = load_config(config_text(out, bundle=kind.value, t_end="0.2"))
@@ -698,6 +734,9 @@ class TestCheckSeries:
             claims_file = (out / "claims.txt").read_text()
             assert check_status == status
             assert printed == claims_file
+            # the table that this process's record path made is the one the file reads back
+            ran, checked = tables[-2:]
+            assert ran.tobytes() == checked.tobytes()
 
     def test_grid_flags_set_the_tolerance_dx(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -342,6 +342,7 @@ class TestStep:
             step(profile_a, TORUS, 0.0, 1e8)
         assert str(caught.value).endswith(
             f"failed: positivity lost at an internal stage: {'fg'[row]} at node {node}")
+        assert (caught.value.field, caught.value.node) == ("fg"[row], node)
 
     def test_public_steps_share_no_memory(self, profile_a, kind):
         dt = stable_dt(profile_a, kind)
@@ -575,6 +576,8 @@ class TestEvolve:
             evolve(profile_a, cfg)
         assert str(caught.value.__cause__).endswith(
             "failed: positivity lost at an internal stage: g at node 5")
+        # kept on the error itself, as pickling, which drops __cause__, needs them
+        assert (caught.value.field, caught.value.node) == ("g", 5)
 
     def test_commutator_identity_per_step(self, profile_a, kind):
         # d/dt log f tracks +/- (1/g^2) g_ss^2 along discrete steps

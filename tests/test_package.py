@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xcflow
@@ -24,6 +25,22 @@ def test_package_does_not_import_sympy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     code = "import sys, xcflow.cli; sys.exit('sympy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_run_and_check_do_not_import_array(tmp_path):
+    # the series table is packed rows in a bytearray; the array module would only add
+    # to the peak RSS of `xcf run` and `xcf check`
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"bundle = torus\nt_end = 0.1\noutput.dir = {tmp_path / 'out'}\n")
+    series = tmp_path / "out" / "series.csv"
+    code = ("import sys; from xcflow.cli import main; "
+            f"main(['run', '--config', {str(config)!r}]); "
+            f"main(['check', '--series', {str(series)!r}, '--kind', 'torus']); "
+            "sys.exit('array' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0
+    assert series.exists()
 
 
 def test_python_m_xcflow_runs_the_command_line():
@@ -50,6 +67,9 @@ def test_benchmark_tracer_targets_resolve():
 
 @pytest.mark.parametrize("error", [
     xcflow.StepFailureError(0.5, 1e-3, "positivity lost at an internal stage"),
+    # names its field and node, as a step's positivity check makes it
+    pytest.param(xcflow.flow._failure(np.array([[1.0, 1.0], [1.0, -1.0]]), 0.5, 1e-3,
+                                      "positivity lost"), id="StepFailureError-field-node"),
     xcflow.NumericOverflowError("df/dt", 3, 0.25),
     xcflow.NumericOverflowError("record field E2", None, 0.0),
     xcflow.NumericOverflowError("integral", None),
