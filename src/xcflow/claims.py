@@ -18,7 +18,8 @@ Sphere-family claims:
   S-L8   g_max never increases and g_min never decreases
   S-L9   sup|g_s| stays below 1/4
   S-L10  sup|g_ss| grows at most exponentially
-  S-L12  orbit length L never increases
+  S-L12  orbit length L never increases, and its measured rate matches
+         the closed-form dL/dt
   S-L13  the l2 norm of g_ss decays to at most theta of its start value
   S-T14  the fibre size flattens: its spread decays to at most theta of
          the start value, and the limit estimate alpha_hat is sandwiched
@@ -299,9 +300,11 @@ def evaluate_claims(
             "largest log-slope of sup|g_ss| (exponential bound proxy)",
         ))
 
+        mono = _ratio(_worst_increase(L), tol.mono_tol(np.max(L)))
+        resid = _rate_residual_ratio(t, L, dL_formula, tol)
         out.append(_verdict(
-            "S-L12", _worst_increase(L), tol.mono_tol(np.max(L)),
-            "worst per-record increase of the orbit length",
+            "S-L12", _max(mono, resid), 1.0,
+            "max of L-monotonicity and dL/dt rate-identity violation ratios",
         ))
 
         out.append(_verdict(

@@ -37,22 +37,26 @@ Derivatives use the periodic operator of `_periodic` that geometry and
 diagnostics share. `step` is one fused kernel: stage combinations summed
 in place in rotating buffers, positivity checked by reductions, and the
 result built by the trusted `MetricProfile._trusted`.
-Buffers: every RHS evaluation and step runs in a `_StepState`, whose
-buffers hold the start of a step, the RHS scratch rows and the stages.
-`evolve` keeps one per call and enters one np.errstate block per step,
-around its start, the step and its retries; while the records of a
+Buffers: every RHS evaluation and step runs in a `_StepState`, the
+step kernel, which binds the run's dx and the flow's sign and shift, and
+whose buffers hold the start of a step, the RHS scratch rows and the
+stages. `evolve` keeps one per call and enters one np.errstate block per
+step, around its start, the step and its retries; while the records of a
 landing are made in the same process, the buffers are freed and made
 again for the next step. The public `rhs`, `stable_dt` and `step` make
 a state of their own per call and hold np.errstate themselves. A step
-reads `start` and Y_0 without writing them, takes Y_0 from the array of
-the last step's result rather than stacking it again, and allocates only
-its result, whose rows it returns. No array handed to a profile or a
-sink is written again, so distinct runs share no state and may run in
-parallel, as `cli.epsilon_sweep`'s members do, and a landed profile can
-be recorded after later steps or elsewhere: `evolve` with `landed` hands
-each one out unrecorded, and `record_landings`, the one record stage,
-makes the records wherever they are made, as `cli.run_scenario`'s forked
-record process does.
+reads `start` and Y_0 without writing them and allocates only its
+result, which it makes read-only and whose rows it returns. When the next
+step starts from that result, Y_0 is that array, taken without stacking
+or checking it again, and min f is the one its final check took; a
+profile that the state did not make is stacked and checked. No array
+handed to a profile or a sink is written again, and a sink that tries
+raises, so distinct runs share no state and may run in parallel, as
+`cli.epsilon_sweep`'s members do, and a landed profile can be recorded
+after later steps or elsewhere: `evolve` with `landed` hands each one
+out unrecorded, and `record_landings`, the one record stage, makes the
+records wherever they are made, as `cli.run_scenario`'s forked record
+process does.
 """
 
 from __future__ import annotations
@@ -180,49 +184,36 @@ def validate_initial(profile: MetricProfile, kind: BundleKind) -> MetricProfile:
     return profile
 
 
-def _rhs_arrays(
-    f: np.ndarray,
-    g: np.ndarray,
-    dx: float,
-    kind: BundleKind,
-    epsilon: float,
-    t: float,
-    out: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dt, dg/dt) per node, into the first two rows of out; call under np.errstate.
+def _rhs_arrays(state: _StepState, f: np.ndarray, g: np.ndarray, t: float, out: np.ndarray) -> None:
+    """(df/dt, dg/dt) per node into the first two rows of out; call under np.errstate.
 
-    A (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
-    in its last row, which `stable_dt` reduces; c is eps on the torus and
-    -1 on the sphere. w, D w and the denominator go into the three (n,)
-    rows of scratch: a step's state passes its own, and other callers may
-    leave it out for fresh ones.
+    The state gives dx, the flow's sign and shift c (eps on the torus, -1
+    on the sphere) and its scratch rows for w, D w and the denominator. A
+    (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
+    in its last row, which `stable_dt` reduces.
     """
-    sphere = kind is BundleKind.SPHERE
-    shift = -1.0 if sphere else epsilon
-    w, dxw, den = scratch or np.empty((3, f.size))
+    dx, (w, dxw, den), f_t, g_t = state.dx, state.scratch, out[0], out[1]
     ddx(g, dx, w)
     w /= f
     ddx(w, dx, dxw)
     np.multiply(f, g, out=den)  # flow_sign f g^2; the sign is exact
     den *= g
-    if sphere:
+    if state.sphere:
         np.negative(den, out=den)
     shifted = np.multiply(w, w, out=w)  # w is not needed past here
-    if shift != 0.0:  # w^2 + 0.0 is w^2 bit for bit
-        shifted += shift
-    np.divide(np.multiply(dxw, dxw, out=out[0]), den, out=out[0])
-    np.divide(np.multiply(shifted, dxw, out=out[1]), den, out=out[1])
+    if state.shift is not None:  # w^2 + 0.0 is w^2 bit for bit
+        shifted += state.shift
+    np.divide(np.multiply(dxw, dxw, out=f_t), den, out=f_t)
+    np.divide(np.multiply(shifted, dxw, out=g_t), den, out=g_t)
     if len(out) == 3:
         np.multiply(g, g, out=den)
         np.divide(shifted, den, out=out[2])
-        if sphere:  # -(a / b) is (-a) / b bit for bit
+        if state.sphere:  # -(a / b) is (-a) / b bit for bit
             np.negative(out[2], out=out[2])
     bad = first_nonfinite(out[:2])  # one scan; df/dt's row comes first
     if bad is not None:
         row, node = divmod(bad, f.size)
         raise NumericOverflowError(("df/dt", "dg/dt")[row], node, t)
-    return out[0], out[1]
 
 
 def rhs(
@@ -233,22 +224,23 @@ def rhs(
     epsilon regularises the torus diffusion coefficient (w^2 + eps) and
     is ignored for the sphere family.
     """
-    return tuple(_own_start(profile, kind, epsilon)[0])
+    k0 = _StepState.started(profile, kind, epsilon).k0
+    return k0[0], k0[1]
 
 
 def stable_dt(
     profile: MetricProfile, kind: BundleKind, epsilon: float = 0.0,
-    coeff: np.ndarray | None = None,
+    state: _StepState | None = None,
 ) -> float:
     """Diffusion-limited explicit step size: one unit of RKL2's stable span.
 
     dt = min(f dx)^2 / D_max with D_max the largest diffusion coefficient
     max(flow_sign (w^2 + c), 0) / g^2 over the grid, c as in `_rhs_arrays`
     (the sphere's turns negative where |w| > 1); inf when it vanishes
-    everywhere, as on a constant torus profile. coeff is that coefficient
-    per node when the caller has it from an RHS evaluation at this
-    profile (the last row of a (3, n) `_rhs_arrays` out); otherwise one
-    RHS evaluation, in a step state of its own, forms it here.
+    everywhere, as on a constant torus profile. state, if given, is a
+    `_StepState` begun at this profile: it holds that coefficient, and
+    min f when the profile is its last result. Otherwise one RHS
+    evaluation, in a state of its own, forms the coefficient here.
 
     Why this is the unit: linearised, the flow is g_t = D g_ss with g_ss
     the centred difference applied twice, a 2dx-wide stencil
@@ -261,12 +253,14 @@ def stable_dt(
     stencil only: a compact second difference has a 4x larger radius,
     and the bound must be derived again for it.
     """
-    if coeff is None:
-        return _own_start(profile, kind, epsilon)[1]
-    d_max = max(float(np.maximum.reduce(coeff)), 0.0)  # clipping the max clips every node
+    if state is None:
+        return _StepState.started(profile, kind, epsilon).bound
+    d_max = max(float(np.maximum.reduce(state.coeff)), 0.0)  # clipping the max clips every node
     if d_max == 0.0:
         return math.inf
-    ds_min = float(np.minimum.reduce(profile.f)) * profile.dx
+    # a minimum is exact: the one the last step's final check took is this profile's
+    f_min = state.f_min if profile.f is state.f else float(np.minimum.reduce(profile.f))
+    ds_min = f_min * state.dx
     return ds_min * ds_min / d_max
 
 
@@ -278,6 +272,8 @@ def _rkl2_coefficients(s: int) -> tuple[float, tuple[tuple, ...]]:
     w1 = 4 / (s^2 + s - 2) and b_0 = b_1 = b_2 = 1/3. The three weights
     that take no factor dt come as read-only 0-d arrays: numpy multiplies
     by one without converting a Python float, and the product is the same.
+    The Y_0 weight 1 - mu_j - nu_j is exactly 0 at j = 2 and comes as None:
+    its term would add +0.0 to a positive sum, and `step` skips it.
     """
     w1 = 4.0 / (s * s + s - 2)
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
@@ -288,7 +284,8 @@ def _rkl2_coefficients(s: int) -> tuple[float, tuple[tuple, ...]]:
         mu_w = mu * w1
         weights = np.array((mu, nu, 1.0 - mu - nu))
         weights.flags.writeable = False
-        rows.append((*(weights[i, ...] for i in range(3)), mu_w, -(1.0 - b[j - 1]) * mu_w))
+        c0 = weights[2, ...] if weights[2] != 0.0 else None
+        rows.append((weights[0, ...], weights[1, ...], c0, mu_w, -(1.0 - b[j - 1]) * mu_w))
     return b[1] * w1, tuple(rows)
 
 
@@ -306,25 +303,31 @@ def _stages(dt: float, bound: float) -> int:
 
 
 class _StepState:
-    """The buffers of the steps of one `evolve` call, or of one public call.
+    """The step kernel of one `evolve` call, or of one public call: constants and buffers.
 
-    start holds L(Y0) and the diffusion coefficient of the step's start,
-    scratch `_rhs_arrays`' rows for w, D w and the denominator, k the stage
-    scratch, and stages Y_1 ... Y_{s-1} of a step in rotation. y0 is the
-    (2, n) array whose rows f and g the last step returned: the next step
-    reads its Y0 from there instead of stacking the profile's rows again.
-    y0 is only read, and no other buffer is handed out. A state starts
-    released: `allocate`, which `_start_of_step` calls, makes the buffers,
-    and `release` frees all but y0. evolve frees them at each landing whose
-    records its own process makes, so that the records' temporaries can
-    take the memory.
+    It binds the run's n, dx, the flow's sign and its shift c of
+    `_rhs_arrays` (a 0-d array, None when c is 0). `begin` evaluates a
+    step's start into start: L(Y0) in k0 and the diffusion coefficient in
+    coeff; bound is its stable_dt, which the caller sets. scratch holds
+    `_rhs_arrays`' rows for w, D w and the denominator, k the stage
+    scratch, and stages Y_1 ... Y_{s-1} in rotation. y0 is the last
+    step's read-only (2, n) result, whose rows f and g it returned, and
+    f_min the minimum of f that its final check took: the next step from
+    it reads Y0 and `stable_dt` min f from there without a scan. A state
+    starts released: `begin` makes the buffers, and `release` frees all
+    but the last result. evolve frees them at each landing whose records
+    its own process makes, so that the records' temporaries can take the
+    memory.
     """
 
-    __slots__ = ("n", "start", "k0", "coeff", "scratch", "k", "stages", "y0", "f", "g")
+    __slots__ = ("n", "dx", "sphere", "shift", "bound", "start", "k0", "coeff", "scratch", "k",
+                 "stages", "y0", "f", "g", "f_min")
 
-    def __init__(self, n: int):
-        self.n = n
-        self.y0 = self.f = self.g = None
+    def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float):
+        self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
+        shift = -1.0 if self.sphere else epsilon
+        self.shift = np.array(shift) if shift != 0.0 else None  # only read
+        self.bound = self.y0 = self.f = self.g = self.f_min = None
         self.release()
 
     def allocate(self) -> None:
@@ -338,27 +341,21 @@ class _StepState:
     def release(self) -> None:
         self.start = self.k0 = self.coeff = self.scratch = self.k = self.stages = None
 
+    def begin(self, profile: MetricProfile) -> None:
+        """Evaluate a step's start at the profile, making the buffers if released; under np.errstate."""
+        if self.k is None:  # a new state, or one released at a landing
+            self.allocate()
+        _rhs_arrays(self, profile.f, profile.g, profile.t, self.start)
 
-def _start_of_step(
-    profile: MetricProfile, kind: BundleKind, epsilon: float, state: _StepState
-) -> tuple:
-    """(L(Y0) as a (2, n) array, stable_dt, state) of the profile from one RHS evaluation.
-
-    L(Y0) goes into the state's buffers, which are made here when the
-    state is released; the caller holds np.errstate.
-    """
-    if state.k is None:  # a new state, or one released at a landing
-        state.allocate()
-    _rhs_arrays(profile.f, profile.g, profile.dx, kind, epsilon, profile.t,
-                out=state.start, scratch=state.scratch)
-    return state.k0, stable_dt(profile, kind, epsilon, state.coeff), state
-
-
-def _own_start(profile: MetricProfile, kind: BundleKind, epsilon: float) -> tuple:
-    """`_start_of_step` in a state of its own, under np.errstate held here, for a public call."""
-    # overflow is detected in _rhs_arrays and reported with the node; silence numpy
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _start_of_step(profile, kind, epsilon, _StepState(profile.n))
+    @classmethod
+    def started(cls, profile: MetricProfile, kind: BundleKind, epsilon: float) -> _StepState:
+        """A state of its own for a public call, begun at the profile with its bound set."""
+        state = cls(profile, kind, epsilon)
+        # overflow is detected in _rhs_arrays and reported with the node; silence numpy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            state.begin(profile)
+            state.bound = stable_dt(profile, kind, epsilon, state)
+        return state
 
 
 def _failure(y: np.ndarray, t: float, dt: float, detail: str) -> StepFailureError:
@@ -377,38 +374,37 @@ def step(
     kind: BundleKind,
     epsilon: float,
     dt: float,
-    start: tuple | None = None,
+    state: _StepState | None = None,
 ) -> MetricProfile:
     """Advance (f, g) together by one RKL2 super-step of dt.
 
     It takes s stages, the fewest s >= 2 whose stable span
     (s^2 + s - 2)/2 * stable_dt covers dt, and at most _MAX_STAGES: a dt
-    past that cap's span is not stable. start, if given, is
-    `_start_of_step` of this profile: (L(Y0) as a (2, n) array, stable_dt,
-    the `_StepState` it was made in), and the caller holds np.errstate.
-    L(Y0) is read and never written; evolve forms it once per step and
-    reuses it on a retry. Y0 is the state's y0 when the profile holds the
-    state's last result, the stages run in the state's buffers, and the
-    result is the step's one allocation. Without a start, the step makes a
-    state of its own and holds np.errstate itself.
+    past that cap's span is not stable. state, if given, is the
+    `_StepState` begun at this profile, with its bound set, and the caller
+    holds np.errstate; kind and epsilon are then the state's. L(Y0) is read
+    and never written: evolve forms it once per step and reuses it on a
+    retry. Y0 is the state's y0 when the profile holds the state's last
+    result, the stages run in the state's buffers, and the result is the
+    step's one allocation, read-only. Without a state, the step makes one
+    of its own and holds np.errstate itself.
 
     Raises StepFailureError, naming f or g and a node, if f or g loses
     positivity at any stage or is not finite and positive in the result;
     the caller may retry with a smaller dt.
     """
     require(0.0 < dt < math.inf, "dt", "be finite and positive", dt)
-    if start is None:  # a step of its own: its own state, under its own np.errstate
+    if state is None:  # a step of its own: its own state, under its own np.errstate
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return step(profile, kind, epsilon, dt, _own_start(profile, kind, epsilon))
-    k0, bound, state = start
-    dx, t, k, stages = profile.dx, profile.t, state.k, state.stages
+            return step(profile, kind, epsilon, dt, _StepState.started(profile, kind, epsilon))
+    t, k0, k, stages = profile.t, state.k0, state.k, state.stages
     if profile.f is state.f and profile.g is state.g:
-        y0 = state.y0  # the last step's result, stacked as it was made
+        y0 = state.y0  # the last step's result, checked by its final check
     else:
         y0 = np.array((profile.f, profile.g))
-    if np.minimum.reduce(y0, axis=None) <= 0.0:
-        raise _failure(y0, t, dt, "positivity lost at an internal stage")
-    mu_1, rows = _rkl2_coefficients(_stages(dt, bound))
+        if np.minimum.reduce(y0, axis=None) <= 0.0:
+            raise _failure(y0, t, dt, "positivity lost at an internal stage")
+    mu_1, rows = _rkl2_coefficients(_stages(dt, state.bound))
     last = len(rows) - 1
     y_prev2, y_prev = y0, np.multiply(k0, mu_1 * dt, out=stages[0])  # Y_1
     y_prev += y0
@@ -419,21 +415,23 @@ def step(
     for i, (mu, nu, c0, mu_w, gamma_w) in enumerate(rows):
         if np.minimum.reduce(y_prev, axis=None) <= 0.0:
             raise _failure(y_prev, t, dt, "positivity lost at an internal stage")
-        _rhs_arrays(y_prev[0], y_prev[1], dx, kind, epsilon, t, out=k, scratch=state.scratch)
+        _rhs_arrays(state, y_prev[0], y_prev[1], t, k)
         k *= mu_w * dt
         y = np.multiply(y_prev, mu, out=None if i == last else stages[(i + 1) % 3])
         y += k
         np.multiply(y_prev2, nu, out=k)
         y += k
-        np.multiply(y0, c0, out=k)
-        y += k
+        if c0 is not None:  # None at j = 2, every stage of an s = 2 step
+            np.multiply(y0, c0, out=k)
+            y += k
         np.multiply(k0, gamma_w * dt, out=k)
         y += k
         y_prev2, y_prev = y_prev, y
-    if not (np.minimum.reduce(y_prev, axis=None) > 0.0
-            and np.maximum.reduce(y_prev, axis=None) < math.inf):
+    low = np.minimum.reduce(y_prev, axis=1)  # NaN fails both comparisons
+    if not (low[0] > 0.0 and low[1] > 0.0 and np.maximum.reduce(y_prev, axis=None) < math.inf):
         raise _failure(y_prev, t, dt, "positivity lost")
-    state.y0, (state.f, state.g) = y_prev, y_prev
+    y_prev.flags.writeable = False  # a sink that writes into a landed profile raises
+    state.y0, state.f, state.g, state.f_min = y_prev, y_prev[0], y_prev[1], float(low[0])
     return MetricProfile._trusted(profile.n, profile.period, t + dt, state.f, state.g)
 
 
@@ -544,7 +542,8 @@ def evolve(
     validate_initial(profile, config.kind)
     summary = RunSummary()
     t_end, every = config.t_end, config.record_every
-    state = _StepState(profile.n)  # this call's buffers: runs share nothing
+    kind, epsilon, cap = config.kind, config.epsilon, _span(_MAX_STAGES)
+    state = _StepState(profile, kind, epsilon)  # this call's kernel: runs share nothing
 
     def landings() -> Iterator[MetricProfile]:
         """The start profile, then each profile that lands on a record time or t_end."""
@@ -556,11 +555,12 @@ def evolve(
             # one block for the start, the step and its retries: overflow is
             # detected in _rhs_arrays and reported with the node; silence numpy
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                start = _start_of_step(profile, config.kind, config.epsilon, state)
-                dt = min(target - profile.t, _span(_MAX_STAGES) * start[1])
+                state.begin(profile)
+                state.bound = stable_dt(profile, kind, epsilon, state)
+                dt = min(target - profile.t, cap * state.bound)
                 for attempt in range(MAX_STEP_RETRIES + 1):
                     try:
-                        advanced = step(profile, config.kind, config.epsilon, dt, start)
+                        advanced = step(profile, kind, epsilon, dt, state)
                         break
                     except StepFailureError as exc:
                         summary.retries += 1
@@ -589,7 +589,7 @@ def evolve(
                 profile = advanced
 
     if landed is None:
-        summary.records = record_landings(landings(), config.kind, sink, stop_when)
+        summary.records = record_landings(landings(), kind, sink, stop_when)
     else:
         for prof in landings():
             landed(prof)

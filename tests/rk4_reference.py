@@ -20,14 +20,15 @@ def rk4_step(profile, kind, epsilon, dt):
     """Advance (f, g) together by one classical Runge-Kutta step."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    dx, t = profile.dx, profile.t
+    t, state = profile.t, flow_mod._StepState(profile, kind, epsilon)
+    state.allocate()
     y0 = np.array((profile.f, profile.g))
     k, y, acc = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
 
     def stage(y):
         if y.min() <= 0.0:
             raise StepFailureError(t, dt, "positivity lost at an internal stage")
-        flow_mod._rhs_arrays(y[0], y[1], dx, kind, epsilon, t, out=k)
+        flow_mod._rhs_arrays(state, y[0], y[1], t, k)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         stage(y0)
@@ -50,9 +51,9 @@ def rk4_run(profile, config):
     """(records, final profile, RK4 steps) of `evolve` with RK4 steps of at most stable_dt."""
     records, count = [], [0]
 
-    def substeps(prof, kind, epsilon, dt, start):
-        # m equal steps of at most the bound at the start, which evolve passes in
-        t_end, m = prof.t + dt, max(1, math.ceil(dt / start[1]))
+    def substeps(prof, kind, epsilon, dt, state):
+        # m equal steps of at most the bound at the start, which evolve's state holds
+        t_end, m = prof.t + dt, max(1, math.ceil(dt / state.bound))
         for _ in range(m):
             prof = rk4_step(prof, kind, epsilon, dt / m)
         count[0] += m

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import xcflow.flow as flow_mod
 from xcflow import (
     ALL_CLAIMS,
     SERIES_FIELDS,
@@ -12,8 +13,11 @@ from xcflow import (
     BundleKind,
     ClaimTolerances,
     DiagnosticsRecord,
+    FlowConfig,
     InsufficientDataError,
     evaluate_claims,
+    evolve,
+    sinusoid_profile,
 )
 from xcflow.claims import _max, _rate_residual_ratio
 
@@ -173,7 +177,8 @@ class TestSphereClaims:
         assert v.tolerance == 0.25
 
     def test_length_decreases(self):
-        ok = stream(L=lambda k: 6.28 - 0.01 * k)
+        # shrinking L whose centred difference matches the stated rate
+        ok = stream(L=lambda k: 6.28 - 0.01 * k, dL_dt_formula=[-0.02] * 5)
         assert verdict(ok, SPHERE, "S-L12").status == "pass"
         assert verdict(stream(L=lambda k: 6.28 + 0.01 * k), SPHERE, "S-L12").status == "fail"
 
@@ -348,3 +353,37 @@ def test_rate_residual_ratio_matches_loop(nan_at):
         want = _rate_residual_loop(t, values, formula, tol)
         assert got == want or (math.isnan(got) and math.isnan(want))
         assert math.isnan(got) == (nan_at is not None)
+
+
+def sphere_length_verdict():
+    """S-L12 of a sphere run at n=64 from g = 2 + 0.1 sin x, f = 1, to t=4 at record gap 0.1."""
+    p = sinusoid_profile(64, 2.0 * math.pi, 2.0, 0.1, 1)
+    records = []
+    evolve(p, FlowConfig(kind=SPHERE, t_end=4.0, record_every=0.1),
+           sink=lambda rec, _: records.append(rec))
+    return verdict(records, SPHERE, "S-L12", ClaimTolerances(dx=p.dx))
+
+
+def rows_scaled(factor):
+    """A sphere flow run at factor times the speed: every row of out scales, a (3, n) out's
+    diffusion coefficient too, so that stable_dt bounds the mutant's own step."""
+    def mutant(real, state, f, g, t, out):
+        real(state, f, g, t, out)
+        out *= factor
+    return mutant
+
+
+def f_frozen(real, state, f, g, t, out):
+    real(state, f, g, t, out)
+    out[0] = 0.0
+
+
+@pytest.mark.parametrize("mutant", [rows_scaled(0.5), rows_scaled(2.0), f_frozen],
+                         ids=["time-x0.5", "time-x2", "f-frozen"])
+def test_wrong_sphere_flows_fail_the_length_claim(monkeypatch, mutant):
+    # L alone never increases under these flows; its rate identity catches them
+    assert sphere_length_verdict().status == "pass"
+    real = flow_mod._rhs_arrays
+    monkeypatch.setattr(flow_mod, "_rhs_arrays", lambda *args: mutant(real, *args))
+    v = sphere_length_verdict()
+    assert v.status == "fail" and v.measured > 100.0

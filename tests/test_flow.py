@@ -234,10 +234,14 @@ class TestStableDt:
         p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
         n, y0 = p.n, np.concatenate((p.f, p.g))
 
+        state = flow_mod._StepState(p, kind, eps)
+        state.allocate()
+
         def rhs_flat(y):
+            out = np.empty((2, n))
             with np.errstate(all="ignore"):
-                return np.concatenate(flow_mod._rhs_arrays(y[:n], y[n:], p.dx, kind, eps, 0.0,
-                                                           out=np.empty((2, n))))
+                flow_mod._rhs_arrays(state, y[:n], y[n:], 0.0, out)
+            return out.ravel()
 
         jac = np.empty((2 * n, 2 * n))
         for j in range(2 * n):
@@ -303,18 +307,18 @@ class TestStep:
         # on y' = lambda (y - 2) the step must multiply y - 2 by R_s(dt lambda)
         lam = -np.geomspace(1e-3, 1.0, 32)  # per unit of stable_dt
 
-        def linear(f, g, dx, kind, epsilon, t, out, scratch):
+        def linear(state, f, g, t, out):
             np.multiply(lam, np.array((f, g)) - 2.0, out=out)
-            return out[0], out[1]
 
         monkeypatch.setattr(flow_mod, "_rhs_arrays", linear)
         y0 = 2.0 + 0.5 * np.cos(np.arange(32))
         p = MetricProfile(n=32, period=TWO_PI, t=0.0, f=y0, g=y0[::-1].copy())
         dt = flow_mod._span(s)  # the whole span of s stages at a bound of 1
-        state = flow_mod._StepState(p.n)
+        state = flow_mod._StepState(p, TORUS, 0.0)
         state.allocate()
-        start = (lam * (np.array((p.f, p.g)) - 2.0), 1.0, state)
-        out = step(p, TORUS, 0.0, dt, start)
+        state.k0[:] = lam * (np.array((p.f, p.g)) - 2.0)
+        state.bound = 1.0
+        out = step(p, TORUS, 0.0, dt, state)
         amp = rkl2_amplification(s, dt * lam)
         assert np.allclose(out.f - 2.0, amp * (p.f - 2.0), rtol=0.0, atol=1e-14)
         assert np.allclose(out.g - 2.0, amp * (p.g - 2.0), rtol=0.0, atol=1e-14)
@@ -356,9 +360,8 @@ class TestStep:
         assert first.g.tobytes() == g.tobytes() == second.g.tobytes()
 
     def test_nonfinite_result_is_a_step_failure(self, profile_a, monkeypatch):
-        def huge(f, g, dx, kind, epsilon, t, out, scratch):
+        def huge(state, f, g, t, out):
             out[:] = 1e308  # finite slopes that carry y0 + dt * 1e308 past the largest float
-            return out[0], out[1]
 
         monkeypatch.setattr(flow_mod, "_rhs_arrays", huge)
         with pytest.raises(StepFailureError):
@@ -565,10 +568,9 @@ class TestEvolve:
     def test_retry_exhaustion_names_field_and_node(self, profile_a, monkeypatch):
         real = flow_mod._rhs_arrays
 
-        def sinking(f, g, dx, kind, epsilon, t, out, scratch=()):
-            slopes = real(f, g, dx, kind, epsilon, t, out, scratch)
+        def sinking(state, f, g, t, out):
+            real(state, f, g, t, out)
             out[1, 5] = -1e10  # g at node 5 turns negative in any step past ~1e-9
-            return slopes
 
         monkeypatch.setattr(flow_mod, "_rhs_arrays", sinking)
         cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.1)
@@ -819,12 +821,11 @@ def failing_once(after_t):
     time past after_t, so that the step loses positivity and is retried at half dt."""
     real, fired = flow_mod._rhs_arrays, []
 
-    def rhs_arrays(f, g, dx, kind, epsilon, t, out, **scratch):
-        slopes = real(f, g, dx, kind, epsilon, t, out=out, **scratch)
+    def rhs_arrays(state, f, g, t, out):
+        real(state, f, g, t, out)
         if len(out) == 2 and t > after_t and not fired:  # a stage's out; a start's has 3 rows
             fired.append(t)
             out *= -1e6
-        return slopes
 
     return rhs_arrays
 
@@ -885,3 +886,91 @@ class TestStepState:
         assert len(arrived) == gaps + 1 and arrived[-1][0] is final
         for prof, f, g in arrived:
             assert np.array_equal(prof.f, f) and np.array_equal(prof.g, g)
+
+    @pytest.mark.parametrize("field", ["f", "g"])
+    @pytest.mark.parametrize("way", ["landed", "sink"])
+    def test_writing_into_a_landed_profile_raises(self, way, field):
+        # every landing after the start is a step's read-only result, which the next
+        # step takes as its Y0 unchecked: a write raises instead of changing that step
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        cfg = FlowConfig(kind=TORUS, t_end=0.05, record_every=0.01)
+        seen = []
+
+        def write(prof):
+            seen.append(prof.t)
+            if prof is not p:
+                getattr(prof, field)[3] = 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            if way == "landed":
+                evolve(p, cfg, landed=write)
+            else:  # one record per landing, right after its step
+                evolve(p, cfg, sink=lambda rec, prof: write(prof), stop_when=lambda rec: False)
+        assert seen == [0.0, 0.01]
+
+    def test_step_checks_a_profile_it_did_not_make(self):
+        # Y0 goes unchecked only when it is the state's own last result
+        good = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        f = good.f.copy()
+        f[5] = 0.0
+        bad = MetricProfile._trusted(good.n, good.period, 0.0, f, good.g)
+        state = flow_mod._StepState.started(good, TORUS, 0.0)
+        with pytest.raises(StepFailureError) as caught:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step(bad, TORUS, 0.0, 0.5 * state.bound, state)
+        assert str(caught.value).endswith(
+            "failed: positivity lost at an internal stage: f at node 5")
+        assert (caught.value.field, caught.value.node) == ("f", 5)
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_only_the_second_stage_has_no_y0_weight(self, s):
+        # 1 - mu_j - nu_j is exactly 0 at j = 2, so step skips that term there only
+        _, rows = flow_mod._rkl2_coefficients(s)
+        weights = [1.0 - float(mu) - float(nu) for mu, nu, *_ in rows]
+        assert [w == 0.0 for w in weights] == [True] + [False] * (s - 2)
+        assert [c0 is None for _, _, c0, _, _ in rows] == [True] + [False] * (s - 2)
+        assert all(float(row[2]) == w for row, w in zip(rows[1:], weights[1:]))
+
+    @pytest.mark.parametrize("kind, units", [(TORUS, None), (SPHERE, 2.5)],
+                             ids=["torus-record-bound", "sphere-capped"])
+    def test_evolve_calls_each_traced_name(self, monkeypatch, kind, units):
+        # the benchmark's tracer wraps step, _rhs_arrays and stable_dt by name and reads
+        # dt as step's 4th positional argument: evolve must call each of them per step
+        # or per RHS evaluation through flow's module globals
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        span = flow_mod._span(flow_mod._MAX_STAGES)
+        every = 0.002 if units is None else units * span * stable_dt(p, kind)
+        cfg = FlowConfig(kind=kind, t_end=10 * every, record_every=every)
+        calls = {"step": [], "_rhs_arrays": 0, "stable_dt": 0, "_stages": []}
+        real = {name: getattr(flow_mod, name) for name in calls}
+
+        def step_spy(*args):
+            advanced = real["step"](*args)
+            calls["step"].append(advanced.t == args[0].t + args[3])  # the dt of this step
+            return advanced
+
+        def counting(name):
+            def spy(*args):
+                calls[name] += 1
+                return real[name](*args)
+            return spy
+
+        def stages_spy(*args):
+            calls["_stages"].append(real["_stages"](*args))
+            return calls["_stages"][-1]
+
+        monkeypatch.setattr(flow_mod, "step", step_spy)
+        monkeypatch.setattr(flow_mod, "_rhs_arrays", counting("_rhs_arrays"))
+        monkeypatch.setattr(flow_mod, "stable_dt", counting("stable_dt"))
+        monkeypatch.setattr(flow_mod, "_stages", stages_spy)
+        _, summary = evolve(p, cfg)
+        assert summary.retries == 0 and summary.steps >= 10
+        assert len(calls["step"]) == summary.steps and all(calls["step"])
+        assert calls["stable_dt"] == summary.steps
+        stages = calls["_stages"]
+        assert len(stages) == summary.steps
+        assert calls["_rhs_arrays"] == summary.steps + sum(s - 1 for s in stages)
+        if units is None:
+            assert set(stages) == {2} and calls["_rhs_arrays"] == 2 * summary.steps
+        else:
+            assert max(stages) > 2
