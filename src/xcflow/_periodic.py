@@ -16,7 +16,12 @@ def ddx(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndar
         out = np.empty_like(values)
     # the last axis first; (n,) arrays, which every step differentiates, skip the views
     v, o = (values.T, out.T) if values.ndim > 1 else (values, out)
-    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    if values.ndim > 1 and values.flags.c_contiguous and out.flags.c_contiguous:
+        # the rows laid end to end: one flat difference, which numpy does not
+        # buffer as it does a strided one, right but at each row's two ends
+        np.subtract(values.reshape(-1)[2:], values.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
+    else:
+        np.subtract(v[2:], v[:-2], out=o[1:-1])
     o[0] = v[1] - v[-1]
     o[-1] = v[0] - v[-2]
     out /= 2.0 * dx

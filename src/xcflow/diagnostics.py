@@ -10,6 +10,12 @@ last axis, so each row is bit-identical to a one-record call. The
 closed-form rates are written once, in `rate_formulas`, and
 `functionals` is its only caller.
 
+Workspace: every (records, n) array of that pass is one of WORK_SLOTS
+slots of a float64 workspace that the caller may hand in, as `evolve`
+does with its arena; the operations run in place, in the order of the
+expressions they spell, so a record's bits do not depend on it. The six
+ds-integrands sit side by side and are summed in one reduction.
+
 `DiagnosticsRecord` states the record schema once: its fields in order,
 less the in-memory `E2_rate_formula`, are the `series.csv` columns
 (`SERIES_FIELDS`), each of its field's declared type. The series codec
@@ -30,7 +36,7 @@ import numpy as np
 
 from ._periodic import ddx
 from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field
-from .geometry import _curvature, s_derivative  # noqa: F401  s_derivative: perfbench/tracer.py wraps it
+from .geometry import s_derivative  # noqa: F401  perfbench/tracer.py wraps it
 
 __all__ = [
     "DiagnosticsRecord",
@@ -105,11 +111,6 @@ def _series_table(rows) -> np.ndarray:
     return np.frombuffer(rows, dtype=float).reshape(-1, len(SERIES_FIELDS))
 
 
-def _integrate(values, f: np.ndarray, dx: float) -> np.ndarray:
-    """ds = f dx quadrature of each row of (..., n) stacks, along the contiguous last axis."""
-    return np.add.reduce(values * f, axis=-1) * dx
-
-
 def count_sign_changes(values: np.ndarray) -> int:
     """Sign changes of periodic samples around the circle.
 
@@ -117,20 +118,26 @@ def count_sign_changes(values: np.ndarray) -> int:
     neighbours changing sign contributes nothing. The count is always
     even for a periodic sequence.
     """
-    s = np.sign(np.asarray(values, dtype=float))
+    return _sign_changes(np.sign(np.asarray(values, dtype=float)))
+
+
+def _sign_changes(s: np.ndarray) -> int:
+    """`count_sign_changes` of the samples' signs s."""
     s = s[s != 0.0]
     if s.size < 2:
         return 0
     return int(np.count_nonzero(s[1:] != s[:-1])) + int(s[0] != s[-1])
 
 
-def rate_formulas(g, f, dx, kind, w, gss, g2, gss2, gsss2):
-    """(dL/dt, dV/dt, dE2/dt) per row of (..., n) stacks; dV/dt is None on the sphere.
+def rate_formulas(kind, g, w, gss, g2, gss2, gsss2, out) -> None:
+    """The ds-integrands of E2 = +/- dL/dt, dE2/dt and dV/dt into out[0], out[1] and out[2].
 
     Each rate is the quadrature of a pointwise integrand in g and its
     arc-length derivatives w = g_s, gss = g_ss and gsss = g_sss; g2, gss2
-    and gsss2 are the squares of g, gss and gsss, which `functionals`
-    integrates as well (call under np.errstate):
+    and gsss2 are the squares of g, gss and gsss. All are (..., n) stacks
+    of one shape, and out stacks three more. w and gss are overwritten
+    with w^2 and gss^3; on the sphere, which has no dV/dt, out[2] is
+    scratch. Call under np.errstate:
 
       dL/dt  = +/- integral of (1/g^2) g_ss^2 ds  (+ torus, - sphere)
       dV/dt  (torus) = integral of (2/3)(1/g^2) g_s^4 + g_ss^2 ds
@@ -142,70 +149,123 @@ def rate_formulas(g, f, dx, kind, w, gss, g2, gss2, gsss2):
                         + 12 g^-6 g_s^2 (1-g_s^2) g_ss^2 ds
     """
     # every power is formed once; each rate integrand is a polynomial in
-    # 1/g, evaluated by Horner's rule from its highest power of 1/g down
-    w2 = w * w
-    gss3 = gss2 * gss
-    gss4 = gss2 * gss2
-    inv_g4 = 1.0 / (g2 * g2)
-    dL = kind.flow_sign * _integrate(gss2 / g2, f, dx)
+    # 1/g, evaluated by Horner's rule from its highest power of 1/g down.
+    # The integrands are formed in place, one operation at a time in the
+    # order of the expressions in the comments, so every bit is theirs
+    scratch, e2, last = out
+    w2, gss3 = np.multiply(w, w, out=w), np.multiply(gss2, gss, out=gss)
     if kind is BundleKind.TORUS:
-        w4 = w2 * w2
-        dV = _integrate((2.0 / 3.0) * w4 / g2 + gss2, f, dx)
-        e2 = inv_g4 * ((12.0 * w4 * gss2 / g - (38.0 / 3.0) * w2 * gss3) / g
-                       - gss4 / 3.0 - 2.0 * w2 * gsss2)
-        return dL, dV, _integrate(e2, f, dx)
-    one_m_w2 = 1.0 - w2
-    e2 = inv_g4 * ((12.0 * w2 * one_m_w2 * gss2 / g + ((38.0 / 3.0) * w2 - 6.0) * gss3) / g
-                   + gss4 / 3.0 - 2.0 * one_m_w2 * gsss2)
-    return dL, None, _integrate(e2, f, dx)
+        # inv_g4 ((12 w4 gss2 / g - (38/3) w2 gss3) / g - gss4 / 3 - 2 w2 gsss2)
+        w4 = np.multiply(w2, w2, out=last)
+        np.multiply(w4, 12.0, out=e2)
+        e2 *= gss2
+        e2 /= g
+        e2 -= np.multiply(np.multiply(w2, 38.0 / 3.0, out=scratch), gss3, out=scratch)
+        e2 /= g
+        e2 -= np.divide(np.multiply(gss2, gss2, out=scratch), 3.0, out=scratch)
+        e2 -= np.multiply(np.multiply(w2, 2.0, out=scratch), gsss2, out=scratch)
+        # (2/3) w4 / g2 + gss2
+        w4 *= 2.0 / 3.0
+        w4 /= g2
+        w4 += gss2
+    else:
+        # inv_g4 ((12 w2 (1 - w2) gss2 / g + ((38/3) w2 - 6) gss3) / g + gss4 / 3
+        #         - 2 (1 - w2) gsss2)
+        one_m_w2 = np.subtract(1.0, w2, out=last)
+        np.multiply(w2, 12.0, out=e2)
+        e2 *= one_m_w2
+        e2 *= gss2
+        e2 /= g
+        np.multiply(w2, 38.0 / 3.0, out=scratch)
+        scratch -= 6.0
+        e2 += np.multiply(scratch, gss3, out=scratch)
+        e2 /= g
+        e2 += np.divide(np.multiply(gss2, gss2, out=scratch), 3.0, out=scratch)
+        e2 -= np.multiply(np.multiply(one_m_w2, 2.0, out=scratch), gsss2, out=scratch)
+    e2 *= np.divide(1.0, np.multiply(g2, g2, out=scratch), out=scratch)  # inv_g4 = 1 / (g2 g2)
+    np.divide(gss2, g2, out=scratch)
 
 
-def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[DiagnosticsRecord]:
+# (rows, n) arrays that `functionals` evaluates a batch of rows in: f, g, w,
+# g_ss, then the ds-integrands of V, l2_gss, l2_gsss, E2, dE2/dt and dV/dt
+WORK_SLOTS = 10
+
+
+def functionals(
+    profiles: Sequence[MetricProfile], kind: BundleKind, work: np.ndarray | None = None
+) -> list[DiagnosticsRecord]:
     """One diagnostics row per profile, in order, for profiles on one grid.
 
     The volume is the ds-integral of the fibre area: g^2 on the torus,
     and the round-fibre area 4 pi g^2 on the sphere, an extension beyond
     the torus-only definition (see README).
 
+    work, if given, is a float64 array of at least WORK_SLOTS * rows * n
+    elements, and every (rows, n) array of the evaluation is one of its
+    slots; without it, the call makes its own. The records do not depend
+    on it.
+
     Raises NumericOverflowError for the first profile with a non-finite
     row: as `curvature_field` does when its curvature is not finite, else
     naming the first non-finite field in field order (the sphere's
     dV_dt_formula is NaN by design and exempt).
     """
-    dx, n = profiles[0].dx, profiles[0].n
-    f = np.array([p.f for p in profiles])
-    g = np.array([p.g for p in profiles])
+    dx, n, rows = profiles[0].dx, profiles[0].n, len(profiles)
+    size = WORK_SLOTS * rows * n
+    slots = (np.empty(size) if work is None else work[:size]).reshape(WORK_SLOTS, rows, n)
+    f, g, w, gss = slots[:4]
+    torus = kind is BundleKind.TORUS
+    integrands = slots[4:] if torus else slots[4:-1]  # the sphere has no dV/dt
+    g2, gss2, gsss2, spare = slots[4], slots[5], slots[6], slots[7:]
+    for row, p in enumerate(profiles):
+        f[row], g[row] = p.f, p.g
     # a non-finite row is reported below by name; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        field = _curvature(f, g, dx, kind.kappa)
-        w, gss, k23 = field.w, field.w_s, field.K23
-        gsss = ddx(gss, dx) / f
-        g2, gss2, gsss2 = g * g, gss * gss, gsss * gsss
-        dL, dV, e2_rate = rate_formulas(g, f, dx, kind, w, gss, g2, gss2, gsss2)
-        vol = _integrate(g2, f, dx)
-        # ufunc reductions throughout; a mean is add.reduce / n, the bits of np.mean
+        # the curvature of `_curvature`, in place: w = g_s, gss = w_s = g_ss, K12, K23
+        ddx(g, dx, w)
+        w /= f
+        ddx(w, dx, gss)
+        gss /= f
+        np.multiply(g, g, out=g2)
+        k12, k23, scratch = spare
+        np.divide(np.negative(gss, out=k12), g, out=k12)
+        np.multiply(w, w, out=k23)
+        k23 -= kind.kappa
+        np.divide(np.negative(k23, out=k23), g2, out=k23)
+        # reductions throughout; a mean is add.reduce / n, the bits of np.mean
         columns = dict(  # by field name; the record's field order is the only order
             t=[p.t for p in profiles],
             L=np.add.reduce(f, axis=-1) * dx,  # the integral of 1 ds
-            V=vol if kind is BundleKind.TORUS else 4.0 * math.pi * vol,
             g_max=np.maximum.reduce(g, axis=-1),
             g_min=np.minimum.reduce(g, axis=-1),
-            sup_gs=np.maximum.reduce(np.abs(w), axis=-1),
-            sup_gss=np.maximum.reduce(np.abs(gss), axis=-1),
-            E2=kind.flow_sign * dL,  # dL/dt = +/- E2: one sum, sign flip exact
-            l2_gss=_integrate(gss2, f, dx),
-            l2_gsss=_integrate(gsss2, f, dx),
-            dL_dt_formula=dL,
-            dV_dt_formula=np.full(len(profiles), math.nan) if dV is None else dV,
-            K12_sup=np.maximum.reduce(np.abs(field.K12), axis=-1),
+            sup_gs=np.maximum.reduce(np.abs(w, out=scratch), axis=-1),
+            sup_gss=np.maximum.reduce(np.abs(gss, out=scratch), axis=-1),
+            K12_sup=np.maximum.reduce(np.abs(k12, out=scratch), axis=-1),
             K23_mean=np.add.reduce(k23, axis=-1) / n,
             K23_spread=np.maximum.reduce(k23, axis=-1) - np.minimum.reduce(k23, axis=-1),
-            R_mean=np.add.reduce(field.R, axis=-1) / n,
-            E2_rate_formula=e2_rate,
         )
+        zero_counts = [_sign_changes(s) for s in np.sign(w, out=scratch)]  # ints, always finite
+        k12 *= 4.0  # R = 4 K12 + 2 K23
+        k23 *= 2.0
+        columns["R_mean"] = np.add.reduce(np.add(k12, k23, out=k12), axis=-1) / n
+        gsss = ddx(gss, dx, k12)
+        gsss /= f
+        np.multiply(gss, gss, out=gss2)
+        np.multiply(gsss, gsss, out=gsss2)
+        rate_formulas(kind, g, w, gss, g2, gss2, gsss2, spare)
+        # the six ds = f dx quadratures at once, each along the contiguous last axis;
+        # a broadcast product would buffer, so each integrand takes its f alone
+        for integrand in integrands:
+            integrand *= f
+        integrals = np.add.reduce(integrands, axis=-1) * dx
+        vol, columns["l2_gss"], columns["l2_gsss"], e2, columns["E2_rate_formula"] = integrals[:5]
+        columns["V"] = vol if torus else 4.0 * math.pi * vol
+        columns["E2"] = e2
+        columns["dL_dt_formula"] = kind.flow_sign * e2  # dL/dt = +/- E2: the sign flip is exact
+        columns["dV_dt_formula"] = integrals[5] if torus else np.full(rows, math.nan)
         values = np.array([columns[name] for name in _FLOAT_FIELDS])  # (fields, rows)
         finite = np.isfinite(values)
-    if kind is BundleKind.SPHERE:
+    if not torus:
         finite[_FLOAT_FIELDS.index("dV_dt_formula")] = True  # NaN by design
     if not finite.all():
         row = int(np.argmin(finite.all(axis=0)))  # the first row with a non-finite field
@@ -213,6 +273,6 @@ def functionals(profiles: Sequence[MetricProfile], kind: BundleKind) -> list[Dia
         name = _FLOAT_FIELDS[int(np.argmin(finite[:, row]))]
         raise NumericOverflowError(f"record field {name}", None, profiles[row].t)
     records = values.T.tolist()  # builtin floats, whose repr is the series text
-    for row, w_row in zip(records, w):  # zero_count, an int and always finite
-        row.insert(_ZERO_COUNT, count_sign_changes(w_row))
+    for row, zero_count in zip(records, zero_counts):
+        row.insert(_ZERO_COUNT, zero_count)
     return [DiagnosticsRecord._trusted(row) for row in records]

@@ -41,10 +41,14 @@ Buffers: every RHS evaluation and step runs in a `_StepState`, the
 step kernel, which binds the run's dx and the flow's sign and shift, and
 whose buffers hold the start of a step, the RHS scratch rows and the
 stages. `evolve` keeps one per call and enters one np.errstate block per
-step, around its start, the step and its retries; while the records of a
-landing are made in the same process, the buffers are freed and made
-again for the next step. The public `rhs`, `stable_dt` and `step` make
-a state of their own per call and hold np.errstate themselves. A step
+step, around its start, the step and its retries. When it makes the
+records itself, it allocates one arena per call: the state's buffers
+are its head, and `record_landings` evaluates each batch of records in
+it while the landings wait at a yield between two steps; the next step
+makes its start again. So a run allocates its working memory once, and
+a step no more than its result. With `landed`, the state has buffers of
+its own. The public `rhs`, `stable_dt` and `step` make a state of their
+own per call and hold np.errstate themselves. A step
 reads `start` and Y_0 without writing them and allocates only its
 result, which it makes read-only and whose rows it returns. When the next
 step starts from that result, Y_0 is that array, taken without stacking
@@ -71,7 +75,7 @@ import numpy as np
 
 from .claims import ClaimTolerances, SLOPE_BOUND
 from ._periodic import ddx, first_nonfinite
-from .diagnostics import DiagnosticsRecord, functionals
+from .diagnostics import WORK_SLOTS, DiagnosticsRecord, functionals
 from .geometry import BundleKind, MetricProfile, NumericOverflowError, require, s_derivative
 
 __all__ = [
@@ -94,6 +98,7 @@ MAX_STEP_RETRIES = 10
 # stable_dt. TestStageCap in tests/test_flow.py pins it against the grid error.
 _MAX_STAGES = 6
 _RECORD_NODES = 4096  # evolve evaluates up to this many grid nodes of records per batch
+_STATE_ROWS = 14  # rows of n floats in a step state: start 3, scratch 3, k 2, stages 3 x 2
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
 
@@ -306,45 +311,37 @@ class _StepState:
     """The step kernel of one `evolve` call, or of one public call: constants and buffers.
 
     It binds the run's n, dx, the flow's sign and its shift c of
-    `_rhs_arrays` (a 0-d array, None when c is 0). `begin` evaluates a
-    step's start into start: L(Y0) in k0 and the diffusion coefficient in
-    coeff; bound is its stable_dt, which the caller sets. scratch holds
-    `_rhs_arrays`' rows for w, D w and the denominator, k the stage
-    scratch, and stages Y_1 ... Y_{s-1} in rotation. y0 is the last
-    step's read-only (2, n) result, whose rows f and g it returned, and
-    f_min the minimum of f that its final check took: the next step from
-    it reads Y0 and `stable_dt` min f from there without a scan. A state
-    starts released: `begin` makes the buffers, and `release` frees all
-    but the last result. evolve frees them at each landing whose records
-    its own process makes, so that the records' temporaries can take the
-    memory.
+    `_rhs_arrays` (a 0-d array, None when c is 0). Its buffers are
+    _STATE_ROWS rows of n floats, at the head of the arena it is given or
+    of its own. `begin` evaluates a step's start into start: L(Y0) in k0
+    and the diffusion coefficient in coeff; bound is its stable_dt, which
+    the caller sets. scratch holds `_rhs_arrays`' rows for w, D w and the
+    denominator, k the stage scratch, and stages Y_1 ... Y_{s-1} in
+    rotation. Nothing in the buffers outlives a step: evolve's records
+    write over them between steps, and the next `begin` makes the start
+    again. y0 is the last step's read-only (2, n) result, whose rows f
+    and g it returned, and f_min the minimum of f that its final check
+    took: the next step from it reads Y0 and `stable_dt` min f from there
+    without a scan.
     """
 
     __slots__ = ("n", "dx", "sphere", "shift", "bound", "start", "k0", "coeff", "scratch", "k",
                  "stages", "y0", "f", "g", "f_min")
 
-    def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float):
+    def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float,
+                 arena: np.ndarray | None = None):
         self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
         shift = -1.0 if self.sphere else epsilon
         self.shift = np.array(shift) if shift != 0.0 else None  # only read
         self.bound = self.y0 = self.f = self.g = self.f_min = None
-        self.release()
-
-    def allocate(self) -> None:
-        n = self.n
-        self.start = np.empty((3, n))
+        size = _STATE_ROWS * self.n
+        rows = (np.empty(size) if arena is None else arena[:size]).reshape(_STATE_ROWS, self.n)
+        self.start, self.scratch, self.k = rows[:3], tuple(rows[3:6]), rows[6:8]
         self.k0, self.coeff = self.start[:2], self.start[2]
-        self.scratch = tuple(np.empty((3, n)))
-        self.k = np.empty((2, n))
-        self.stages = tuple(np.empty((2, n)) for _ in range(3))
-
-    def release(self) -> None:
-        self.start = self.k0 = self.coeff = self.scratch = self.k = self.stages = None
+        self.stages = rows[8:10], rows[10:12], rows[12:14]
 
     def begin(self, profile: MetricProfile) -> None:
-        """Evaluate a step's start at the profile, making the buffers if released; under np.errstate."""
-        if self.k is None:  # a new state, or one released at a landing
-            self.allocate()
+        """Evaluate a step's start at the profile; under np.errstate."""
         _rhs_arrays(self, profile.f, profile.g, profile.t, self.start)
 
     @classmethod
@@ -459,11 +456,17 @@ def next_record_index(t: float, every: float) -> int:
     return k
 
 
+def _batch_rows(n: int, stop_when: Callable | None) -> int:
+    """Records per batch at grid size n: up to _RECORD_NODES nodes, one with stop_when."""
+    return 1 if stop_when is not None else max(1, _RECORD_NODES // n)
+
+
 def record_landings(
     landings: Iterable[MetricProfile],
     kind: BundleKind,
     sink: RecordSink | None = None,
     stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
+    work: np.ndarray | None = None,
 ) -> int:
     """Evaluate the records of landed profiles and hand them to the sink in order.
 
@@ -475,18 +478,25 @@ def record_landings(
     seen every record before it. If the landings raise, the records of the
     landings before reach the sink first, and an error of those records or
     of the sink wins. Returns the number of records handed to the sink.
+
+    work is the float64 workspace that `functionals` evaluates every batch
+    in, of at least WORK_SLOTS floats per node of a batch; without it, the
+    first batch makes one for the stage.
     """
     pending: list[MetricProfile] = []  # landings whose records the sink has not seen yet
     count = 0
 
     def emit() -> bool:
         """Hand the pending records to the sink in order; True if stop_when ends the stage."""
-        nonlocal count
+        nonlocal count, work
         profiles, pending[:] = pending[:], []
+        if work is None:
+            n = profiles[0].n
+            work = np.empty(WORK_SLOTS * _batch_rows(n, stop_when) * n)
         try:
-            records = functionals(profiles, kind)
+            records = functionals(profiles, kind, work)
         except NumericOverflowError:  # one at a time: the sink sees every good record
-            records = (functionals([prof], kind)[0] for prof in profiles)
+            records = (functionals([prof], kind, work)[0] for prof in profiles)
         for rec, prof in zip(records, profiles):
             count += 1
             if sink is not None:
@@ -496,8 +506,7 @@ def record_landings(
     try:
         for prof in landings:
             pending.append(prof)
-            batch = 1 if stop_when is not None else max(1, _RECORD_NODES // prof.n)
-            if len(pending) == batch and emit():
+            if len(pending) == _batch_rows(prof.n, stop_when) and emit():
                 break
     finally:
         if pending:  # the records made before a failing landing reach the sink before its error
@@ -543,7 +552,11 @@ def evolve(
     summary = RunSummary()
     t_end, every = config.t_end, config.record_every
     kind, epsilon, cap = config.kind, config.epsilon, _span(_MAX_STAGES)
-    state = _StepState(profile, kind, epsilon)  # this call's kernel: runs share nothing
+    arena = None  # the step state's own buffers when the records are made elsewhere
+    if landed is None:  # one arena for the steps and, between them, the records
+        rows = max(_STATE_ROWS, WORK_SLOTS * _batch_rows(profile.n, stop_when))
+        arena = np.empty(rows * profile.n)
+    state = _StepState(profile, kind, epsilon, arena)  # this call's kernel: runs share nothing
 
     def landings() -> Iterator[MetricProfile]:
         """The start profile, then each profile that lands on a record time or t_end."""
@@ -582,14 +595,12 @@ def evolve(
                     advanced.n, advanced.period, target, advanced.f, advanced.g
                 )
                 k += 1
-                if landed is None:  # its records are made in this process, maybe now
-                    state.release()
-                yield profile
+                yield profile  # the records made here write over the state's buffers
             else:
                 profile = advanced
 
     if landed is None:
-        summary.records = record_landings(landings(), kind, sink, stop_when)
+        summary.records = record_landings(landings(), kind, sink, stop_when, arena)
     else:
         for prof in landings():
             landed(prof)

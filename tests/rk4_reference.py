@@ -21,7 +21,6 @@ def rk4_step(profile, kind, epsilon, dt):
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     t, state = profile.t, flow_mod._StepState(profile, kind, epsilon)
-    state.allocate()
     y0 = np.array((profile.f, profile.g))
     k, y, acc = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
 

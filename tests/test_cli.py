@@ -39,6 +39,7 @@ from xcflow import flow as flow_mod
 from xcflow.cli import SERIES_HEADER
 
 from conftest import TWO_PI
+from records_reference import reference_records
 
 
 def config_text(out_dir, **keys):
@@ -662,6 +663,21 @@ class TestRunScenarioLanes:
                  for given in (records, table)]
         assert lines[0] == lines[1]
         assert lines[0] == (tmp_path / "out" / "claims.txt").read_text().splitlines()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_series_rows_are_the_reference_records(self, tmp_path, monkeypatch, count):
+        # one CPU makes the records in the arena of the steps, two in the record process's
+        # own workspace; a snapshot at every record gives each row's profile
+        cpus(monkeypatch, count)
+        out = tmp_path / "out"
+        run_scenario(load_config(config_text(out, bundle="torus", t_end="0.4", record_every="0.004",
+                                             **{"grid.n": "64", "output.snapshot_every": "0.004"})))
+        profiles = sorted(map(load_snapshot, out.glob("snap_*.json")), key=lambda p: p.t)
+        assert len(profiles) == 101  # a batch of 64 and a partial one
+        want = [cli._series_row(cli._series_values(rec))
+                for rec in reference_records(profiles, BundleKind.TORUS)]
+        assert (out / "series.csv").read_text().splitlines()[1:] == want
         assert_no_child_left()
 
     @pytest.mark.parametrize("count", [1, 2])

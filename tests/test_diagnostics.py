@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import typing
 
 import numpy as np
@@ -16,7 +17,10 @@ from xcflow import (
     sinusoid_profile,
 )
 
+from xcflow.diagnostics import WORK_SLOTS
+
 from conftest import TWO_PI, make_profile, random_trig_profile
+from records_reference import reference_records
 
 TORUS = BundleKind.TORUS
 SPHERE = BundleKind.SPHERE
@@ -231,3 +235,45 @@ class TestZeroCount:
         for _ in range(20):
             v = rng.standard_normal(int(rng.integers(8, 64)))
             assert count_sign_changes(v) % 2 == 0
+
+
+def traced_peak(call) -> int:
+    """Bytes that the interpreter and numpy held at the peak of call(), above what they held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def landed_profiles(kind, n, count):
+    """The first `count` landed profiles of a run from g = 2 + 0.1 sin x, 0.005 apart."""
+    landed = []
+    cfg = FlowConfig(kind=kind, t_end=0.005 * (count - 1), record_every=0.005)
+    evolve(sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1), cfg, landed=landed.append)
+    assert len(landed) == count
+    return landed
+
+
+class TestWorkspace:
+    """`functionals` in a workspace: every record that of the expression form, bit for bit."""
+
+    @pytest.mark.parametrize("n, rows, used", [(256, 16, 16), (256, 16, 5), (2048, 2, 2)],
+                             ids=["16-row-batch", "partial-batch", "n2048-2-rows"])
+    def test_batch_equals_the_expression_form(self, kind, n, rows, used):
+        profiles = landed_profiles(kind, n, used)
+        work = np.full(WORK_SLOTS * rows * n, np.nan)  # a slot is written before it is read
+        want = [repr(rec) for rec in reference_records(profiles, kind)]
+        assert [repr(rec) for rec in functionals(profiles, kind, work)] == want
+        # the same workspace again, dirty now, and without one
+        assert [repr(rec) for rec in functionals(profiles, kind, work)] == want
+        assert [repr(rec) for rec in functionals(profiles, kind)] == want
+
+    @pytest.mark.parametrize("n, rows", [(256, 16), (2048, 2)])
+    def test_allocates_no_array_of_the_batch(self, kind, n, rows):
+        profiles = [sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1)] * rows
+        work = np.empty(WORK_SLOTS * rows * n)
+        functionals(profiles, kind, work)  # one-time allocations of numpy and the interpreter
+        assert traced_peak(lambda: functionals(profiles, kind, work)) < rows * n * 8

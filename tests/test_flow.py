@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from xcflow import (
 
 import metric_oracle
 from conftest import TWO_PI, make_profile, random_trig_profile
+from records_reference import reference_records
 from rk4_reference import rk4_run, rk4_step
 
 TORUS = BundleKind.TORUS
@@ -235,7 +237,6 @@ class TestStableDt:
         n, y0 = p.n, np.concatenate((p.f, p.g))
 
         state = flow_mod._StepState(p, kind, eps)
-        state.allocate()
 
         def rhs_flat(y):
             out = np.empty((2, n))
@@ -315,7 +316,6 @@ class TestStep:
         p = MetricProfile(n=32, period=TWO_PI, t=0.0, f=y0, g=y0[::-1].copy())
         dt = flow_mod._span(s)  # the whole span of s stages at a bound of 1
         state = flow_mod._StepState(p, TORUS, 0.0)
-        state.allocate()
         state.k0[:] = lam * (np.array((p.f, p.g)) - 2.0)
         state.bound = 1.0
         out = step(p, TORUS, 0.0, dt, state)
@@ -668,14 +668,15 @@ class TestStageCap:
 
 def run_both_ways(profile, cfg):
     """([(record repr, profile)], final profile, summary, functionals batch sizes) of
-    `evolve` batched (no stop_when) and one record at a time (a stop_when that never stops)."""
+    `evolve` batched (no stop_when) and one record at a time (a stop_when that never stops);
+    either way, made in the arena of the steps, every record is that of the expression form."""
     runs = []
     for stop_when in (None, lambda rec: False):
         seen, sizes = [], []
 
-        def counted(profiles, kind):
+        def counted(profiles, kind, work=None):
             sizes.append(len(profiles))
-            return functionals(profiles, kind)
+            return functionals(profiles, kind, work)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow_mod, "functionals", counted)
@@ -683,6 +684,8 @@ def run_both_ways(profile, cfg):
                 profile, cfg, sink=lambda rec, prof: seen.append((repr(rec), prof)),
                 stop_when=stop_when,
             )
+        want = reference_records([prof for _, prof in seen], cfg.kind)
+        assert [rec for rec, _ in seen] == [repr(rec) for rec in want]
         runs.append((seen, final, summary, sizes))
     return runs
 
@@ -745,8 +748,12 @@ class TestRecordBatches:
         for stop_when in (None, lambda rec: False):
             seen = []
             with pytest.raises(NumericOverflowError) as caught:
-                evolve(good, cfg, sink=lambda rec, prof: seen.append(prof), stop_when=stop_when)
-            outcomes.append(([prof.t for prof in seen], str(caught.value)))
+                evolve(good, cfg, sink=lambda rec, prof: seen.append((repr(rec), prof)),
+                       stop_when=stop_when)
+            outcomes.append(([prof.t for _, prof in seen], str(caught.value)))
+            # the good records, made one at a time in the arena after the batch failed
+            want = reference_records([prof for _, prof in seen], TORUS)
+            assert [rec for rec, _ in seen] == [repr(rec) for rec in want]
         bad = MetricProfile(256, TWO_PI, 0.02, np.full(256, f_bad), good.g)
         with pytest.raises(NumericOverflowError) as alone:
             functionals([bad], TORUS)
@@ -974,3 +981,38 @@ class TestStepState:
             assert set(stages) == {2} and calls["_rhs_arrays"] == 2 * summary.steps
         else:
             assert max(stages) > 2
+
+
+class TestArena:
+    """`evolve` makes its records in the arena of its steps, between them."""
+
+    def test_steps_after_the_first_allocate_only_their_result(self, monkeypatch):
+        # every step lands, and a batch of two records is made after every second
+        # one; the span from a step's start to its result allocates that result
+        n = 2048
+        real_begin, real_step = flow_mod._StepState.begin, flow_mod.step
+        held, peaks = [], []
+
+        def begin(state, profile):
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            real_begin(state, profile)
+
+        def measured_step(*args):
+            advanced = real_step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held[-1])
+            return advanced
+
+        monkeypatch.setattr(flow_mod._StepState, "begin", begin)
+        monkeypatch.setattr(flow_mod, "step", measured_step)
+        cfg = FlowConfig(kind=TORUS, t_end=0.2, epsilon=1e-2, record_every=0.01)
+        tracemalloc.start()
+        try:
+            _, summary = evolve(sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1), cfg,
+                                sink=lambda rec, prof: None)
+        finally:
+            tracemalloc.stop()
+        assert (summary.steps, summary.records, len(peaks)) == (20, 21, 20)
+        # the first step stacks the start profile; the rest start from the last result.
+        # A result is (2, n) floats; a few objects of the interpreter come with it
+        assert all(peak < 2 * n * 8 + 4096 for peak in peaks[1:])
