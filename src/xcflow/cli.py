@@ -41,7 +41,8 @@ from .claims import ClaimTolerances, ClaimVerdict, NOT_APPLICABLE, evaluate_clai
 from .diagnostics import SERIES_FIELDS, SERIES_HEADER, _SERIES_ROW, _SERIES_TYPES, DiagnosticsRecord
 from .diagnostics import _series_row, _series_table, _series_values
 from ._periodic import first_nonfinite
-from .flow import FlowConfig, evolve, next_record_index, record_landings, validate_initial
+from .flow import FlowConfig, _lands, _reached, evolve, next_record_index, record_landings
+from .flow import validate_initial
 from .geometry import (
     MIN_N, BundleKind, FieldError, MetricProfile, NumericOverflowError, curvature_field, require,
 )
@@ -74,7 +75,8 @@ _FLOW_DEFAULTS = {
 }
 # the errors that `main` reports as "error: ..." with exit status 2
 _REPORTED = (ValueError, ArithmeticError, RuntimeError, OSError)
-_FEED_BYTES = 1 << 20  # a worker's input pipe: 255 landed profiles at n = 256
+# a worker's input pipe: 255 profiles to record, landed or interpolated, at n = 256
+_FEED_BYTES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -408,17 +410,41 @@ class _Workers:
         return ends
 
 
+def _landing_gaps(config: ScenarioConfig) -> float:
+    """The record gaps between two landings of `xcf run`, the `landing_gaps` of `evolve`.
+
+    On the torus, snapshot_every / record_every when that is a whole
+    number within the tolerance of `flow._reached`, so that the steps land
+    on the snapshot grid and every snapshot is a landed state; inf when
+    snapshot_every is inf; else 1, a landing at every record time. A
+    sphere run lands on every record time: on its snapshot grid, profile
+    A at n = 256, t_end 2 and the default cadence moved L by 2.4e-2 of its
+    n/2 -> n grid difference from the record-bound run, above the 1e-2
+    that torus-cli's setup keeps.
+    """
+    if config.flow.kind is BundleKind.SPHERE:
+        return 1
+    ratio = config.snapshot_every / config.flow.record_every
+    if ratio == math.inf:
+        return math.inf
+    whole = round(ratio)
+    return whole if whole > 1 and _reached(ratio, whole) and _reached(whole, ratio) else 1
+
+
 @contextlib.contextmanager
-def _recording(out: Path, snapshot_every: float, rows: bytearray):
+def _recording(out: Path, config: ScenarioConfig, gaps: float, rows: bytearray):
     """Yield `run_scenario`'s record sink, which writes series.csv and snapshots.
 
     The sink appends each record's packed row to rows, the series table's
-    packed rows, and its text row to series.csv; it snapshots the first
-    record and each that reached the multiple of snapshot_every after the
-    last snapshot. Leaving the block, also by an error, snapshots the last
-    record unless it was saved; a run that recorded nothing leaves none.
+    packed rows, and its text row to series.csv. It snapshots landed
+    states only: the first record, and each record that `evolve` with
+    landing_gaps=gaps lands on (`flow._lands`) and that reached the
+    multiple of snapshot_every after the last snapshot. Leaving the block,
+    also by an error, snapshots the last landed record unless it was
+    saved; a run that recorded nothing leaves none.
     """
-    last = saved = None  # the last recorded profile; the last snapshot's profile
+    every, t_end = config.flow.record_every, config.flow.t_end
+    last = saved = None  # the last landed profile; the last snapshot's profile
     saved_k = 0  # next_record_index of the last snapshot's time
     with open(out / "series.csv", "w", encoding="utf-8") as series:
         series.write(SERIES_HEADER + "\n")
@@ -428,7 +454,9 @@ def _recording(out: Path, snapshot_every: float, rows: bytearray):
             values = _series_values(rec)
             rows.extend(_SERIES_ROW.pack(*values))  # not +=, which would make rows local
             series.write(_series_row(values) + "\n")
-            k = next_record_index(prof.t, snapshot_every)
+            if not (saved is None or _lands(prof.t, every, gaps, t_end)):
+                return  # an interpolated profile
+            k = next_record_index(prof.t, config.snapshot_every)
             if saved is None or k > saved_k:
                 save_snapshot(prof, out / f"snap_{prof.t!r}.json")
                 saved, saved_k = prof, k
@@ -471,22 +499,25 @@ def _received(feed, n: int, period: float):
         yield MetricProfile._trusted(n, period, float(buf[0]), buf[1:n + 1], buf[n + 1:])
 
 
-def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path):
+def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path, gaps: float):
     """Step here and make the records, series rows and snapshots in one forked process.
 
-    `evolve` sends each landed profile down a pipe; the record process
-    runs `record_landings` with the `_recording` sink on them and, when
-    they end, reports the series table's packed rows and its error. Returns
-    the packed rows as `_read_report` reads them, in place. The record
-    process's error wins over this process's, as a record error raised
-    after a failing step does in `evolve`. On an error that `main`
-    reports, the records made before it are finished first; on any
-    other, such as KeyboardInterrupt, the record process is killed.
+    `evolve` with landing_gaps=gaps sends the profile of each record time
+    down a pipe, landed or interpolated alike; the record process runs
+    `record_landings` with the `_recording` sink on them, which tells the
+    landed ones by their time, and, when they end, reports the series
+    table's packed rows and its error. The pipe's format does not depend
+    on the landing grid. Returns the packed rows as `_read_report` reads
+    them, in place. The record process's
+    error wins over this process's, as a record error raised after a
+    failing step does in `evolve`. On an error that `main` reports, the
+    records made before it are finished first; on any other, such as
+    KeyboardInterrupt, the record process is killed.
     """
     def record(report, feed):
         rows, error = bytearray(), None
         try:
-            with _recording(out, config.snapshot_every, rows) as sink:
+            with _recording(out, config, gaps, rows) as sink:
                 record_landings(_received(feed, profile.n, profile.period), config.flow.kind, sink)
         except Exception as exc:
             error = exc
@@ -502,7 +533,7 @@ def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path):
         report, feed = workers.fork(record, feed=True)
         error = None
         try:
-            evolve(profile, config.flow, landed=send)
+            evolve(profile, config.flow, landed=send, landing_gaps=gaps)
         except _REPORTED as exc:  # such as a broken pipe: the record process has failed
             error = exc
         with contextlib.suppress(OSError):  # a broken pipe: the report tells why
@@ -522,9 +553,11 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     With resume, the profile comes entirely from the snapshot file (the
     config's profile and grid sections are ignored) and the series
     covers t >= the snapshot time. The claims take dx from the profile
-    that runs. Returns 0 iff every applicable claim passes. With two or
-    more CPUs, `_record_lane` makes the records, series rows and
-    snapshots in a forked process; the outputs are the same.
+    that runs. Returns 0 iff every applicable claim passes. The steps
+    land on the snapshot grid where `_landing_gaps` finds one, and the
+    records between landings are interpolated. With two or more CPUs,
+    `_record_lane` makes the records, series rows and snapshots in a
+    forked process; the outputs are the same.
     """
     out = _out_dir(config)
     profile = load_snapshot(resume) if resume is not None else build_profile(config)
@@ -532,12 +565,13 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
     if config.flow.kind is BundleKind.SPHERE:
         validate_initial(profile, config.flow.kind)
 
+    gaps = _landing_gaps(config)
     if _cpus() >= 2:
-        rows = _record_lane(profile, config, out)
+        rows = _record_lane(profile, config, out, gaps)
     else:
         rows = bytearray()  # the series table's packed rows; no record is kept
-        with _recording(out, config.snapshot_every, rows) as sink:
-            evolve(profile, config.flow, sink=sink)
+        with _recording(out, config, gaps, rows) as sink:
+            evolve(profile, config.flow, sink=sink, landing_gaps=gaps)
 
     tolerances = dataclasses.replace(config.flow.tolerances, dx=profile.dx)
     verdicts = evaluate_claims(_series_table(rows), config.flow.kind, tolerances)

@@ -25,13 +25,21 @@ Steps are s-stage RKL2 super-steps (Meyer, Balsara & Aslam 2014,
 J. Comput. Phys. 257, 594-626): second order in time, and stable for
 dt * rho <= (s^2 + s - 2)/2, where `stable_dt` derives why 1 / stable_dt
 bounds the spectral radius rho for this stencil. A step spans
-dt = min(record gap, 20 stable_dt) and takes the fewest stages s >= 2
-that cover it. The cap of S = 6 stages, (S^2 + S - 2)/2 = 20, is the
-largest that keeps the sphere run's time error within 5% of its grid
-difference at n = 256 (TestStageCap in tests/test_flow.py); at a fixed
-cap the time error falls as dx^4 against the grid's dx^2. The step's
+dt = min(time to the next landing, 20 stable_dt) and takes the fewest
+stages s >= 2 that cover it. The cap of S = 6 stages,
+(S^2 + S - 2)/2 = 20, is the largest that keeps the sphere run's time
+error within 5% of its grid difference at n = 256 (TestStageCap in
+tests/test_flow.py); at a fixed cap the time error falls as dx^4
+against the grid's dx^2. The step's
 first RHS evaluation also gives D_max, so w is formed once per step,
 and s and dt depend only on the state at the step's start.
+
+Landings: `evolve` lands on every K-th record time (K = 1 by default)
+and on t_end. A step that passes over record times gives each the cubic
+Hermite interpolant of (y, L(y)) at its two ends (Hairer, Norsett &
+Wanner, Solving ODEs I, section II.6), so a record-bound run takes one
+step per landing gap instead of one per record gap. L at the step's
+end is the next step's start, kept with its bound and evaluated once.
 
 Derivatives use the periodic operator of `_periodic` that geometry and
 diagnostics share. `step` is one fused kernel: stage combinations summed
@@ -41,15 +49,19 @@ Buffers: every RHS evaluation and step runs in a `_StepState`, the
 step kernel, which binds the run's dx and the flow's sign and shift, and
 whose buffers hold the start of a step, the RHS scratch rows and the
 stages. `evolve` keeps one per call and enters one np.errstate block per
-step, around its start, the step and its retries. When it makes the
-records itself, it allocates one arena per call: the state's buffers
-are its head, and `record_landings` evaluates each batch of records in
-it while the landings wait at a yield between two steps; the next step
-makes its start again. So a run allocates its working memory once, and
-a step no more than its result. With `landed`, the state has buffers of
-its own. The public `rhs`, `stable_dt` and `step` make a state of their
-own per call and hold np.errstate themselves. A step
-reads `start` and Y_0 without writing them and allocates only its
+step, around its start, the step and its retries, and the step's end.
+When it makes the records itself, it allocates one arena per call: the
+state's buffers are its head, and `record_landings` evaluates each
+batch of records in it while the landings wait at a yield between two
+steps; the next step makes its start again, unless it was kept. A
+state with K > 1 keeps its start in 3 rows at the arena's tail, beyond
+the records' slots, and takes the interpolation scratch from its k
+rows. So a run allocates its working memory once, and a step no more
+than its result, a copy of its start's L when it passes over record
+times, and its interpolants. With `landed`, the state
+has buffers of its own. The public `rhs`, `stable_dt` and `step` make a
+state of their own per call and hold np.errstate themselves. A step
+reads its start and Y_0 without writing them and allocates only its
 result, which it makes read-only and whose rows it returns. When the next
 step starts from that result, Y_0 is that array, taken without stacking
 or checking it again, and min f is the one its final check took; a
@@ -58,9 +70,9 @@ handed to a profile or a sink is written again, and a sink that tries
 raises, so distinct runs share no state and may run in parallel, as
 `cli.epsilon_sweep`'s members do, and a landed profile can be recorded
 after later steps or elsewhere: `evolve` with `landed` hands each one
-out unrecorded, and `record_landings`, the one record stage, makes the
-records wherever they are made, as `cli.run_scenario`'s forked record
-process does.
+out unrecorded, landed or interpolated, and `record_landings`, the one
+record stage, makes the records wherever they are made, as
+`cli.run_scenario`'s forked record process does.
 """
 
 from __future__ import annotations
@@ -99,6 +111,9 @@ MAX_STEP_RETRIES = 10
 _MAX_STAGES = 6
 _RECORD_NODES = 4096  # evolve evaluates up to this many grid nodes of records per batch
 _STATE_ROWS = 14  # rows of n floats in a step state: start 3, scratch 3, k 2, stages 3 x 2
+# rows of n floats at the tail of a dense run's arena: the start evaluated at a step's end,
+# which the records made before the next step do not write
+_KEPT_ROWS = 3
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
 
@@ -315,28 +330,31 @@ class _StepState:
     _STATE_ROWS rows of n floats, at the head of the arena it is given or
     of its own. `begin` evaluates a step's start into start: L(Y0) in k0
     and the diffusion coefficient in coeff; bound is its stable_dt, which
-    the caller sets. scratch holds `_rhs_arrays`' rows for w, D w and the
+    the caller sets. start is the head's first 3 rows or, if kept, the
+    _KEPT_ROWS rows at the arena's tail, beyond the records' slots, where
+    a start evaluated at a step's end outlives the records made before
+    the next step. scratch holds `_rhs_arrays`' rows for w, D w and the
     denominator, k the stage scratch, and stages Y_1 ... Y_{s-1} in
-    rotation. Nothing in the buffers outlives a step: evolve's records
-    write over them between steps, and the next `begin` makes the start
-    again. y0 is the last step's read-only (2, n) result, whose rows f
-    and g it returned, and f_min the minimum of f that its final check
-    took: the next step from it reads Y0 and `stable_dt` min f from there
-    without a scan.
+    rotation. Nothing in the head outlives a step: evolve's records
+    write over it between steps. y0 is the last step's read-only (2, n)
+    result, whose rows f and g it returned, and f_min the minimum of f
+    that its final check took: the next step from it reads Y0 and
+    `stable_dt` min f from there without a scan.
     """
 
     __slots__ = ("n", "dx", "sphere", "shift", "bound", "start", "k0", "coeff", "scratch", "k",
                  "stages", "y0", "f", "g", "f_min")
 
     def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float,
-                 arena: np.ndarray | None = None):
+                 arena: np.ndarray | None = None, kept: bool = False):
         self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
         shift = -1.0 if self.sphere else epsilon
         self.shift = np.array(shift) if shift != 0.0 else None  # only read
         self.bound = self.y0 = self.f = self.g = self.f_min = None
         size = _STATE_ROWS * self.n
         rows = (np.empty(size) if arena is None else arena[:size]).reshape(_STATE_ROWS, self.n)
-        self.start, self.scratch, self.k = rows[:3], tuple(rows[3:6]), rows[6:8]
+        self.start = arena[-_KEPT_ROWS * self.n:].reshape(_KEPT_ROWS, self.n) if kept else rows[:3]
+        self.scratch, self.k = tuple(rows[3:6]), rows[6:8]
         self.k0, self.coeff = self.start[:2], self.start[2]
         self.stages = rows[8:10], rows[10:12], rows[12:14]
 
@@ -456,6 +474,25 @@ def next_record_index(t: float, every: float) -> int:
     return k
 
 
+def _next_landing(k: int, gaps: float) -> float:
+    """Index of the first landing at or after record index k: the next multiple of gaps.
+
+    The one landing rule of `evolve` with landing_gaps=gaps; inf when gaps
+    is inf, as such a run lands on t_end only.
+    """
+    return math.inf if gaps == math.inf else -(-k // gaps) * gaps
+
+
+def _lands(t: float, every: float, gaps: float, t_end: float) -> bool:
+    """Whether `evolve` with landing_gaps=gaps lands on the record time t or ends there.
+
+    A record time is k * every, and t / every rounds to k: it is a landing
+    when `_next_landing` gives k itself. The others are interpolated.
+    """
+    k = round(t / every)
+    return _next_landing(k, gaps) == k or _reached(t, t_end)
+
+
 def _batch_rows(n: int, stop_when: Callable | None) -> int:
     """Records per batch at grid size n: up to _RECORD_NODES nodes, one with stop_when."""
     return 1 if stop_when is not None else max(1, _RECORD_NODES // n)
@@ -468,14 +505,15 @@ def record_landings(
     stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
     work: np.ndarray | None = None,
 ) -> int:
-    """Evaluate the records of landed profiles and hand them to the sink in order.
+    """Evaluate the records of a run's profiles and hand them to the sink in order.
 
-    Records are evaluated in batches of up to 4096 grid nodes, so the sink
-    gets each one up to one batch after its landing arrives. stop_when, if
-    given, is evaluated on each record as its landing arrives (batches of
-    one) and ends the stage at the first record it holds for. A
-    NumericOverflowError of a record reaches the caller once the sink has
-    seen every record before it. If the landings raise, the records of the
+    The landings are the profiles to record, landed or interpolated, as
+    `evolve` makes them. Records are evaluated in batches of up to 4096
+    grid nodes, so the sink gets each one up to one batch after its
+    profile arrives. stop_when, if given, is evaluated on each record as
+    its landing arrives (batches of one) and ends the stage at the first
+    record it holds for. A NumericOverflowError of a record reaches the
+    caller once the sink has seen every record before it. If the landings raise, the records of the
     landings before reach the sink first, and an error of those records or
     of the sink wins. Returns the number of records handed to the sink.
 
@@ -514,32 +552,61 @@ def record_landings(
     return count
 
 
+def _hermite(y0: np.ndarray, y1: np.ndarray, l0: np.ndarray, l1: np.ndarray,
+             theta: float, dt: float, k: np.ndarray) -> np.ndarray:
+    """The cubic Hermite interpolant of (y, L(y)) at a step's two ends, at theta of its dt.
+
+    Hairer, Norsett & Wanner, Solving ODEs I, section II.6: y0 and y1 are
+    the (2, n) states at the step's start and end, l0 and l1 their slopes.
+    It is summed term by term with elementwise ufuncs, k (2, n) as
+    scratch, into a fresh (2, n) array, which it makes read-only.
+    """
+    t2 = theta * theta
+    t3 = t2 * theta
+    y = np.multiply(y0, 2.0 * t3 - 3.0 * t2 + 1.0)
+    y += np.multiply(y1, 3.0 * t2 - 2.0 * t3, out=k)
+    y += np.multiply(l0, (t3 - 2.0 * t2 + theta) * dt, out=k)
+    y += np.multiply(l1, (t3 - t2) * dt, out=k)
+    y.flags.writeable = False  # as a step's result: a sink that writes into it raises
+    return y
+
+
 def evolve(
     profile: MetricProfile,
     config: FlowConfig,
     sink: RecordSink | None = None,
     stop_when: Callable[[DiagnosticsRecord], bool] | None = None,
     landed: Callable[[MetricProfile], object] | None = None,
+    landing_gaps: float = 1,
 ) -> tuple[MetricProfile, RunSummary]:
     """Run the flow from the profile's time up to config.t_end.
 
     The sink is invoked with (record, profile) at the start time, at
-    every global multiple of record_every, and at t_end; clamping steps
-    to those boundaries makes the record stream deterministic and
-    bit-reproducible across resumes. One rule, `_reached`, decides
-    whether a time has reached another: a step that reaches its boundary
-    lands on it, taking the boundary time exactly, and the run ends once
+    every global multiple of record_every, and at t_end. Steps land on
+    every landing_gaps-th record time, a whole number K of record gaps,
+    and on t_end; with K = inf, on t_end only. Landing times are global
+    multiples too, so the record stream is deterministic and
+    bit-reproducible across resumes from a landed profile. With K = 1,
+    the default, every record time is a landing. One rule, `_reached`,
+    decides whether a time has reached another: a step that reaches its
+    landing lands on it, taking that time exactly, and the run ends once
     the profile's time reaches t_end. So the profile returned is always
-    the last one the sink was given. `record_landings` makes the records:
-    in batches of up to 4096 grid nodes, so the sink gets them in order,
-    up to one batch after the step that made them. stop_when, if given,
-    is evaluated on each record right after its step (batches of one)
-    and ends the run early at that record's time.
+    the last one the sink was given. A step that passes over record times
+    on its way gives each of them the cubic Hermite interpolant of
+    (y, L(y)) at its two ends (`_hermite`): such a profile is not a state
+    of the discrete flow, and no step starts from it. L at a step's end
+    is then the next step's start, evaluated once. `record_landings`
+    makes the records: in batches of up to 4096 grid nodes, so the sink
+    gets them in order, up to one batch after the step that made them.
+    stop_when, if given, is evaluated on each record right after its step
+    (batches of one) and ends the run early at that record's time; it
+    needs K = 1, as every record is then a landing.
 
     landed, if given, takes the place of sink and stop_when: it gets each
-    landed profile right after its step, and no record is evaluated here.
-    A caller that makes the records elsewhere passes the profiles on to
-    `record_landings`; summary.records then counts landings.
+    profile to record, landed or interpolated, right after its step, and
+    no record is evaluated here. A caller that makes the records
+    elsewhere passes the profiles on to `record_landings`. summary.records
+    counts records either way, not landings.
 
     Steps that lose positivity are retried with halved dt up to 10
     times; the final failure propagates with the last good time in the
@@ -548,28 +615,39 @@ def evolve(
     """
     if landed is not None and (sink is not None or stop_when is not None):
         raise TypeError("landed takes the place of sink and stop_when")
+    if stop_when is not None and landing_gaps != 1:
+        raise TypeError("stop_when needs a landing at every record time: landing_gaps = 1")
+    require(landing_gaps == math.inf or (landing_gaps >= 1 and float(landing_gaps).is_integer()),
+            "landing_gaps", "be a whole number >= 1 or inf", landing_gaps)
     validate_initial(profile, config.kind)
     summary = RunSummary()
     t_end, every = config.t_end, config.record_every
     kind, epsilon, cap = config.kind, config.epsilon, _span(_MAX_STAGES)
+    gaps = landing_gaps if landing_gaps == math.inf else int(landing_gaps)
+    kept = gaps > 1 and landed is None  # a start made at a step's end outlives its records
     arena = None  # the step state's own buffers when the records are made elsewhere
     if landed is None:  # one arena for the steps and, between them, the records
         rows = max(_STATE_ROWS, WORK_SLOTS * _batch_rows(profile.n, stop_when))
-        arena = np.empty(rows * profile.n)
-    state = _StepState(profile, kind, epsilon, arena)  # this call's kernel: runs share nothing
+        arena = np.empty((rows + (_KEPT_ROWS if kept else 0)) * profile.n)
+    state = _StepState(profile, kind, epsilon, arena, kept)  # this call's kernel: runs share none
 
     def landings() -> Iterator[MetricProfile]:
-        """The start profile, then each profile that lands on a record time or t_end."""
+        """The start profile, then the profile of each record time in order, and t_end's."""
         nonlocal profile
-        k = next_record_index(profile.t, every)
+        k = next_record_index(profile.t, every)  # the next record time's index
+        begun = False  # whether the state's start is the profile's, from the last step's end
         yield profile
         while not _reached(profile.t, t_end):
-            target = min(k * every, t_end)
-            # one block for the start, the step and its retries: overflow is
-            # detected in _rhs_arrays and reported with the node; silence numpy
+            landing = _next_landing(k, gaps)  # a record index
+            target = min(landing * every, t_end)
+            # one block for the start, the step and its retries, and the step's end:
+            # overflow is detected in _rhs_arrays and reported with the node; silence numpy
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                state.begin(profile)
-                state.bound = stable_dt(profile, kind, epsilon, state)
+                if not begun:
+                    state.begin(profile)
+                    state.bound = stable_dt(profile, kind, epsilon, state)
+                own = profile.f is state.f and profile.g is state.g  # the state's last result
+                y0 = state.y0 if own else None
                 dt = min(target - profile.t, cap * state.bound)
                 for attempt in range(MAX_STEP_RETRIES + 1):
                     try:
@@ -586,16 +664,38 @@ def evolve(
                             failure.field, failure.node = exc.field, exc.node
                             raise failure from exc
                         dt *= 0.5
-            summary.steps += 1
+                summary.steps += 1
+                passed = k  # record times before the target that the step has reached
+                while (passed < landing and _reached(advanced.t, passed * every)
+                       and not _reached(passed * every, target)):
+                    passed += 1
+                begun = passed > k  # their interpolants need L at the step's end
+                if begun:  # which the next step starts from: the start's L moves out first
+                    l0 = state.k0.copy()
+                    state.begin(advanced)
+                    state.bound = stable_dt(advanced, kind, epsilon, state)
+            if begun:
+                if y0 is None:  # a start that no step of this state made
+                    y0 = np.array((profile.f, profile.g))
+                y1 = state.y0 if advanced.f is state.f else np.array((advanced.f, advanced.g))
+                for j in range(k, passed):  # the records made here write over the state's head
+                    theta = (j * every - profile.t) / dt
+                    y = _hermite(y0, y1, l0, state.k0, theta, dt, state.k)
+                    # a cubic between two positive ends can undershoot where f or g falls fast
+                    if not np.minimum.reduce(y, axis=None) > 0.0:  # NaN fails too
+                        raise _failure(y, profile.t, dt, f"interpolant at t={j * every!r} "
+                                       "lost positivity")
+                    yield MetricProfile._trusted(profile.n, profile.period, j * every, y[0], y[1])
+                k = passed
             # a step that the bound or a retry shortened can still land
             if _reached(advanced.t, target):
-                # assign the boundary time exactly so record times stay on the
+                # assign the landing time exactly so record times stay on the
                 # global grid regardless of floating-point accumulation
                 profile = MetricProfile._trusted(
                     advanced.n, advanced.period, target, advanced.f, advanced.g
                 )
                 k += 1
-                yield profile  # the records made here write over the state's buffers
+                yield profile  # the records made here write over the state's head
             else:
                 profile = advanced
 

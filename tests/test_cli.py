@@ -14,6 +14,7 @@ from xcflow import (
     ClaimTolerances,
     ConfigError,
     DiagnosticsRecord,
+    FlowConfig,
     MetricProfile,
     NotApplicableError,
     SERIES_FIELDS,
@@ -586,8 +587,9 @@ class TestRunScenarioLanes:
     ], ids=["record-overflows", "step-fails"])
     def test_failure_gives_the_same_outputs_on_both_paths(self, tmp_path, monkeypatch, capsys,
                                                           f_bad, message):
-        # every step lands on the next record time; the one onto t = 0.02 collapses f, so
-        # the third record overflows, or the step from t = 0.05 fails
+        # every step lands on the next record time, as snapshot_every is not a whole number
+        # of record gaps; the one onto t = 0.02 collapses f, so the third record overflows,
+        # or the step from t = 0.05 fails
         good = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
 
         def fake_step(profile, kind, epsilon, dt, start=None):
@@ -604,7 +606,7 @@ class TestRunScenarioLanes:
             cpus(monkeypatch, count)
             path = tmp_path / f"cpus{count}.txt"
             path.write_text(config_text(tmp_path / f"cpus{count}", bundle="torus", t_end="0.2",
-                                        record_every="0.01"))
+                                        record_every="0.01", **{"output.snapshot_every": "0.105"}))
             assert main(["run", "--config", str(path)]) == 2
             outcomes.append((capsys.readouterr().err, files(tmp_path / f"cpus{count}")))
         assert outcomes[0][0].startswith("error: ") and outcomes[0][0].endswith(f"{message}\n")
@@ -657,7 +659,9 @@ class TestRunScenarioLanes:
         assert len(table) == 101
         assert table.tobytes() == read_series(tmp_path / "out" / "series.csv").tobytes()
         records = []
-        evolve(build_profile(cfg), cfg.flow, sink=lambda rec, prof: records.append(rec))
+        # xcf run lands on its snapshot grid: snapshot_every = t_end / 2 is 50 record gaps
+        evolve(build_profile(cfg), cfg.flow, sink=lambda rec, prof: records.append(rec),
+               landing_gaps=50)
         tolerances = dataclasses.replace(cfg.flow.tolerances, dx=TWO_PI / 64)
         lines = [list(map(cli._claim_line, evaluate_claims(given, BundleKind.TORUS, tolerances)))
                  for given in (records, table)]
@@ -723,6 +727,150 @@ class TestRunScenarioLanes:
             assert np.array_equal(prof.f, f) and np.array_equal(prof.g, g)
         checked = tmp_path / "checked"
         assert (checked.read_text() == "101") if count == 2 else not checked.exists()
+        assert_no_child_left()
+
+
+DENSE_KEYS = {"grid.n": "64", "record_every": "0.004", "output.snapshot_every": "0.1"}
+
+
+def snapshots(root):
+    """The run's snapshots in time order."""
+    return sorted(map(load_snapshot, root.glob("snap_*.json")), key=lambda p: p.t)
+
+
+def assert_each_snapshot_is_reached_from_the_last(root, gaps):
+    """Each snapshot after the first is the state that `evolve` reaches from the one before:
+    a landed state of the discrete flow, never an interpolant."""
+    snaps = snapshots(root)
+    for before, after in zip(snaps, snaps[1:]):
+        cfg = FlowConfig(kind=BundleKind.TORUS, t_end=after.t, record_every=0.004)
+        final, _ = evolve(before, cfg, landing_gaps=gaps)
+        assert final.t == after.t
+        assert final.f.tobytes() == after.f.tobytes() and final.g.tobytes() == after.g.tobytes()
+    return [p.t for p in snaps]
+
+
+class TestDenseRun:
+    """`xcf run` steps on its snapshot grid and interpolates the records between."""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_resume_from_every_snapshot_reproduces_the_rows(self, tmp_path, monkeypatch, count):
+        cpus(monkeypatch, count)
+        full = tmp_path / "full"
+        run_scenario(load_config(config_text(full, bundle="torus", t_end="0.4", **DENSE_KEYS)))
+        rows = (full / "series.csv").read_text().splitlines()
+        assert len(rows) == 102
+        times = assert_each_snapshot_is_reached_from_the_last(full, 25)
+        assert times == [0.0, 25 * 0.004, 50 * 0.004, 75 * 0.004, 0.4]
+        for t in times[1:-1]:
+            out = tmp_path / f"resumed_{t!r}"
+            run_scenario(load_config(config_text(out, bundle="torus", t_end="0.4", **DENSE_KEYS)),
+                         resume=full / f"snap_{t!r}.json")
+            want = [row for row in rows[1:] if float(row.split(",", 1)[0]) >= t]
+            assert (out / "series.csv").read_text().splitlines()[1:] == want
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", ["record-overflows", "step-fails",
+                                         "interpolant-undershoots"])
+    def test_failure_leaves_only_landed_snapshots(self, tmp_path, monkeypatch, capsys, failing):
+        # an interpolated record overflows at t = 0.124, or its interpolant undershoots
+        # there; or, with a cap of 0.03 that splits each 0.1 landing gap into four steps,
+        # the step from t = 0.16 fails after records were interpolated up to it. Either
+        # way the last landed state is the one at 0.1, and 1 and 2 CPUs give the same
+        # error and the same files
+        hermite, real_step, made = flow_mod._hermite, flow_mod.step, []
+
+        def collapsing(*args):
+            y = hermite(*args)
+            made.append(y)
+            if len(made) != 30:
+                return y
+            if failing == "record-overflows":
+                return np.array((np.full(64, 1e-120), y[1]))
+            return np.array((np.where(np.arange(64) == 7, -1e-3, y[0]), y[1]))
+
+        def failing_step(profile, kind, epsilon, dt, state=None):
+            if profile.t >= 0.15:
+                raise StepFailureError(profile.t, dt, "collapsed")
+            return real_step(profile, kind, epsilon, dt, state)
+
+        if failing == "step-fails":
+            monkeypatch.setattr(flow_mod, "step", failing_step)
+            monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: 0.0015)
+            message, last = "last good t=0.16", 0.16
+        else:
+            monkeypatch.setattr(flow_mod, "_hermite", collapsing)
+            message, last = {
+                "record-overflows": "non-finite record field E2 (t=0.124)",
+                "interpolant-undershoots": "interpolant at t=0.124 lost positivity: f at node 7",
+            }[failing], 0.12
+        outcomes = []
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            made.clear()  # each run's interpolants
+            path = tmp_path / f"cpus{count}.txt"
+            out = tmp_path / f"cpus{count}"
+            path.write_text(config_text(out, bundle="torus", t_end="0.4", **DENSE_KEYS))
+            assert main(["run", "--config", str(path)]) == 2
+            outcomes.append((capsys.readouterr().err, files(out)))
+            err = outcomes[-1][0]
+            assert err.startswith("error: ") and err.endswith(f"{message}\n")
+            times = [float(row.split(",", 1)[0])
+                     for row in (out / "series.csv").read_text().splitlines()[1:]]
+            assert times == [k * 0.004 for k in range(len(times))]
+            assert times[-1] == pytest.approx(last)
+        assert outcomes[0] == outcomes[1]
+        # the run's steps, under its cap, without the failure
+        monkeypatch.setattr(flow_mod, "step", real_step)
+        monkeypatch.setattr(flow_mod, "_hermite", hermite)
+        assert assert_each_snapshot_is_reached_from_the_last(out, 25) == [0.0, 25 * 0.004]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_other_snapshot_cadences_land_on_every_record(self, tmp_path, monkeypatch, count):
+        # 0.105 is not a whole number of record gaps, so every record time is a landing,
+        # as in a record-bound evolve; inf lands on t_end only
+        cpus(monkeypatch, count)
+        cfg = load_config(config_text(tmp_path / "odd", bundle="torus", t_end="0.4",
+                                      **{**DENSE_KEYS, "output.snapshot_every": "0.105"}))
+        assert cli._landing_gaps(cfg) == 1
+        run_scenario(cfg)
+        records = []
+        evolve(build_profile(cfg), cfg.flow, sink=lambda rec, prof: records.append(rec))
+        want = [cli._series_row(cli._series_values(rec)) for rec in records]
+        assert (tmp_path / "odd" / "series.csv").read_text().splitlines()[1:] == want
+        assert assert_each_snapshot_is_reached_from_the_last(tmp_path / "odd", 1) == [
+            0.0, 27 * 0.004, 53 * 0.004, 79 * 0.004, 0.4]
+        cfg = load_config(config_text(tmp_path / "inf", bundle="torus", t_end="0.4",
+                                      **{**DENSE_KEYS, "output.snapshot_every": "inf"}))
+        assert cli._landing_gaps(cfg) == math.inf
+        run_scenario(cfg)
+        assert assert_each_snapshot_is_reached_from_the_last(tmp_path / "inf", math.inf) == [
+            0.0, 0.4]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("every, snapshot_every, gaps", [
+        ("0.002", "0.1", 50), ("0.01", "0.1", 10), ("0.1", "0.3", 3), ("0.004", "0.004", 1),
+        ("0.004", "0.002", 1), ("0.004", "0.105", 1), ("0.1", "inf", math.inf),
+    ])
+    def test_landing_gaps(self, every, snapshot_every, gaps):
+        keys = {"record_every": every, "output.snapshot_every": snapshot_every}
+        cfg = load_config(config_text("out", bundle="torus", t_end="1.0", **keys))
+        assert cli._landing_gaps(cfg) == gaps
+        # a sphere run lands on every record time, whatever its snapshot grid
+        cfg = load_config(config_text("out", bundle="sphere", t_end="1.0", **keys))
+        assert cli._landing_gaps(cfg) == 1
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_sphere_run_is_record_bound(self, tmp_path, monkeypatch, count):
+        cpus(monkeypatch, count)
+        cfg = load_config(config_text(tmp_path / "out", bundle="sphere", t_end="0.4",
+                                      **DENSE_KEYS))
+        run_scenario(cfg)
+        records = []
+        evolve(build_profile(cfg), cfg.flow, sink=lambda rec, prof: records.append(rec))
+        want = [cli._series_row(cli._series_values(rec)) for rec in records]
+        assert (tmp_path / "out" / "series.csv").read_text().splitlines()[1:] == want
         assert_no_child_left()
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import xcflow.flow as flow_mod
+from xcflow.diagnostics import _series_values
 from xcflow import (
+    SERIES_FIELDS,
     BundleKind,
     FlowConfig,
     MetricProfile,
@@ -938,16 +940,20 @@ class TestStepState:
         assert [c0 is None for _, _, c0, _, _ in rows] == [True] + [False] * (s - 2)
         assert all(float(row[2]) == w for row, w in zip(rows[1:], weights[1:]))
 
-    @pytest.mark.parametrize("kind, units", [(TORUS, None), (SPHERE, 2.5)],
-                             ids=["torus-record-bound", "sphere-capped"])
-    def test_evolve_calls_each_traced_name(self, monkeypatch, kind, units):
+    @pytest.mark.parametrize("kind, units, gaps", [(TORUS, None, 1), (SPHERE, 2.5, 1),
+                                                   (TORUS, None, 50)],
+                             ids=["torus-record-bound", "sphere-capped", "torus-dense"])
+    def test_evolve_calls_each_traced_name(self, monkeypatch, kind, units, gaps):
         # the benchmark's tracer wraps step, _rhs_arrays and stable_dt by name and reads
         # dt as step's 4th positional argument: evolve must call each of them per step
-        # or per RHS evaluation through flow's module globals
+        # or per RHS evaluation through flow's module globals. A dense run (landing on
+        # every 50th record time) evaluates each step's end once, for its interpolants
+        # and the next step's start, and the last step's end once more
         p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
         span = flow_mod._span(flow_mod._MAX_STAGES)
         every = 0.002 if units is None else units * span * stable_dt(p, kind)
-        cfg = FlowConfig(kind=kind, t_end=10 * every, record_every=every)
+        cfg = FlowConfig(kind=kind, t_end=10 * gaps * every, record_every=every)
+        last_end = 1 if gaps > 1 else 0
         calls = {"step": [], "_rhs_arrays": 0, "stable_dt": 0, "_stages": []}
         real = {name: getattr(flow_mod, name) for name in calls}
 
@@ -970,15 +976,16 @@ class TestStepState:
         monkeypatch.setattr(flow_mod, "_rhs_arrays", counting("_rhs_arrays"))
         monkeypatch.setattr(flow_mod, "stable_dt", counting("stable_dt"))
         monkeypatch.setattr(flow_mod, "_stages", stages_spy)
-        _, summary = evolve(p, cfg)
+        _, summary = evolve(p, cfg, landing_gaps=gaps)
         assert summary.retries == 0 and summary.steps >= 10
         assert len(calls["step"]) == summary.steps and all(calls["step"])
-        assert calls["stable_dt"] == summary.steps
+        assert calls["stable_dt"] == summary.steps + last_end
         stages = calls["_stages"]
         assert len(stages) == summary.steps
-        assert calls["_rhs_arrays"] == summary.steps + sum(s - 1 for s in stages)
+        assert calls["_rhs_arrays"] == summary.steps + last_end + sum(s - 1 for s in stages)
         if units is None:
-            assert set(stages) == {2} and calls["_rhs_arrays"] == 2 * summary.steps
+            assert set(stages) == {2}
+            assert calls["_rhs_arrays"] == 2 * summary.steps + last_end
         else:
             assert max(stages) > 2
 
@@ -1016,3 +1023,189 @@ class TestArena:
         # the first step stacks the start profile; the rest start from the last result.
         # A result is (2, n) floats; a few objects of the interpreter come with it
         assert all(peak < 2 * n * 8 + 4096 for peak in peaks[1:])
+
+
+def series_array(records):
+    """The records' series values as a (records, fields) float array."""
+    return np.array([[float(v) for v in _series_values(rec)] for rec in records])
+
+
+def torus_cli_run(n, gaps):
+    """The series array and summary of torus-cli's setup at grid size n and landing_gaps."""
+    cfg = FlowConfig(kind=TORUS, t_end=6.0, record_every=0.002)
+    records = []
+    _, summary = evolve(sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1), cfg,
+                        sink=lambda rec, prof: records.append(rec), landing_gaps=gaps)
+    return series_array(records), summary
+
+
+class TestDenseOutput:
+    """Steps land every K record gaps; the records between are interpolated by cubic Hermite."""
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_within_the_grid_difference_of_the_record_bound_run(self, n):
+        # torus-cli's setup, which xcf run steps on its 0.1 snapshot grid (K = 50): every
+        # series field of the dense run lies within 1e-2 of the record-bound run's
+        # n/2 -> n grid difference. g_max and g_min, which the flow keeps, and t and
+        # zero_count lie as close as the record-bound run at n allows
+        coarse, _ = torus_cli_run(n // 2, 1)
+        fine, fine_summary = torus_cli_run(n, 1)
+        dense, summary = torus_cli_run(n, 50)
+        assert (fine_summary.steps, summary.steps, summary.records) == (3000, 60, 3001)
+        grid = np.max(np.abs(fine - coarse), axis=0)
+        deviation = np.max(np.abs(dense - fine), axis=0)
+        conserved = [SERIES_FIELDS.index(name) for name in ("g_max", "g_min")]
+        exact = [SERIES_FIELDS.index(name) for name in ("t", "zero_count")]
+        assert np.all(deviation[conserved] <= 1e-12)
+        assert np.array_equal(dense[:, exact], fine[:, exact])
+        rest = [i for i in range(len(SERIES_FIELDS)) if i not in conserved + exact]
+        assert np.all(grid[rest] > 0.0)
+        assert np.all(deviation[rest] <= 1e-2 * grid[rest])
+
+    @pytest.mark.parametrize("gaps", [4, math.inf])
+    def test_landed_states_are_those_of_the_landing_grid(self, kind, gaps):
+        # a dense run's landings are the states of a record-bound run whose records are
+        # its landings (binary fractions, so that both runs have the same times); what
+        # lies between them is no step's start
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        cfg = FlowConfig(kind=kind, t_end=1.0, record_every=0.0625)
+        seen = []
+        final, summary = evolve(p, cfg, sink=lambda rec, prof: seen.append(prof),
+                                landing_gaps=gaps)
+        want = []
+        evolve(p, dataclasses.replace(cfg, record_every=0.0625 * min(gaps, 16)),
+               sink=lambda rec, prof: want.append(prof))
+        assert summary.records == len(seen) == 17
+        assert [prof.t for prof in seen] == [k * 0.0625 for k in range(17)]
+        assert [prof.t for prof in seen[::min(gaps, 16)]] == [prof.t for prof in want]
+        for got, prof in zip(seen[::min(gaps, 16)], want):
+            assert got.f.tobytes() == prof.f.tobytes() and got.g.tobytes() == prof.g.tobytes()
+        assert final.g.tobytes() == want[-1].g.tobytes()
+
+    def test_hermite_is_exact_on_cubics(self):
+        # y(t) = a + b t + c t^2 + d t^3 with its exact slopes at the two ends
+        n, t0, dt = 8, 0.3, 0.25
+        rng = np.random.default_rng(5)
+        a, b, c, d = rng.uniform(0.5, 1.5, (4, 2, n))
+
+        def y(t):
+            return a + t * (b + t * (c + t * d))
+
+        def slope(t):
+            return b + t * (2.0 * c + t * 3.0 * d)
+
+        scratch = np.empty((2, n))
+        for theta in (0.0, 0.2, 0.5, 0.9, 1.0):
+            got = flow_mod._hermite(y(t0), y(t0 + dt), slope(t0), slope(t0 + dt), theta, dt,
+                                    scratch)
+            assert not got.flags.writeable
+            np.testing.assert_allclose(got, y(t0 + theta * dt), rtol=1e-13)
+
+    def test_landed_and_sink_paths_see_the_same_profiles(self):
+        # the sink path makes its records in the arena of the steps, between them, and
+        # keeps at its tail the start that it evaluates at a step's end; landed makes none
+        p = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
+        cfg = FlowConfig(kind=TORUS, t_end=0.5, record_every=0.002)
+        by_sink, by_landed = [], []
+        final_s, summary_s = evolve(p, cfg, sink=lambda rec, prof: by_sink.append(prof),
+                                    landing_gaps=50)
+        final_l, summary_l = evolve(p, cfg, landed=by_landed.append, landing_gaps=50)
+        assert summary_s == summary_l
+        assert (summary_s.steps, summary_s.records) == (5, 251)
+        assert [prof.t for prof in by_sink] == [prof.t for prof in by_landed]
+        for a, b in zip(by_sink, by_landed):
+            assert a.f.tobytes() == b.f.tobytes() and a.g.tobytes() == b.g.tobytes()
+        assert final_s.g.tobytes() == final_l.g.tobytes()
+
+    def test_reruns_and_resumes_are_bit_identical(self, tmp_path):
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        cfg = FlowConfig(kind=TORUS, t_end=0.4, epsilon=1e-2, record_every=0.004)
+
+        def run(start):
+            records = []
+            evolve(start, cfg, sink=lambda rec, prof: records.append((repr(rec), prof)),
+                   landing_gaps=25)
+            return records
+
+        first, again = run(p), run(p)
+        assert [rec for rec, _ in first] == [rec for rec, _ in again]
+        save_snapshot(first[50][1], tmp_path / "snap.json")  # the landing at t = 0.2
+        assert [rec for rec, _ in run(load_snapshot(tmp_path / "snap.json"))] == [
+            rec for rec, _ in first[50:]]
+
+    def test_capped_steps_interpolate_the_records_they_pass(self, monkeypatch):
+        # a cap of 0.03 splits each 0.1 landing gap into four steps; each record between
+        # two steps' ends is interpolated on the step that passes over it
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: 0.0015)
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        cfg = FlowConfig(kind=TORUS, t_end=0.2, record_every=0.004)
+        records = []
+        _, summary = evolve(p, cfg, sink=lambda rec, prof: records.append(rec),
+                            landing_gaps=25)
+        assert (summary.steps, summary.records) == (8, 51)
+        reference = []
+        evolve(p, cfg, sink=lambda rec, prof: reference.append(rec))
+        deviation = np.max(np.abs(series_array(records) - series_array(reference)))
+        assert 0.0 < deviation < 1e-8
+
+    @pytest.mark.parametrize("landed", [False, True], ids=["sink", "landed"])
+    def test_undershooting_interpolant_fails_the_step(self, monkeypatch, landed):
+        # a cubic between two positive ends can dip below zero; the interpolant at
+        # t = 0.06 (the 6th) does here, and the run stops there, as at a failed step,
+        # once the records before it are made
+        hermite, made = flow_mod._hermite, []
+
+        def undershooting(*args):
+            y = hermite(*args)
+            made.append(y)
+            if len(made) != 6:
+                return y
+            return np.array((y[0], np.where(np.arange(64) == 9, -1.0, y[1])))
+
+        monkeypatch.setattr(flow_mod, "_hermite", undershooting)
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        cfg = FlowConfig(kind=TORUS, t_end=0.2, record_every=0.01)
+        seen = []
+        with pytest.raises(StepFailureError, match="interpolant at t=0.06 lost positivity") as err:
+            if landed:
+                evolve(p, cfg, landed=seen.append, landing_gaps=10)
+            else:
+                evolve(p, cfg, sink=lambda rec, prof: seen.append(prof), landing_gaps=10)
+        assert (err.value.field, err.value.node, err.value.t) == ("g", 9, 0.0)
+        assert [prof.t for prof in seen] == [k * 0.01 for k in range(6)]
+
+    @pytest.mark.parametrize("every, t_end, gaps, start", [
+        (0.01, 0.2, 10, 0.0), (0.01, 0.2, 10, 0.1), (0.004, 0.41, 25, 0.0),
+        (0.0625, 1.0, 3, 0.0), (0.0625, 1.0, 3, 0.1875), (0.05, 0.3, math.inf, 0.0),
+        (0.01, 0.1, 1, 0.0),
+    ])
+    def test_lands_names_the_landings_of_evolve(self, monkeypatch, every, t_end, gaps, start):
+        # the record sink of xcf run snapshots only what _lands calls a landing: it must be
+        # what evolve lands on, also when the cap splits a landing gap into several steps
+        # and when a run starts at a landing or ends off the record grid
+        hermite, made = flow_mod._hermite, set()
+
+        def marking(*args):
+            y = hermite(*args)
+            made.add(id(y))
+            return y
+
+        monkeypatch.setattr(flow_mod, "_hermite", marking)
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: every / 7.0)
+        p = dataclasses.replace(sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1), t=start)
+        seen = []
+        evolve(p, FlowConfig(kind=TORUS, t_end=t_end, record_every=every), landed=seen.append,
+               landing_gaps=gaps)
+        interpolated = [id(prof.f.base) in made for prof in seen[1:]]
+        assert any(interpolated) == (gaps > 1)
+        assert [flow_mod._lands(prof.t, every, gaps, t_end) for prof in seen[1:]] == [
+            not i for i in interpolated]
+
+    def test_rejected_landing_grids(self):
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.01)
+        with pytest.raises(TypeError, match="stop_when"):
+            evolve(p, cfg, stop_when=lambda rec: False, landing_gaps=2)
+        for gaps in (0, 2.5, -1, math.nan):
+            with pytest.raises(ValueError, match="landing_gaps must be a whole number"):
+                evolve(p, cfg, landing_gaps=gaps)
