@@ -39,40 +39,46 @@ and on t_end. A step that passes over record times gives each the cubic
 Hermite interpolant of (y, L(y)) at its two ends (Hairer, Norsett &
 Wanner, Solving ODEs I, section II.6), so a record-bound run takes one
 step per landing gap instead of one per record gap. L at the step's
-end is the next step's start, kept with its bound and evaluated once.
+end is the next step's start, with its bound: evaluated once, and again
+only where records written in its rows have overwritten it.
 
 Derivatives use the periodic operator of `_periodic` that geometry and
 diagnostics share. `step` is one fused kernel: stage combinations summed
 in place in rotating buffers, positivity checked by reductions, and the
 result built by the trusted `MetricProfile._trusted`.
-Buffers: every RHS evaluation and step runs in a `_StepState`, the
-step kernel, which binds the run's dx and the flow's sign and shift, and
+Buffers: every RHS evaluation and step runs in a `_StepState`, the step
+kernel, which binds the run's dx and the flow's sign and shift, and
 whose buffers hold the start of a step, the RHS scratch rows and the
 stages. `evolve` keeps one per call and enters one np.errstate block per
 step, around its start, the step and its retries, and the step's end.
 When it makes the records itself, it allocates one arena per call: the
-state's buffers are its head, and `record_landings` evaluates each
-batch of records in it while the landings wait at a yield between two
-steps; the next step makes its start again, unless it was kept. A
-state with K > 1 keeps its start in 3 rows at the arena's tail, beyond
-the records' slots, and takes the interpolation scratch from its k
-rows. So a run allocates its working memory once, and a step no more
-than its result, a copy of its start's L when it passes over record
-times, and its interpolants. With `landed`, the state
-has buffers of its own. The public `rhs`, `stable_dt` and `step` make a
-state of their own per call and hold np.errstate themselves. A step
-reads its start and Y_0 without writing them and allocates only its
-result, which it makes read-only and whose rows it returns. When the next
-step starts from that result, Y_0 is that array, taken without stacking
-or checking it again, and min f is the one its final check took; a
-profile that the state did not make is stacked and checked. No array
-handed to a profile or a sink is written again, and a sink that tries
-raises, so distinct runs share no state and may run in parallel, as
-`cli.epsilon_sweep`'s members do, and a landed profile can be recorded
-after later steps or elsewhere: `evolve` with `landed` hands each one
-out unrecorded, landed or interpolated, and `record_landings`, the one
-record stage, makes the records wherever they are made, as
-`cli.run_scenario`'s forked record process does.
+state's buffers are its head, and `record_landings` evaluates each batch
+of records in it while the landings wait at a yield between two steps;
+the next step makes its start again, unless the last one's end made it.
+A run with K > 1 batches its records as a record-bound run does, but
+fills each batch's f and g straight into one stack (`_Pile`): each
+interpolant is formed in the state's rows and copied there, and
+`functionals` reads the stack in place, so the arena needs two slots
+fewer per record. L at the two ends of the step that it interpolates,
+and at the next step's start, is evaluated again after a batch of
+records has written over it, in place of two (2, n) arrays kept beside
+the records: a dense run then holds no more than a record-bound one. So
+a run allocates its working memory once, a step no more than its result,
+and a batch of records its stack. With `landed`, the state has buffers
+of its own and each interpolant an array of its own. The public `rhs`,
+`stable_dt` and `step` make a state of their own per call and hold
+np.errstate themselves. A step reads its start and Y_0 without writing
+them and allocates only its result, which it makes read-only and whose
+rows it returns. When the next step starts from that result, Y_0 is that
+array, taken without stacking or checking it again, and min f is the one
+its final check took; a profile that the state did not make is stacked
+and checked. No array handed to a profile or a sink is written again,
+and a sink that tries raises, so distinct runs share no state and may
+run in parallel, as `cli.epsilon_sweep`'s members do, and a landed
+profile can be recorded after later steps or elsewhere: `evolve` with
+`landed` hands each one out unrecorded, landed or interpolated, and
+`record_landings`, the one record stage, makes the records wherever they
+are made, as `cli.run_scenario`'s forked record process does.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -111,9 +117,6 @@ MAX_STEP_RETRIES = 10
 _MAX_STAGES = 6
 _RECORD_NODES = 4096  # evolve evaluates up to this many grid nodes of records per batch
 _STATE_ROWS = 14  # rows of n floats in a step state: start 3, scratch 3, k 2, stages 3 x 2
-# rows of n floats at the tail of a dense run's arena: the start evaluated at a step's end,
-# which the records made before the next step do not write
-_KEPT_ROWS = 3
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
 
@@ -328,35 +331,37 @@ class _StepState:
     It binds the run's n, dx, the flow's sign and its shift c of
     `_rhs_arrays` (a 0-d array, None when c is 0). Its buffers are
     _STATE_ROWS rows of n floats, at the head of the arena it is given or
-    of its own. `begin` evaluates a step's start into start: L(Y0) in k0
-    and the diffusion coefficient in coeff; bound is its stable_dt, which
-    the caller sets. start is the head's first 3 rows or, if kept, the
-    _KEPT_ROWS rows at the arena's tail, beyond the records' slots, where
-    a start evaluated at a step's end outlives the records made before
-    the next step. scratch holds `_rhs_arrays`' rows for w, D w and the
-    denominator, k the stage scratch, and stages Y_1 ... Y_{s-1} in
-    rotation. Nothing in the head outlives a step: evolve's records
-    write over it between steps. y0 is the last step's read-only (2, n)
+    of its own. `begin` evaluates a step's start into start, rows 0-2:
+    L(Y0) in k0 and the diffusion coefficient in coeff; bound is its
+    stable_dt, which the caller sets. scratch holds `_rhs_arrays`' rows for
+    w, D w and the denominator, k the stage scratch, and stages
+    Y_1 ... Y_{s-1} in rotation. y0 is the last step's read-only (2, n)
     result, whose rows f and g it returned, and f_min the minimum of f
     that its final check took: the next step from it reads Y0 and
     `stable_dt` min f from there without a scan.
+
+    Between steps, no row outlives the records that evolve makes in the
+    arena. A dense run (landing_gaps > 1) forms the interpolants of a step
+    from k0, L at its end, and l0, L at its start, in hermite; l0 and
+    hermite are the rows of stages[0] and stages[1], which hold nothing
+    once the step has ended.
     """
 
     __slots__ = ("n", "dx", "sphere", "shift", "bound", "start", "k0", "coeff", "scratch", "k",
-                 "stages", "y0", "f", "g", "f_min")
+                 "stages", "l0", "hermite", "y0", "f", "g", "f_min")
 
     def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float,
-                 arena: np.ndarray | None = None, kept: bool = False):
+                 arena: np.ndarray | None = None):
         self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
         shift = -1.0 if self.sphere else epsilon
         self.shift = np.array(shift) if shift != 0.0 else None  # only read
         self.bound = self.y0 = self.f = self.g = self.f_min = None
         size = _STATE_ROWS * self.n
         rows = (np.empty(size) if arena is None else arena[:size]).reshape(_STATE_ROWS, self.n)
-        self.start = arena[-_KEPT_ROWS * self.n:].reshape(_KEPT_ROWS, self.n) if kept else rows[:3]
-        self.scratch, self.k = tuple(rows[3:6]), rows[6:8]
+        self.start, self.scratch, self.k = rows[:3], tuple(rows[3:6]), rows[6:8]
         self.k0, self.coeff = self.start[:2], self.start[2]
         self.stages = rows[8:10], rows[10:12], rows[12:14]
+        self.l0, self.hermite = self.stages[:2]
 
     def begin(self, profile: MetricProfile) -> None:
         """Evaluate a step's start at the profile; under np.errstate."""
@@ -498,6 +503,14 @@ def _batch_rows(n: int, stop_when: Callable | None) -> int:
     return 1 if stop_when is not None else max(1, _RECORD_NODES // n)
 
 
+class _Batch(NamedTuple):
+    """Profiles that `record_landings` evaluates as one batch where they stand: their f and
+    g are the rows [0, i] and [1, i] of stack, a read-only (2, len(profiles), n) array."""
+
+    profiles: list[MetricProfile]
+    stack: np.ndarray
+
+
 def record_landings(
     landings: Iterable[MetricProfile],
     kind: BundleKind,
@@ -519,20 +532,21 @@ def record_landings(
 
     work is the float64 workspace that `functionals` evaluates every batch
     in, of at least WORK_SLOTS floats per node of a batch; without it, the
-    first batch makes one for the stage.
+    first batch makes one for the stage. A dense run's landings are
+    `_Batch`es instead, each evaluated where its stack holds it, with two
+    slots fewer, and released before the next is made.
     """
     pending: list[MetricProfile] = []  # landings whose records the sink has not seen yet
     count = 0
 
-    def emit() -> bool:
-        """Hand the pending records to the sink in order; True if stop_when ends the stage."""
+    def emit(profiles: list[MetricProfile], stack: np.ndarray | None = None) -> bool:
+        """Hand the profiles' records to the sink in order; True if stop_when ends the stage."""
         nonlocal count, work
-        profiles, pending[:] = pending[:], []
         if work is None:
             n = profiles[0].n
             work = np.empty(WORK_SLOTS * _batch_rows(n, stop_when) * n)
         try:
-            records = functionals(profiles, kind, work)
+            records = functionals(profiles, kind, work, stack)
         except NumericOverflowError:  # one at a time: the sink sees every good record
             records = (functionals([prof], kind, work)[0] for prof in profiles)
         for rec, prof in zip(records, profiles):
@@ -541,34 +555,100 @@ def record_landings(
                 sink(rec, prof)
         return stop_when is not None and stop_when(rec)  # a batch of one when set
 
+    def flush() -> bool:
+        """`emit` the pending landings."""
+        profiles, pending[:] = pending[:], []
+        return emit(profiles)
+
     try:
         for prof in landings:
-            pending.append(prof)
-            if len(pending) == _batch_rows(prof.n, stop_when) and emit():
-                break
+            if isinstance(prof, _Batch):  # after the landings before it
+                batch = prof
+                del prof  # else its stack would outlive its records while the next is made
+                if (pending and flush()) or emit(*batch):
+                    break
+                del batch
+            else:
+                pending.append(prof)
+                if len(pending) == _batch_rows(prof.n, stop_when) and flush():
+                    break
     finally:
         if pending:  # the records made before a failing landing reach the sink before its error
-            emit()
+            flush()
     return count
 
 
 def _hermite(y0: np.ndarray, y1: np.ndarray, l0: np.ndarray, l1: np.ndarray,
-             theta: float, dt: float, k: np.ndarray) -> np.ndarray:
+             theta: float, dt: float, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The cubic Hermite interpolant of (y, L(y)) at a step's two ends, at theta of its dt.
 
     Hairer, Norsett & Wanner, Solving ODEs I, section II.6: y0 and y1 are
     the (2, n) states at the step's start and end, l0 and l1 their slopes.
     It is summed term by term with elementwise ufuncs, k (2, n) as
-    scratch, into a fresh (2, n) array, which it makes read-only.
+    scratch, into out, or else into a fresh (2, n) array, which it makes
+    read-only; it returns that array.
     """
     t2 = theta * theta
     t3 = t2 * theta
-    y = np.multiply(y0, 2.0 * t3 - 3.0 * t2 + 1.0)
+    y = np.multiply(y0, 2.0 * t3 - 3.0 * t2 + 1.0, out=out)
     y += np.multiply(y1, 3.0 * t2 - 2.0 * t3, out=k)
     y += np.multiply(l0, (t3 - 2.0 * t2 + theta) * dt, out=k)
     y += np.multiply(l1, (t3 - t2) * dt, out=k)
-    y.flags.writeable = False  # as a step's result: a sink that writes into it raises
+    if out is None:
+        y.flags.writeable = False  # as a step's result: a sink that writes into it raises
     return y
+
+
+def _interpolant(start: MetricProfile, y0: np.ndarray, y1: np.ndarray, state: _StepState,
+                 dt: float, t: float, out: np.ndarray | None = None) -> MetricProfile:
+    """The profile at record time t of the step of dt from start, whose (2, n) ends are y0
+    and y1: `_hermite` with the state's l0 and k0, L at those ends, into out or an array
+    of its own, and positive everywhere, as a step's result is."""
+    y = _hermite(y0, y1, state.l0, state.k0, (t - start.t) / dt, dt, state.k, out)
+    # a cubic between two positive ends can undershoot where f or g falls fast
+    if not np.minimum.reduce(y, axis=None) > 0.0:  # NaN fails too
+        raise _failure(y, start.t, dt, f"interpolant at t={t!r} lost positivity")
+    return MetricProfile._trusted(start.n, start.period, t, y[0], y[1])
+
+
+class _Pile:
+    """The batch of profiles to record that a dense run fills between its records: each
+    profile's f and g go into the next row of one fresh (2, rows, n) stack, where
+    `record_landings` evaluates them once `take` hands them out as a _Batch."""
+
+    def __init__(self, rows: int, profile: MetricProfile):
+        self.rows, self.n, self.period = rows, profile.n, profile.period
+        self.stack, self.times = None, []
+
+    def add(self, t: float, f: np.ndarray, g: np.ndarray) -> bool:
+        """Copy in the profile (t, f, g); True when the batch is full."""
+        if not self.times:
+            self.stack = np.empty((2, self.rows, self.n))
+        self.stack[0, len(self.times)], self.stack[1, len(self.times)] = f, g
+        self.times.append(t)
+        return len(self.times) == self.rows
+
+    def take(self) -> _Batch:
+        """The profiles added since the last take, read-only, as a _Batch."""
+        stack, times = self.stack[:, :len(self.times)], self.times
+        self.stack, self.times = None, []
+        stack.flags.writeable = False  # as a step's result: a sink that writes into it raises
+        return _Batch([MetricProfile._trusted(self.n, self.period, t, f, g)
+                       for t, f, g in zip(times, *stack)], stack)
+
+    def around(self, landings: Iterator[_Batch]) -> Iterator[_Batch]:
+        """The landings' batches, then the one filled so far, once they end or raise: the
+        records before an error reach the sink first, as `record_landings` makes them."""
+        try:
+            yield from landings
+        except GeneratorExit:  # the record stage has stopped
+            raise
+        except BaseException:
+            if self.times:
+                yield self.take()
+            raise
+        if self.times:
+            yield self.take()
 
 
 def evolve(
@@ -581,26 +661,28 @@ def evolve(
 ) -> tuple[MetricProfile, RunSummary]:
     """Run the flow from the profile's time up to config.t_end.
 
-    The sink is invoked with (record, profile) at the start time, at
-    every global multiple of record_every, and at t_end. Steps land on
-    every landing_gaps-th record time, a whole number K of record gaps,
-    and on t_end; with K = inf, on t_end only. Landing times are global
-    multiples too, so the record stream is deterministic and
-    bit-reproducible across resumes from a landed profile. With K = 1,
-    the default, every record time is a landing. One rule, `_reached`,
-    decides whether a time has reached another: a step that reaches its
-    landing lands on it, taking that time exactly, and the run ends once
-    the profile's time reaches t_end. So the profile returned is always
-    the last one the sink was given. A step that passes over record times
+    The sink is invoked with (record, profile) at the start time, at every
+    global multiple of record_every, and at t_end. Steps land on every
+    landing_gaps-th record time, a whole number K of record gaps, and on
+    t_end; with K = inf, on t_end only. Landing times are global multiples
+    too, so the record stream is deterministic and bit-reproducible across
+    resumes from a landed profile. With K = 1, the default, every record
+    time is a landing. One rule, `_reached`, decides whether a time has
+    reached another: a step that reaches its landing lands on it, taking
+    that time exactly, and the run ends once the profile's time reaches
+    t_end. So the profile returned is always the last one the sink was
+    given, or with K > 1 equal to it. A step that passes over record times
     on its way gives each of them the cubic Hermite interpolant of
     (y, L(y)) at its two ends (`_hermite`): such a profile is not a state
-    of the discrete flow, and no step starts from it. L at a step's end
-    is then the next step's start, evaluated once. `record_landings`
-    makes the records: in batches of up to 4096 grid nodes, so the sink
-    gets them in order, up to one batch after the step that made them.
-    stop_when, if given, is evaluated on each record right after its step
-    (batches of one) and ends the run early at that record's time; it
-    needs K = 1, as every record is then a landing.
+    of the discrete flow, and no step starts from it. L at a step's end is
+    then the next step's start, evaluated once, or again after records
+    have written over it. `record_landings` makes the records: in batches
+    of up to 4096 grid nodes, so the sink gets them in order, up to one
+    batch after the step that made them. With K > 1 the sink gets each
+    profile as a copy in its batch's stack (see the module's notes on
+    buffers). stop_when, if given, is evaluated on each record right after
+    its step (batches of one) and ends the run early at that record's
+    time; it needs K = 1, as every record is then a landing.
 
     landed, if given, takes the place of sink and stop_when: it gets each
     profile to record, landed or interpolated, right after its step, and
@@ -624,19 +706,33 @@ def evolve(
     t_end, every = config.t_end, config.record_every
     kind, epsilon, cap = config.kind, config.epsilon, _span(_MAX_STAGES)
     gaps = landing_gaps if landing_gaps == math.inf else int(landing_gaps)
-    kept = gaps > 1 and landed is None  # a start made at a step's end outlives its records
-    arena = None  # the step state's own buffers when the records are made elsewhere
+    n, rows = profile.n, _batch_rows(profile.n, stop_when)  # rows: records per batch
+    arena = pile = None  # the step state's own buffers when the records are made elsewhere
     if landed is None:  # one arena for the steps and, between them, the records
-        rows = max(_STATE_ROWS, WORK_SLOTS * _batch_rows(profile.n, stop_when))
-        arena = np.empty((rows + (_KEPT_ROWS if kept else 0)) * profile.n)
-    state = _StepState(profile, kind, epsilon, arena, kept)  # this call's kernel: runs share none
+        if gaps > 1:  # whose f and g a pile's stacks hold
+            pile = _Pile(rows, profile)
+        slots = WORK_SLOTS if pile is None else WORK_SLOTS - 2
+        arena = np.empty(max(_STATE_ROWS, slots * rows) * n)
+    state = _StepState(profile, kind, epsilon, arena)  # this call's kernel: runs share none
 
-    def landings() -> Iterator[MetricProfile]:
-        """The start profile, then the profile of each record time in order, and t_end's."""
+    def landings() -> Iterator[MetricProfile | _Batch]:
+        """The start profile, then the profile of each record time in order, and t_end's;
+        with a pile, in its batches, each handed out as soon as it is full."""
         nonlocal profile
         k = next_record_index(profile.t, every)  # the next record time's index
         begun = False  # whether the state's start is the profile's, from the last step's end
-        yield profile
+        stale = True  # whether the pile's records were made since l0 and k0 were formed
+
+        def out(prof: MetricProfile) -> Iterator[MetricProfile | _Batch]:
+            """The profile to record, or with a pile, the batch that it fills."""
+            nonlocal stale
+            if pile is None:
+                yield prof
+            elif pile.add(prof.t, prof.f, prof.g):
+                stale = True  # its records write over l0 and k0
+                yield pile.take()
+
+        yield from out(profile)
         while not _reached(profile.t, t_end):
             landing = _next_landing(k, gaps)  # a record index
             target = min(landing * every, t_end)
@@ -646,6 +742,8 @@ def evolve(
                 if not begun:
                     state.begin(profile)
                     state.bound = stable_dt(profile, kind, epsilon, state)
+                elif stale:  # the pile's records wrote over L at the last step's end
+                    _rhs_arrays(state, profile.f, profile.g, profile.t, state.k0)
                 own = profile.f is state.f and profile.g is state.g  # the state's last result
                 y0 = state.y0 if own else None
                 dt = min(target - profile.t, cap * state.bound)
@@ -656,10 +754,12 @@ def evolve(
                     except StepFailureError as exc:
                         summary.retries += 1
                         if attempt == MAX_STEP_RETRIES:  # the last attempt's error is its cause
+                            # and names its field and node, where that attempt knew them
+                            where = "" if exc.field is None else f": {exc.field} at node {exc.node}"
                             failure = StepFailureError(
                                 profile.t, dt,
                                 f"still failing after {MAX_STEP_RETRIES} halvings; "
-                                f"last good t={profile.t!r}",
+                                f"last good t={profile.t!r}{where}",
                             )
                             failure.field, failure.node = exc.field, exc.node
                             raise failure from exc
@@ -671,21 +771,22 @@ def evolve(
                     passed += 1
                 begun = passed > k  # their interpolants need L at the step's end
                 if begun:  # which the next step starts from: the start's L moves out first
-                    l0 = state.k0.copy()
+                    np.copyto(state.l0, state.k0)
                     state.begin(advanced)
                     state.bound = stable_dt(advanced, kind, epsilon, state)
+                    stale = False
             if begun:
                 if y0 is None:  # a start that no step of this state made
                     y0 = np.array((profile.f, profile.g))
                 y1 = state.y0 if advanced.f is state.f else np.array((advanced.f, advanced.g))
-                for j in range(k, passed):  # the records made here write over the state's head
-                    theta = (j * every - profile.t) / dt
-                    y = _hermite(y0, y1, l0, state.k0, theta, dt, state.k)
-                    # a cubic between two positive ends can undershoot where f or g falls fast
-                    if not np.minimum.reduce(y, axis=None) > 0.0:  # NaN fails too
-                        raise _failure(y, profile.t, dt, f"interpolant at t={j * every!r} "
-                                       "lost positivity")
-                    yield MetricProfile._trusted(profile.n, profile.period, j * every, y[0], y[1])
+                for j in range(k, passed):  # with a pile, copied into its stack
+                    if stale:  # L at the step's two ends, which the pile's records wrote over
+                        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                            _rhs_arrays(state, y0[0], y0[1], profile.t, state.l0)
+                            _rhs_arrays(state, y1[0], y1[1], advanced.t, state.k0)
+                        stale = False
+                    yield from out(_interpolant(profile, y0, y1, state, dt, j * every,
+                                                None if pile is None else state.hermite))
                 k = passed
             # a step that the bound or a retry shortened can still land
             if _reached(advanced.t, target):
@@ -695,12 +796,13 @@ def evolve(
                     advanced.n, advanced.period, target, advanced.f, advanced.g
                 )
                 k += 1
-                yield profile  # the records made here write over the state's head
+                yield from out(profile)  # the records made here write over the state's head
             else:
                 profile = advanced
 
     if landed is None:
-        summary.records = record_landings(landings(), kind, sink, stop_when, arena)
+        stream = landings() if pile is None else pile.around(landings())
+        summary.records = record_landings(stream, kind, sink, stop_when, arena)
     else:
         for prof in landings():
             landed(prof)

@@ -560,6 +560,151 @@ class TestEpsilonSweepLanes:
         assert not (tmp_path / "out").exists()
 
 
+DENSE_SWEEP_GAPS = cli._SWEEP_LANDING_GAPS
+
+
+def sweep_tables(out, n, monkeypatch, epsilons=("1e-2",), record_bound=False):
+    """Member series tables, eps_sweep.csv rows and the members' step count of a serial
+    sweep of the sweep's setup (t_end 1, default cadence) at grid size n; record_bound
+    lands on every record time."""
+    cpus(monkeypatch, 1)
+    monkeypatch.setattr(cli, "_SWEEP_LANDING_GAPS", 1 if record_bound else DENSE_SWEEP_GAPS)
+    real, steps = flow_mod.step, []
+
+    def counting_step(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(flow_mod, "step", counting_step)
+    epsilon_sweep(load_config(config_text(out, bundle="torus", t_end="1", **{"grid.n": str(n)})),
+                  [float(eps) for eps in epsilons])
+    monkeypatch.setattr(flow_mod, "step", real)
+    tables = {eps: read_series(out / f"eps_{eps!r}" / "series.csv")
+              for eps in [0.0, *map(float, epsilons)]}
+    rows = [tuple(map(float, line.split(",")))
+            for line in (out / "eps_sweep.csv").read_text().splitlines()[1:]]
+    return tables, rows, len(steps)
+
+
+def observed_orders(rows):
+    """log(gap_i / gap_{i+1}) / log(eps_i / eps_{i+1}) of adjacent (epsilon, sup_gap) rows."""
+    eps, gaps = np.array(rows).T
+    with np.errstate(divide="ignore", invalid="ignore"):  # a gap of 0 gives NaN
+        return np.log(gaps[:-1] / gaps[1:]) / np.log(eps[:-1] / eps[1:])
+
+
+def record_bound_states(profile, cfg, times):
+    """The states of a record-bound run whose record times are `times`, spelled with the
+    public `stable_dt` and `step`: each step spans min(time to the next, 20 stable_dt)."""
+    kind, eps, span = cfg.kind, cfg.epsilon, flow_mod._span(flow_mod._MAX_STAGES)
+    states = []
+    for target in times:
+        while not flow_mod._reached(profile.t, target):
+            dt = min(target - profile.t, span * flow_mod.stable_dt(profile, kind, eps))
+            profile = flow_mod.step(profile, kind, eps, dt)
+        profile = MetricProfile._trusted(profile.n, profile.period, target, profile.f, profile.g)
+        states.append(profile)
+    return states
+
+
+class TestEpsilonSweepDense:
+    """Sweep members land on every 10th record time; the records between are interpolated."""
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_within_the_grid_difference_of_the_record_bound_sweep(self, tmp_path, monkeypatch,
+                                                                   n):
+        # every series field of both members lies within 1e-2 of the record-bound sweep's
+        # n/2 -> n grid difference (measured: 2.5e-4 at eps 0, 5.3e-4 at eps 1e-2). At
+        # eps 0, which keeps the extrema of g, g_max and g_min lie within 1e-12; t and
+        # zero_count are exact. The members take one step per record gap, and per landing gap
+        coarse, _, _ = sweep_tables(tmp_path / "coarse", n // 2, monkeypatch, record_bound=True)
+        fine, _, fine_steps = sweep_tables(tmp_path / "fine", n, monkeypatch, record_bound=True)
+        dense, _, steps = sweep_tables(tmp_path / "dense", n, monkeypatch)
+        assert (fine_steps, steps) == (2 * 100, 2 * 10)
+        exact = [SERIES_FIELDS.index(name) for name in ("t", "zero_count")]
+        extrema = [SERIES_FIELDS.index(name) for name in ("g_max", "g_min")]
+        for eps in (0.0, 1e-2):
+            assert dense[eps].shape == fine[eps].shape == (101, len(SERIES_FIELDS))
+            grid = np.max(np.abs(fine[eps] - coarse[eps]), axis=0)
+            deviation = np.max(np.abs(dense[eps] - fine[eps]), axis=0)
+            assert np.array_equal(dense[eps][:, exact], fine[eps][:, exact])
+            rest = [i for i in range(len(SERIES_FIELDS)) if i not in exact]
+            if eps == 0.0:
+                assert np.all(deviation[extrema] <= 1e-12)
+                rest = [i for i in rest if i not in extrema]
+            assert np.all(grid[rest] > 0.0)
+            assert np.all(deviation[rest] <= 1e-2 * grid[rest])
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    def test_landed_states_are_those_of_the_record_bound_run(self, eps):
+        # on the landing grid, every 10th record time, bit for bit; the others lie between
+        gaps = DENSE_SWEEP_GAPS
+        cfg = FlowConfig(kind=BundleKind.TORUS, t_end=1.0, epsilon=eps)
+        p = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
+        seen = []
+        final, summary = evolve(p, cfg, sink=lambda rec, prof: seen.append(prof),
+                                landing_gaps=gaps)
+        assert gaps == 10 and summary.records == len(seen) == 101
+        assert [prof.t for prof in seen] == [k * 0.01 for k in range(101)]
+        want = record_bound_states(p, cfg, [k * 0.01 for k in range(gaps, 101, gaps)])
+        for got, prof in zip(seen[gaps::gaps], want, strict=True):
+            assert got.t == prof.t
+            assert got.f.tobytes() == prof.f.tobytes() and got.g.tobytes() == prof.g.tobytes()
+        assert final.g.tobytes() == want[-1].g.tobytes()
+
+    def test_first_order_in_eps(self, tmp_path, monkeypatch):
+        # gap / eps tends to the first-order response as eps -> 0: the observed order of
+        # each adjacent pair of 1e-2, 1e-3 and 1e-4 lies within 1 +/- 1e-2, for record-bound
+        # and dense members alike (measured: 0.99934 and 0.99993 at n = 2048), and each
+        # dense sup_gap within 1e-8 relative of the record-bound one (measured: <= 3.5e-9)
+        _, bound, _ = sweep_tables(tmp_path / "bound", 2048, monkeypatch, SWEEP_EPSILONS,
+                                   record_bound=True)
+        _, dense, _ = sweep_tables(tmp_path / "dense", 2048, monkeypatch, SWEEP_EPSILONS)
+        for rows in (bound, dense):
+            assert [eps for eps, _ in rows] == [1e-2, 1e-3, 1e-4]
+            assert np.all(np.abs(observed_orders(rows) - 1.0) <= 1e-2)
+        gaps, want = np.array(dense)[:, 1], np.array(bound)[:, 1]
+        assert np.all(np.abs(gaps - want) <= 1e-8 * want)
+
+    @pytest.mark.parametrize("shift", [lambda eps: None, lambda eps: eps * eps],
+                             ids=["eps-dropped", "eps-squared"])
+    def test_wrong_eps_fails_the_order_check(self, tmp_path, monkeypatch, shift):
+        # the check above can fail: members whose flow drops eps (every gap 0) or takes
+        # eps^2 for it (order 2)
+        init = flow_mod._StepState.__init__
+
+        def mutant(state, *args, **kwargs):
+            init(state, *args, **kwargs)
+            state.shift = None if state.shift is None else shift(state.shift)
+
+        monkeypatch.setattr(flow_mod._StepState, "__init__", mutant)
+        _, rows, _ = sweep_tables(tmp_path, 2048, monkeypatch, SWEEP_EPSILONS)
+        assert not np.all(np.abs(observed_orders(rows) - 1.0) <= 1e-2)
+
+    def test_dense_members_hold_no_more_than_record_bound_ones(self, tmp_path, monkeypatch):
+        # two serial members at n = 2048, as the sweep's own lane runs them: the dense
+        # sweep's traced peak is the record-bound one's, up to a few interpreter objects
+        # (measured: 0.3-2 KiB more); keeping L at a step's end beside the records
+        # would add a (2, n) array, 32 KiB
+        n = 2048
+
+        def peak(gaps, out):
+            cpus(monkeypatch, 1)
+            monkeypatch.setattr(cli, "_SWEEP_LANDING_GAPS", gaps)  # as sweep_tables does
+            cfg = load_config(config_text(out, bundle="torus", t_end="1", **{"grid.n": str(n)}))
+            tracemalloc.start()
+            try:
+                epsilon_sweep(cfg, [1e-2])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for gaps in (1, DENSE_SWEEP_GAPS):  # one-time allocations, such as the stage
+            peak(gaps, tmp_path / f"warm{gaps}")  # coefficients' cache, go first
+        bound, dense = peak(1, tmp_path / "bound"), peak(DENSE_SWEEP_GAPS, tmp_path / "dense")
+        assert dense <= bound + 8192
+
+
 class TestRunScenarioLanes:
     """`xcf run` on two CPUs makes its records in one forked process; on one, in its own."""
 
