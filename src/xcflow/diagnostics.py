@@ -12,11 +12,9 @@ closed-form rates are written once, in `rate_formulas`, and
 
 Workspace: every (records, n) array of that pass is one of WORK_SLOTS
 slots of a float64 workspace that the caller may hand in, as `evolve`
-does with its arena, or f and g are the two halves of a (2, records, n)
-stack that the caller hands in, as `evolve` does with a dense run's
-batches; the operations run in place, in the order of the expressions
-they spell, so a record's bits depend on neither. The six ds-integrands
-sit side by side and are summed in one reduction.
+does with its arena; the operations run in place, in the order of the
+expressions they spell, so a record's bits do not depend on it. The six
+ds-integrands sit side by side and are summed in one reduction.
 
 `DiagnosticsRecord` states the record schema once: its fields in order,
 less the in-memory `E2_rate_formula`, are the `series.csv` columns
@@ -188,15 +186,13 @@ def rate_formulas(kind, g, w, gss, g2, gss2, gsss2, out) -> None:
     np.divide(gss2, g2, out=scratch)
 
 
-# (rows, n) arrays that `functionals` evaluates a batch of rows in: f and g (unless
-# a stack holds them), w, g_ss, then the ds-integrands of V, l2_gss, l2_gsss, E2,
-# dE2/dt and dV/dt
+# (rows, n) arrays that `functionals` evaluates a batch of rows in: f, g, w,
+# g_ss, then the ds-integrands of V, l2_gss, l2_gsss, E2, dE2/dt and dV/dt
 WORK_SLOTS = 10
 
 
 def functionals(
-    profiles: Sequence[MetricProfile], kind: BundleKind, work: np.ndarray | None = None,
-    stack: np.ndarray | None = None,
+    profiles: Sequence[MetricProfile], kind: BundleKind, work: np.ndarray | None = None
 ) -> list[DiagnosticsRecord]:
     """One diagnostics row per profile, in order, for profiles on one grid.
 
@@ -206,10 +202,8 @@ def functionals(
 
     work, if given, is a float64 array of at least WORK_SLOTS * rows * n
     elements, and every (rows, n) array of the evaluation is one of its
-    slots; without it, the call makes its own. stack, if given, is a
-    (2, rows, n) float64 array whose [0, i] and [1, i] are profile i's f
-    and g, C-contiguous along its last two axes: they are read there, and
-    work needs two slots fewer. The records depend on neither.
+    slots; without it, the call makes its own. The records do not depend
+    on it.
 
     Raises NumericOverflowError for the first profile with a non-finite
     row: as `curvature_field` does when its curvature is not finite, else
@@ -217,17 +211,14 @@ def functionals(
     dV_dt_formula is NaN by design and exempt).
     """
     dx, n, rows = profiles[0].dx, profiles[0].n, len(profiles)
-    count = WORK_SLOTS if stack is None else WORK_SLOTS - 2
-    size = count * rows * n
-    slots = (np.empty(size) if work is None else work[:size]).reshape(count, rows, n)
-    if stack is None:  # f and g in the first two slots
-        stack, slots = slots[:2], slots[2:]
-        for row, p in enumerate(profiles):
-            stack[0, row], stack[1, row] = p.f, p.g
-    (f, g), (w, gss) = stack, slots[:2]
+    size = WORK_SLOTS * rows * n
+    slots = (np.empty(size) if work is None else work[:size]).reshape(WORK_SLOTS, rows, n)
+    f, g, w, gss = slots[:4]
     torus = kind is BundleKind.TORUS
-    integrands = slots[2:] if torus else slots[2:-1]  # the sphere has no dV/dt
-    g2, gss2, gsss2, spare = slots[2], slots[3], slots[4], slots[5:]
+    integrands = slots[4:] if torus else slots[4:-1]  # the sphere has no dV/dt
+    g2, gss2, gsss2, spare = slots[4], slots[5], slots[6], slots[7:]
+    for row, p in enumerate(profiles):
+        f[row], g[row] = p.f, p.g
     # a non-finite row is reported below by name; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the curvature of `_curvature`, in place: w = g_s, gss = w_s = g_ss, K12, K23

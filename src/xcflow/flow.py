@@ -39,46 +39,44 @@ and on t_end. A step that passes over record times gives each the cubic
 Hermite interpolant of (y, L(y)) at its two ends (Hairer, Norsett &
 Wanner, Solving ODEs I, section II.6), so a record-bound run takes one
 step per landing gap instead of one per record gap. L at the step's
-end is the next step's start, with its bound: evaluated once, and again
-only where records written in its rows have overwritten it.
+end is the next step's start, kept with its bound and evaluated once.
 
 Derivatives use the periodic operator of `_periodic` that geometry and
 diagnostics share. `step` is one fused kernel: stage combinations summed
 in place in rotating buffers, positivity checked by reductions, and the
 result built by the trusted `MetricProfile._trusted`.
-Buffers: every RHS evaluation and step runs in a `_StepState`, the step
-kernel, which binds the run's dx and the flow's sign and shift, and
+Buffers: every RHS evaluation and step runs in a `_StepState`, the
+step kernel, which binds the run's dx and the flow's sign and shift, and
 whose buffers hold the start of a step, the RHS scratch rows and the
 stages. `evolve` keeps one per call and enters one np.errstate block per
 step, around its start, the step and its retries, and the step's end.
 When it makes the records itself, it allocates one arena per call: the
-state's buffers are its head, and `record_landings` evaluates each batch
-of records in it while the landings wait at a yield between two steps;
-the next step makes its start again, unless the last one's end made it.
-A run with K > 1 batches its records as a record-bound run does, but
-fills each batch's f and g straight into one stack (`_Pile`): each
-interpolant is formed in the state's rows and copied there, and
-`functionals` reads the stack in place, so the arena needs two slots
-fewer per record. L at the two ends of the step that it interpolates,
-and at the next step's start, is evaluated again after a batch of
-records has written over it, in place of two (2, n) arrays kept beside
-the records: a dense run then holds no more than a record-bound one. So
-a run allocates its working memory once, a step no more than its result,
-and a batch of records its stack. With `landed`, the state has buffers
-of its own and each interpolant an array of its own. The public `rhs`,
-`stable_dt` and `step` make a state of their own per call and hold
-np.errstate themselves. A step reads its start and Y_0 without writing
-them and allocates only its result, which it makes read-only and whose
-rows it returns. When the next step starts from that result, Y_0 is that
-array, taken without stacking or checking it again, and min f is the one
-its final check took; a profile that the state did not make is stacked
-and checked. No array handed to a profile or a sink is written again,
-and a sink that tries raises, so distinct runs share no state and may
-run in parallel, as `cli.epsilon_sweep`'s members do, and a landed
-profile can be recorded after later steps or elsewhere: `evolve` with
-`landed` hands each one out unrecorded, landed or interpolated, and
-`record_landings`, the one record stage, makes the records wherever they
-are made, as `cli.run_scenario`'s forked record process does.
+state's buffers are its head, and `record_landings` evaluates each
+batch of records in it while the landings wait at a yield between two
+steps; the next step makes its start again, unless it was kept. A
+state with K > 1 keeps L at a step's start and at its end, which is the
+next step's start, in the arena's first 4 rows, which the records do
+not write: they are taken from the records' slots, so such a run
+evaluates one record fewer per batch (one at n = 2048) and its arena is
+no larger than a record-bound run's, except where a batch holds one
+record either way (n > 2048). It takes the interpolation scratch from
+its k rows. So a run allocates its working memory once, and a step no
+more than its result and its interpolants. With `landed`, the state has
+buffers of its own, and a step that passes over record times also
+allocates a copy of its start's L. The public `rhs`, `stable_dt` and `step` make a
+state of their own per call and hold np.errstate themselves. A step
+reads its start and Y_0 without writing them and allocates only its
+result, which it makes read-only and whose rows it returns. When the next
+step starts from that result, Y_0 is that array, taken without stacking
+or checking it again, and min f is the one its final check took; a
+profile that the state did not make is stacked and checked. No array
+handed to a profile or a sink is written again, and a sink that tries
+raises, so distinct runs share no state and may run in parallel, as
+`cli.epsilon_sweep`'s members do, and a landed profile can be recorded
+after later steps or elsewhere: `evolve` with `landed` hands each one
+out unrecorded, landed or interpolated, and `record_landings`, the one
+record stage, makes the records wherever they are made, as
+`cli.run_scenario`'s forked record process does.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -117,6 +115,9 @@ MAX_STEP_RETRIES = 10
 _MAX_STAGES = 6
 _RECORD_NODES = 4096  # evolve evaluates up to this many grid nodes of records per batch
 _STATE_ROWS = 14  # rows of n floats in a step state: start 3, scratch 3, k 2, stages 3 x 2
+# rows of n floats at the head of a dense run's arena that its records do not write, taken
+# from their slots: L at a step's start (l0), then at its end (the state's k0)
+_KEPT_ROWS = 4
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
 
@@ -330,38 +331,38 @@ class _StepState:
 
     It binds the run's n, dx, the flow's sign and its shift c of
     `_rhs_arrays` (a 0-d array, None when c is 0). Its buffers are
-    _STATE_ROWS rows of n floats, at the head of the arena it is given or
-    of its own. `begin` evaluates a step's start into start, rows 0-2:
-    L(Y0) in k0 and the diffusion coefficient in coeff; bound is its
-    stable_dt, which the caller sets. scratch holds `_rhs_arrays`' rows for
-    w, D w and the denominator, k the stage scratch, and stages
-    Y_1 ... Y_{s-1} in rotation. y0 is the last step's read-only (2, n)
-    result, whose rows f and g it returned, and f_min the minimum of f
-    that its final check took: the next step from it reads Y0 and
-    `stable_dt` min f from there without a scan.
-
-    Between steps, no row outlives the records that evolve makes in the
-    arena. A dense run (landing_gaps > 1) forms the interpolants of a step
-    from k0, L at its end, and l0, L at its start, in hermite; l0 and
-    hermite are the rows of stages[0] and stages[1], which hold nothing
-    once the step has ended.
+    _STATE_ROWS rows of n floats, at the head of the arena it is given
+    (after l0, if kept) or of its own. `begin` evaluates a step's start
+    into start: L(Y0) in k0 and the diffusion coefficient in coeff; bound
+    is its stable_dt, which the caller sets. scratch holds `_rhs_arrays`'
+    rows for w, D w and the denominator, k the stage scratch, and stages
+    Y_1 ... Y_{s-1} in rotation. l0 holds L at the start of a step whose
+    interpolants are made after it: a copy that evolve makes or, if kept,
+    the arena's first 2 rows. Then l0 and k0, the arena's first
+    _KEPT_ROWS rows, outlive the records that evolve makes beyond them
+    between steps. Nothing else outlives a step: those records write over
+    it, coeff included. y0 is the last step's read-only (2, n) result,
+    whose rows f and g it returned, and f_min the minimum of f that its
+    final check took: the next step from it reads Y0 and `stable_dt` min
+    f from there without a scan.
     """
 
     __slots__ = ("n", "dx", "sphere", "shift", "bound", "start", "k0", "coeff", "scratch", "k",
-                 "stages", "l0", "hermite", "y0", "f", "g", "f_min")
+                 "stages", "l0", "y0", "f", "g", "f_min")
 
     def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float,
-                 arena: np.ndarray | None = None):
+                 arena: np.ndarray | None = None, kept: bool = False):
         self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
         shift = -1.0 if self.sphere else epsilon
         self.shift = np.array(shift) if shift != 0.0 else None  # only read
         self.bound = self.y0 = self.f = self.g = self.f_min = None
-        size = _STATE_ROWS * self.n
-        rows = (np.empty(size) if arena is None else arena[:size]).reshape(_STATE_ROWS, self.n)
+        size, skip = _STATE_ROWS * self.n, 2 * self.n if kept else 0  # skip: l0's floats
+        rows = (np.empty(size) if arena is None else arena[skip:skip + size]).reshape(
+            _STATE_ROWS, self.n)
         self.start, self.scratch, self.k = rows[:3], tuple(rows[3:6]), rows[6:8]
         self.k0, self.coeff = self.start[:2], self.start[2]
         self.stages = rows[8:10], rows[10:12], rows[12:14]
-        self.l0, self.hermite = self.stages[:2]
+        self.l0 = arena[:skip].reshape(2, self.n) if kept else None
 
     def begin(self, profile: MetricProfile) -> None:
         """Evaluate a step's start at the profile; under np.errstate."""
@@ -498,17 +499,11 @@ def _lands(t: float, every: float, gaps: float, t_end: float) -> bool:
     return _next_landing(k, gaps) == k or _reached(t, t_end)
 
 
-def _batch_rows(n: int, stop_when: Callable | None) -> int:
-    """Records per batch at grid size n: up to _RECORD_NODES nodes, one with stop_when."""
-    return 1 if stop_when is not None else max(1, _RECORD_NODES // n)
-
-
-class _Batch(NamedTuple):
-    """Profiles that `record_landings` evaluates as one batch where they stand: their f and
-    g are the rows [0, i] and [1, i] of stack, a read-only (2, len(profiles), n) array."""
-
-    profiles: list[MetricProfile]
-    stack: np.ndarray
+def _batch_rows(n: int, stop_when: Callable | None, work: np.ndarray | None = None) -> int:
+    """Records per batch at grid size n: up to _RECORD_NODES nodes and, if given, as many as
+    work holds, but at least one; one with stop_when."""
+    rows = 1 if stop_when is not None else max(1, _RECORD_NODES // n)
+    return rows if work is None else max(1, min(rows, work.size // (WORK_SLOTS * n)))
 
 
 def record_landings(
@@ -522,31 +517,31 @@ def record_landings(
 
     The landings are the profiles to record, landed or interpolated, as
     `evolve` makes them. Records are evaluated in batches of up to 4096
-    grid nodes, so the sink gets each one up to one batch after its
-    profile arrives. stop_when, if given, is evaluated on each record as
-    its landing arrives (batches of one) and ends the stage at the first
-    record it holds for. A NumericOverflowError of a record reaches the
-    caller once the sink has seen every record before it. If the landings raise, the records of the
+    grid nodes, and of no more than work holds, so the sink gets each one
+    up to one batch after its profile arrives. stop_when, if given, is
+    evaluated on each record as its landing arrives (batches of one) and
+    ends the stage at the first record it holds for. A
+    NumericOverflowError of a record reaches the caller once the sink has
+    seen every record before it. If the landings raise, the records of the
     landings before reach the sink first, and an error of those records or
     of the sink wins. Returns the number of records handed to the sink.
 
     work is the float64 workspace that `functionals` evaluates every batch
-    in, of at least WORK_SLOTS floats per node of a batch; without it, the
-    first batch makes one for the stage. A dense run's landings are
-    `_Batch`es instead, each evaluated where its stack holds it, with two
-    slots fewer, and released before the next is made.
+    in, WORK_SLOTS floats per node of a batch; without it, the first batch
+    makes one for the stage.
     """
     pending: list[MetricProfile] = []  # landings whose records the sink has not seen yet
     count = 0
 
-    def emit(profiles: list[MetricProfile], stack: np.ndarray | None = None) -> bool:
-        """Hand the profiles' records to the sink in order; True if stop_when ends the stage."""
+    def emit() -> bool:
+        """Hand the pending records to the sink in order; True if stop_when ends the stage."""
         nonlocal count, work
+        profiles, pending[:] = pending[:], []
         if work is None:
             n = profiles[0].n
             work = np.empty(WORK_SLOTS * _batch_rows(n, stop_when) * n)
         try:
-            records = functionals(profiles, kind, work, stack)
+            records = functionals(profiles, kind, work)
         except NumericOverflowError:  # one at a time: the sink sees every good record
             records = (functionals([prof], kind, work)[0] for prof in profiles)
         for rec, prof in zip(records, profiles):
@@ -555,100 +550,35 @@ def record_landings(
                 sink(rec, prof)
         return stop_when is not None and stop_when(rec)  # a batch of one when set
 
-    def flush() -> bool:
-        """`emit` the pending landings."""
-        profiles, pending[:] = pending[:], []
-        return emit(profiles)
-
     try:
         for prof in landings:
-            if isinstance(prof, _Batch):  # after the landings before it
-                batch = prof
-                del prof  # else its stack would outlive its records while the next is made
-                if (pending and flush()) or emit(*batch):
-                    break
-                del batch
-            else:
-                pending.append(prof)
-                if len(pending) == _batch_rows(prof.n, stop_when) and flush():
-                    break
+            pending.append(prof)
+            del prof  # else it would outlive its record while the next landing is made
+            if len(pending) == _batch_rows(pending[0].n, stop_when, work) and emit():
+                break
     finally:
         if pending:  # the records made before a failing landing reach the sink before its error
-            flush()
+            emit()
     return count
 
 
 def _hermite(y0: np.ndarray, y1: np.ndarray, l0: np.ndarray, l1: np.ndarray,
-             theta: float, dt: float, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+             theta: float, dt: float, k: np.ndarray) -> np.ndarray:
     """The cubic Hermite interpolant of (y, L(y)) at a step's two ends, at theta of its dt.
 
     Hairer, Norsett & Wanner, Solving ODEs I, section II.6: y0 and y1 are
     the (2, n) states at the step's start and end, l0 and l1 their slopes.
     It is summed term by term with elementwise ufuncs, k (2, n) as
-    scratch, into out, or else into a fresh (2, n) array, which it makes
-    read-only; it returns that array.
+    scratch, into a fresh (2, n) array, which it makes read-only.
     """
     t2 = theta * theta
     t3 = t2 * theta
-    y = np.multiply(y0, 2.0 * t3 - 3.0 * t2 + 1.0, out=out)
+    y = np.multiply(y0, 2.0 * t3 - 3.0 * t2 + 1.0)
     y += np.multiply(y1, 3.0 * t2 - 2.0 * t3, out=k)
     y += np.multiply(l0, (t3 - 2.0 * t2 + theta) * dt, out=k)
     y += np.multiply(l1, (t3 - t2) * dt, out=k)
-    if out is None:
-        y.flags.writeable = False  # as a step's result: a sink that writes into it raises
+    y.flags.writeable = False  # as a step's result: a sink that writes into it raises
     return y
-
-
-def _interpolant(start: MetricProfile, y0: np.ndarray, y1: np.ndarray, state: _StepState,
-                 dt: float, t: float, out: np.ndarray | None = None) -> MetricProfile:
-    """The profile at record time t of the step of dt from start, whose (2, n) ends are y0
-    and y1: `_hermite` with the state's l0 and k0, L at those ends, into out or an array
-    of its own, and positive everywhere, as a step's result is."""
-    y = _hermite(y0, y1, state.l0, state.k0, (t - start.t) / dt, dt, state.k, out)
-    # a cubic between two positive ends can undershoot where f or g falls fast
-    if not np.minimum.reduce(y, axis=None) > 0.0:  # NaN fails too
-        raise _failure(y, start.t, dt, f"interpolant at t={t!r} lost positivity")
-    return MetricProfile._trusted(start.n, start.period, t, y[0], y[1])
-
-
-class _Pile:
-    """The batch of profiles to record that a dense run fills between its records: each
-    profile's f and g go into the next row of one fresh (2, rows, n) stack, where
-    `record_landings` evaluates them once `take` hands them out as a _Batch."""
-
-    def __init__(self, rows: int, profile: MetricProfile):
-        self.rows, self.n, self.period = rows, profile.n, profile.period
-        self.stack, self.times = None, []
-
-    def add(self, t: float, f: np.ndarray, g: np.ndarray) -> bool:
-        """Copy in the profile (t, f, g); True when the batch is full."""
-        if not self.times:
-            self.stack = np.empty((2, self.rows, self.n))
-        self.stack[0, len(self.times)], self.stack[1, len(self.times)] = f, g
-        self.times.append(t)
-        return len(self.times) == self.rows
-
-    def take(self) -> _Batch:
-        """The profiles added since the last take, read-only, as a _Batch."""
-        stack, times = self.stack[:, :len(self.times)], self.times
-        self.stack, self.times = None, []
-        stack.flags.writeable = False  # as a step's result: a sink that writes into it raises
-        return _Batch([MetricProfile._trusted(self.n, self.period, t, f, g)
-                       for t, f, g in zip(times, *stack)], stack)
-
-    def around(self, landings: Iterator[_Batch]) -> Iterator[_Batch]:
-        """The landings' batches, then the one filled so far, once they end or raise: the
-        records before an error reach the sink first, as `record_landings` makes them."""
-        try:
-            yield from landings
-        except GeneratorExit:  # the record stage has stopped
-            raise
-        except BaseException:
-            if self.times:
-                yield self.take()
-            raise
-        if self.times:
-            yield self.take()
 
 
 def evolve(
@@ -661,28 +591,27 @@ def evolve(
 ) -> tuple[MetricProfile, RunSummary]:
     """Run the flow from the profile's time up to config.t_end.
 
-    The sink is invoked with (record, profile) at the start time, at every
-    global multiple of record_every, and at t_end. Steps land on every
-    landing_gaps-th record time, a whole number K of record gaps, and on
-    t_end; with K = inf, on t_end only. Landing times are global multiples
-    too, so the record stream is deterministic and bit-reproducible across
-    resumes from a landed profile. With K = 1, the default, every record
-    time is a landing. One rule, `_reached`, decides whether a time has
-    reached another: a step that reaches its landing lands on it, taking
-    that time exactly, and the run ends once the profile's time reaches
-    t_end. So the profile returned is always the last one the sink was
-    given, or with K > 1 equal to it. A step that passes over record times
+    The sink is invoked with (record, profile) at the start time, at
+    every global multiple of record_every, and at t_end. Steps land on
+    every landing_gaps-th record time, a whole number K of record gaps,
+    and on t_end; with K = inf, on t_end only. Landing times are global
+    multiples too, so the record stream is deterministic and
+    bit-reproducible across resumes from a landed profile. With K = 1,
+    the default, every record time is a landing. One rule, `_reached`,
+    decides whether a time has reached another: a step that reaches its
+    landing lands on it, taking that time exactly, and the run ends once
+    the profile's time reaches t_end. So the profile returned is always
+    the last one the sink was given. A step that passes over record times
     on its way gives each of them the cubic Hermite interpolant of
     (y, L(y)) at its two ends (`_hermite`): such a profile is not a state
-    of the discrete flow, and no step starts from it. L at a step's end is
-    then the next step's start, evaluated once, or again after records
-    have written over it. `record_landings` makes the records: in batches
-    of up to 4096 grid nodes, so the sink gets them in order, up to one
-    batch after the step that made them. With K > 1 the sink gets each
-    profile as a copy in its batch's stack (see the module's notes on
-    buffers). stop_when, if given, is evaluated on each record right after
-    its step (batches of one) and ends the run early at that record's
-    time; it needs K = 1, as every record is then a landing.
+    of the discrete flow, and no step starts from it. L at a step's end
+    is then the next step's start, evaluated once. `record_landings`
+    makes the records: in batches of up to 4096 grid nodes, with K > 1
+    one record fewer, so the sink gets them in order, up to one batch
+    after the step that made them.
+    stop_when, if given, is evaluated on each record right after its step
+    (batches of one) and ends the run early at that record's time; it
+    needs K = 1, as every record is then a landing.
 
     landed, if given, takes the place of sink and stop_when: it gets each
     profile to record, landed or interpolated, right after its step, and
@@ -706,33 +635,24 @@ def evolve(
     t_end, every = config.t_end, config.record_every
     kind, epsilon, cap = config.kind, config.epsilon, _span(_MAX_STAGES)
     gaps = landing_gaps if landing_gaps == math.inf else int(landing_gaps)
-    n, rows = profile.n, _batch_rows(profile.n, stop_when)  # rows: records per batch
-    arena = pile = None  # the step state's own buffers when the records are made elsewhere
+    kept = gaps > 1 and landed is None  # L at a step's two ends outlives the records after it
+    arena = work = None  # the step state's own buffers when the records are made elsewhere
     if landed is None:  # one arena for the steps and, between them, the records
-        if gaps > 1:  # whose f and g a pile's stacks hold
-            pile = _Pile(rows, profile)
-        slots = WORK_SLOTS if pile is None else WORK_SLOTS - 2
-        arena = np.empty(max(_STATE_ROWS, slots * rows) * n)
-    state = _StepState(profile, kind, epsilon, arena)  # this call's kernel: runs share none
+        size = max(_STATE_ROWS, WORK_SLOTS * _batch_rows(profile.n, stop_when))  # rows of n
+        if kept:  # l0 and k0 come first, out of the records' slots; at least one record's remain
+            records = max(1, (size - _KEPT_ROWS) // WORK_SLOTS)
+            # the state's rows after k0 lie among the records' slots
+            size = _KEPT_ROWS + max(_STATE_ROWS - 2, WORK_SLOTS * records)
+        arena = np.empty(size * profile.n)
+        work = arena[_KEPT_ROWS * profile.n:] if kept else arena  # its size sets a batch's records
+    state = _StepState(profile, kind, epsilon, arena, kept)  # this call's kernel: runs share none
 
-    def landings() -> Iterator[MetricProfile | _Batch]:
-        """The start profile, then the profile of each record time in order, and t_end's;
-        with a pile, in its batches, each handed out as soon as it is full."""
+    def landings() -> Iterator[MetricProfile]:
+        """The start profile, then the profile of each record time in order, and t_end's."""
         nonlocal profile
         k = next_record_index(profile.t, every)  # the next record time's index
         begun = False  # whether the state's start is the profile's, from the last step's end
-        stale = True  # whether the pile's records were made since l0 and k0 were formed
-
-        def out(prof: MetricProfile) -> Iterator[MetricProfile | _Batch]:
-            """The profile to record, or with a pile, the batch that it fills."""
-            nonlocal stale
-            if pile is None:
-                yield prof
-            elif pile.add(prof.t, prof.f, prof.g):
-                stale = True  # its records write over l0 and k0
-                yield pile.take()
-
-        yield from out(profile)
+        yield profile
         while not _reached(profile.t, t_end):
             landing = _next_landing(k, gaps)  # a record index
             target = min(landing * every, t_end)
@@ -742,8 +662,6 @@ def evolve(
                 if not begun:
                     state.begin(profile)
                     state.bound = stable_dt(profile, kind, epsilon, state)
-                elif stale:  # the pile's records wrote over L at the last step's end
-                    _rhs_arrays(state, profile.f, profile.g, profile.t, state.k0)
                 own = profile.f is state.f and profile.g is state.g  # the state's last result
                 y0 = state.y0 if own else None
                 dt = min(target - profile.t, cap * state.bound)
@@ -771,22 +689,25 @@ def evolve(
                     passed += 1
                 begun = passed > k  # their interpolants need L at the step's end
                 if begun:  # which the next step starts from: the start's L moves out first
-                    np.copyto(state.l0, state.k0)
+                    if kept:
+                        np.copyto(state.l0, state.k0)
+                    else:
+                        state.l0 = state.k0.copy()
                     state.begin(advanced)
                     state.bound = stable_dt(advanced, kind, epsilon, state)
-                    stale = False
             if begun:
                 if y0 is None:  # a start that no step of this state made
                     y0 = np.array((profile.f, profile.g))
                 y1 = state.y0 if advanced.f is state.f else np.array((advanced.f, advanced.g))
-                for j in range(k, passed):  # with a pile, copied into its stack
-                    if stale:  # L at the step's two ends, which the pile's records wrote over
-                        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                            _rhs_arrays(state, y0[0], y0[1], profile.t, state.l0)
-                            _rhs_arrays(state, y1[0], y1[1], advanced.t, state.k0)
-                        stale = False
-                    yield from out(_interpolant(profile, y0, y1, state, dt, j * every,
-                                                None if pile is None else state.hermite))
+                for j in range(k, passed):  # the records made here write over the state's head
+                    theta = (j * every - profile.t) / dt
+                    y = _hermite(y0, y1, state.l0, state.k0, theta, dt, state.k)
+                    # a cubic between two positive ends can undershoot where f or g falls fast
+                    if not np.minimum.reduce(y, axis=None) > 0.0:  # NaN fails too
+                        raise _failure(y, profile.t, dt, f"interpolant at t={j * every!r} "
+                                       "lost positivity")
+                    yield MetricProfile._trusted(profile.n, profile.period, j * every, y[0], y[1])
+                    del y  # else it would outlive its record while the next one is made
                 k = passed
             # a step that the bound or a retry shortened can still land
             if _reached(advanced.t, target):
@@ -796,13 +717,12 @@ def evolve(
                     advanced.n, advanced.period, target, advanced.f, advanced.g
                 )
                 k += 1
-                yield from out(profile)  # the records made here write over the state's head
+                yield profile  # the records made here write over the state's head
             else:
                 profile = advanced
 
     if landed is None:
-        stream = landings() if pile is None else pile.around(landings())
-        summary.records = record_landings(stream, kind, sink, stop_when, arena)
+        summary.records = record_landings(landings(), kind, sink, stop_when, work)
     else:
         for prof in landings():
             landed(prof)

@@ -10,7 +10,6 @@ from xcflow import (
     BundleKind,
     DiagnosticsRecord,
     FlowConfig,
-    MetricProfile,
     count_sign_changes,
     evolve,
     functionals,
@@ -278,15 +277,3 @@ class TestWorkspace:
         work = np.empty(WORK_SLOTS * rows * n)
         functionals(profiles, kind, work)  # one-time allocations of numpy and the interpreter
         assert traced_peak(lambda: functionals(profiles, kind, work)) < rows * n * 8
-
-    @pytest.mark.parametrize("n, rows", [(256, 16), (2048, 2)])
-    def test_stack_equals_the_expression_form(self, kind, n, rows):
-        # f and g read in place from a (2, rows, n) stack, with two slots fewer of work
-        profiles = landed_profiles(kind, n, rows)
-        stack = np.array([[p.f for p in profiles], [p.g for p in profiles]])
-        stacked = [MetricProfile._trusted(n, TWO_PI, p.t, f, g)
-                   for p, f, g in zip(profiles, stack[0], stack[1])]
-        work = np.full((WORK_SLOTS - 2) * rows * n, np.nan)
-        want = [repr(rec) for rec in reference_records(profiles, kind)]
-        assert [repr(rec) for rec in functionals(stacked, kind, work, stack)] == want
-        assert np.array_equal(stack, [[p.f for p in profiles], [p.g for p in profiles]])

@@ -679,9 +679,9 @@ def run_both_ways(profile, cfg):
     for stop_when in (None, lambda rec: False):
         seen, sizes = [], []
 
-        def counted(profiles, kind, work=None, stack=None):
+        def counted(profiles, kind, work=None):
             sizes.append(len(profiles))
-            return functionals(profiles, kind, work, stack)
+            return functionals(profiles, kind, work)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow_mod, "functionals", counted)
@@ -951,17 +951,14 @@ class TestStepState:
         # dt as step's 4th positional argument: evolve must call each of them per step
         # or per RHS evaluation through flow's module globals. A dense run (landing on
         # every 50th record time) evaluates each step's end once, for its interpolants
-        # and the next step's start, and the last step's end once more. L at a step's
-        # start (l0) and end (k0) is evaluated again where a batch of records, which the
-        # arena holds, ends amid the step's interpolants: after 7 of the 8 batches of 64
-        # of the 501 records here
+        # and the next step's start, and the last step's end once more
         p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
         span = flow_mod._span(flow_mod._MAX_STAGES)
         every = 0.002 if units is None else units * span * stable_dt(p, kind)
         cfg = FlowConfig(kind=kind, t_end=10 * gaps * every, record_every=every)
-        last_end, again = (1, 7) if gaps > 1 else (0, 0)
-        calls = {"step": [], "_rhs_arrays": 0, "stable_dt": 0, "_stages": [], "l0": 0, "k0": 0}
-        real = {name: getattr(flow_mod, name) for name in calls if name not in ("l0", "k0")}
+        last_end = 1 if gaps > 1 else 0
+        calls = {"step": [], "_rhs_arrays": 0, "stable_dt": 0, "_stages": []}
+        real = {name: getattr(flow_mod, name) for name in calls}
 
         def step_spy(*args):
             advanced = real["step"](*args)
@@ -971,9 +968,6 @@ class TestStepState:
         def counting(name):
             def spy(*args):
                 calls[name] += 1
-                if name == "_rhs_arrays":  # args: state, f, g, t, out
-                    calls["l0"] += args[4] is args[0].l0
-                    calls["k0"] += args[4] is args[0].k0
                 return real[name](*args)
             return spy
 
@@ -991,12 +985,10 @@ class TestStepState:
         assert calls["stable_dt"] == summary.steps + last_end
         stages = calls["_stages"]
         assert len(stages) == summary.steps
-        assert calls["l0"] == calls["k0"] == again
-        evaluations = summary.steps + last_end + sum(s - 1 for s in stages)
-        assert calls["_rhs_arrays"] == evaluations + 2 * again
+        assert calls["_rhs_arrays"] == summary.steps + last_end + sum(s - 1 for s in stages)
         if units is None:
             assert set(stages) == {2}
-            assert calls["_rhs_arrays"] == 2 * summary.steps + last_end + 2 * again
+            assert calls["_rhs_arrays"] == 2 * summary.steps + last_end
         else:
             assert max(stages) > 2
 
@@ -1034,6 +1026,32 @@ class TestArena:
         # the first step stacks the start profile; the rest start from the last result.
         # A result is (2, n) floats; a few objects of the interpreter come with it
         assert all(peak < 2 * n * 8 + 4096 for peak in peaks[1:])
+
+    @pytest.mark.parametrize("n, batch", [(256, 15), (2048, 1)])
+    def test_dense_run_takes_its_kept_rows_from_the_records(self, monkeypatch, n, batch):
+        # K > 1 keeps L at a step's two ends in 4 rows of the arena that the records do
+        # not write: its batches hold one record fewer than a record-bound run's, and its
+        # arena is no larger
+        init, arenas, sizes = flow_mod._StepState.__init__, [], []
+
+        def spy_init(state, profile, kind, epsilon, arena=None, kept=False):
+            arenas.append(arena.size)
+            init(state, profile, kind, epsilon, arena, kept)
+
+        def counted(profiles, kind, work=None):
+            sizes[-1].append(len(profiles))
+            return functionals(profiles, kind, work)
+
+        monkeypatch.setattr(flow_mod._StepState, "__init__", spy_init)
+        monkeypatch.setattr(flow_mod, "functionals", counted)
+        cfg = FlowConfig(kind=TORUS, t_end=0.2, record_every=0.005)  # 41 records
+        for gaps in (1, 10):
+            sizes.append([])
+            evolve(sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1), cfg, sink=lambda rec, prof: None,
+                   landing_gaps=gaps)
+        assert arenas[1] <= arenas[0]
+        for rows, got in zip((batch + 1, batch), sizes):
+            assert got == [rows] * (41 // rows) + ([41 % rows] if 41 % rows else [])
 
 
 def series_array(records):
@@ -1112,25 +1130,9 @@ class TestDenseOutput:
             assert not got.flags.writeable
             np.testing.assert_allclose(got, y(t0 + theta * dt), rtol=1e-13)
 
-    @pytest.mark.parametrize("field", ["f", "g"])
-    def test_writing_into_a_profile_of_a_dense_batch_raises(self, field):
-        # the sink gets copies in a batch's stack, the start's and the landed ones too,
-        # and no later batch writes there: a write raises instead of changing a record
-        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
-        cfg = FlowConfig(kind=TORUS, t_end=0.05, record_every=0.01)
-        seen = []
-
-        def write(rec, prof):
-            seen.append((prof.t, prof is p))
-            getattr(prof, field)[3] = 1.0
-
-        with pytest.raises(ValueError, match="read-only"):
-            evolve(p, cfg, sink=write, landing_gaps=5)
-        assert seen == [(0.0, False)]
-
     def test_landed_and_sink_paths_see_the_same_profiles(self):
-        # the sink path makes its records between the steps, in their arena and from a
-        # stack of copies, and evaluates L again where they wrote over it; landed makes none
+        # the sink path makes its records in the arena of the steps, between them, and
+        # keeps at its head L at the two ends of the step it interpolates; landed makes none
         p = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
         cfg = FlowConfig(kind=TORUS, t_end=0.5, record_every=0.002)
         by_sink, by_landed = [], []
