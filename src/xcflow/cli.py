@@ -30,6 +30,7 @@ import json
 import math
 import os
 import pickle
+import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -381,8 +382,10 @@ class _Workers:
         report is the buffered write end of a pipe to this process and feed
         the buffered read end of one from it, which holds up to
         _FEED_BYTES where the system allows, so that a sender is seldom
-        held up by a worker that is busy. The worker leaves by os._exit
-        when work returns or raises, so it flushes nothing it inherited.
+        held up by a worker that is busy. The worker ignores SIGINT, so a
+        terminal's Ctrl-C interrupts this process alone, and leaves by
+        os._exit when work returns or raises, so it flushes nothing it
+        inherited.
         Returns this process's ends: the report's read end, and the feed's
         write end or None.
         """
@@ -396,6 +399,7 @@ class _Workers:
         pid = os.fork()
         if pid == 0:
             try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent only
                 os.close(report_r)
                 if feed:
                     os.close(feed_w)  # else the feed would never end
@@ -515,9 +519,10 @@ def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path, gaps
     on the landing grid. Returns the packed rows as `_read_report` reads
     them, in place. The record process's
     error wins over this process's, as a record error raised after a
-    failing step does in `evolve`. On an error that `main` reports, the
-    records made before it are finished first; on any other, such as
-    KeyboardInterrupt, the record process is killed.
+    failing step does in `evolve`. On any error of the steps, such as
+    KeyboardInterrupt, the records made before it are finished first, so
+    the outputs are those of one CPU; an interrupt that arrives while
+    this process waits for the report kills the record process.
     """
     def record(report, feed):
         rows, error = bytearray(), None
@@ -539,7 +544,7 @@ def _record_lane(profile: MetricProfile, config: ScenarioConfig, out: Path, gaps
         error = None
         try:
             evolve(profile, config.flow, landed=send, landing_gaps=gaps)
-        except _REPORTED as exc:  # such as a broken pipe: the record process has failed
+        except BaseException as exc:  # KeyboardInterrupt too: the records before it come first
             error = exc
         with contextlib.suppress(OSError):  # a broken pipe: the report tells why
             feed.close()
@@ -620,9 +625,12 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
     states of the discrete flow. g(t_end) is a landed state.
     Members run round-robin on one lane per CPU in the affinity mask, lanes
     after the first in forked workers; no output or error depends on that.
+    An empty list, or an epsilon that FlowConfig rejects, is a ValueError
+    raised before any member runs or any directory is made.
     """
     if config.flow.kind is not BundleKind.TORUS:
         raise NotApplicableError("epsilon sweep applies to torus runs only")
+    require(len(epsilons) > 0, "epsilons", "list at least one epsilon", epsilons)
     # FlowConfig checks every epsilon before any member runs
     flows = {
         eps: dataclasses.replace(config.flow, epsilon=eps)

@@ -46,30 +46,29 @@ diagnostics share. `step` is one fused kernel: stage combinations summed
 in place in rotating buffers, positivity checked by reductions, and the
 result built by the trusted `MetricProfile._trusted`.
 Buffers: every RHS evaluation and step runs in a `_StepState`, the
-step kernel, which binds the run's dx and the flow's sign and shift, and
-whose buffers hold the start of a step, the RHS scratch rows and the
-stages. `evolve` keeps one per call and enters one np.errstate block per
-step, around its start, the step and its retries, and the step's end.
-When it makes the records itself, it allocates one arena per call: the
-state's buffers are its head, and `record_landings` evaluates each
-batch of records in it while the landings wait at a yield between two
-steps; the next step makes its start again, unless it was kept. A
-state with K > 1 keeps L at a step's start and at its end, which is the
-next step's start, in the arena's first 4 rows, which the records do
-not write: they are taken from the records' slots, so such a run
-evaluates one record fewer per batch (one at n = 2048) and its arena is
-no larger than a record-bound run's, except where a batch holds one
-record either way (n > 2048). It takes the interpolation scratch from
-its k rows. So a run allocates its working memory once, and a step no
-more than its result and its interpolants. With `landed`, the state has
-buffers of its own, and a step that passes over record times also
-allocates a copy of its start's L. The public `rhs`, `stable_dt` and `step` make a
-state of their own per call and hold np.errstate themselves. A step
-reads its start and Y_0 without writing them and allocates only its
-result, which it makes read-only and whose rows it returns. When the next
-step starts from that result, Y_0 is that array, taken without stacking
-or checking it again, and min f is the one its final check took; a
-profile that the state did not make is stacked and checked. No array
+step kernel, which binds the run's dx and the flow's sign and shift. Its
+buffers are 16 rows of n floats in one layout: L at a step's start
+(l0), the start (L(Y_0) in k0 and the diffusion coefficient), the RHS
+scratch rows, k and the stages. `evolve` keeps one per call and enters
+one np.errstate block per step, around its start, the step and its
+retries, and the step's end. When it makes the records itself, the state
+is the head of its one arena per call, and `record_landings` evaluates
+each batch of records in it while the landings wait at a yield between
+two steps. With K = 1 the records start at row 0 and the next step
+makes its start again; with K > 1 they skip l0 and k0, which keep L at
+a step's two ends, so such a run evaluates one record fewer per batch
+(one at n = 2048) and its arena is no larger than a record-bound run's.
+With `landed`, and in the public `rhs`, `stable_dt` and `step`, which
+hold np.errstate themselves, the buffers are the state's own. A step
+that passes over record times copies its start's L into l0 and takes
+the interpolants' scratch from k, so a run allocates its working memory
+once, and a step no more than its result and its interpolants. A step
+reads its start and Y_0 without writing them, leaves the Y_0 it read in
+the state, and allocates only its result, which it makes read-only and
+whose rows it returns. When the next step starts from that result, Y_0
+is that array, taken without stacking or checking it again, and min f
+is the one its final check took; a profile that the state did not make
+is stacked and checked. No array
 handed to a profile or a sink is written again, and a sink that tries
 raises, so distinct runs share no state and may run in parallel, as
 `cli.epsilon_sweep`'s members do, and a landed profile can be recorded
@@ -114,9 +113,9 @@ MAX_STEP_RETRIES = 10
 # stable_dt. TestStageCap in tests/test_flow.py pins it against the grid error.
 _MAX_STAGES = 6
 _RECORD_NODES = 4096  # evolve evaluates up to this many grid nodes of records per batch
-_STATE_ROWS = 14  # rows of n floats in a step state: start 3, scratch 3, k 2, stages 3 x 2
-# rows of n floats at the head of a dense run's arena that its records do not write, taken
-# from their slots: L at a step's start (l0), then at its end (the state's k0)
+_STATE_ROWS = 16  # rows of n floats in a step state: l0 2, start 3, scratch 3, k 2, stages 3 x 2
+# rows of n floats at a state's head that a dense run's records do not write, taken from
+# their slots: L at a step's start (l0), then at its end (the state's k0)
 _KEPT_ROWS = 4
 
 RecordSink = Callable[[DiagnosticsRecord, MetricProfile], None]
@@ -331,38 +330,36 @@ class _StepState:
 
     It binds the run's n, dx, the flow's sign and its shift c of
     `_rhs_arrays` (a 0-d array, None when c is 0). Its buffers are
-    _STATE_ROWS rows of n floats, at the head of the arena it is given
-    (after l0, if kept) or of its own. `begin` evaluates a step's start
-    into start: L(Y0) in k0 and the diffusion coefficient in coeff; bound
-    is its stable_dt, which the caller sets. scratch holds `_rhs_arrays`'
-    rows for w, D w and the denominator, k the stage scratch, and stages
-    Y_1 ... Y_{s-1} in rotation. l0 holds L at the start of a step whose
-    interpolants are made after it: a copy that evolve makes or, if kept,
-    the arena's first 2 rows. Then l0 and k0, the arena's first
-    _KEPT_ROWS rows, outlive the records that evolve makes beyond them
-    between steps. Nothing else outlives a step: those records write over
-    it, coeff included. y0 is the last step's read-only (2, n) result,
-    whose rows f and g it returned, and f_min the minimum of f that its
-    final check took: the next step from it reads Y0 and `stable_dt` min
-    f from there without a scan.
+    _STATE_ROWS rows of n floats, at the head of the arena it is given or
+    of its own, in one layout. l0 holds L at the start of a step whose
+    interpolants are made after it, copied there from k0. `begin`
+    evaluates a step's start into start: L(Y0) in k0 and the diffusion
+    coefficient in coeff; bound is its stable_dt, which the caller sets.
+    scratch holds `_rhs_arrays`' rows for w, D w and the denominator, k
+    the stage scratch, and stages Y_1 ... Y_{s-1} in rotation. l0 and k0,
+    the first _KEPT_ROWS rows, outlive the records that a dense `evolve`
+    makes beyond them between steps; nothing else outlives a step: those
+    records write over it, coeff included. y0 is the Y0 that the last step
+    read, y1 its read-only (2, n) result, whose rows f and g it returned,
+    and f_min the minimum of f that its final check took: the next step
+    from it reads Y0 and `stable_dt` min f from there without a scan.
     """
 
-    __slots__ = ("n", "dx", "sphere", "shift", "bound", "start", "k0", "coeff", "scratch", "k",
-                 "stages", "l0", "y0", "f", "g", "f_min")
+    __slots__ = ("n", "dx", "sphere", "shift", "bound", "l0", "start", "k0", "coeff", "scratch",
+                 "k", "stages", "y0", "y1", "f", "g", "f_min")
 
     def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float,
-                 arena: np.ndarray | None = None, kept: bool = False):
+                 arena: np.ndarray | None = None):
         self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
         shift = -1.0 if self.sphere else epsilon
         self.shift = np.array(shift) if shift != 0.0 else None  # only read
-        self.bound = self.y0 = self.f = self.g = self.f_min = None
-        size, skip = _STATE_ROWS * self.n, 2 * self.n if kept else 0  # skip: l0's floats
-        rows = (np.empty(size) if arena is None else arena[skip:skip + size]).reshape(
-            _STATE_ROWS, self.n)
-        self.start, self.scratch, self.k = rows[:3], tuple(rows[3:6]), rows[6:8]
+        self.bound = self.y0 = self.y1 = self.f = self.g = self.f_min = None
+        size = _STATE_ROWS * self.n
+        rows = (np.empty(size) if arena is None else arena[:size]).reshape(_STATE_ROWS, self.n)
+        self.l0, self.start, self.k = rows[:2], rows[2:5], rows[8:10]
+        self.scratch = tuple(rows[5:8])
         self.k0, self.coeff = self.start[:2], self.start[2]
-        self.stages = rows[8:10], rows[10:12], rows[12:14]
-        self.l0 = arena[:skip].reshape(2, self.n) if kept else None
+        self.stages = rows[10:12], rows[12:14], rows[14:16]
 
     def begin(self, profile: MetricProfile) -> None:
         """Evaluate a step's start at the profile; under np.errstate."""
@@ -405,10 +402,10 @@ def step(
     `_StepState` begun at this profile, with its bound set, and the caller
     holds np.errstate; kind and epsilon are then the state's. L(Y0) is read
     and never written: evolve forms it once per step and reuses it on a
-    retry. Y0 is the state's y0 when the profile holds the state's last
-    result, the stages run in the state's buffers, and the result is the
-    step's one allocation, read-only. Without a state, the step makes one
-    of its own and holds np.errstate itself.
+    retry. Y0 is the state's y1 when the profile holds its last result;
+    the step leaves Y0 in y0, runs its stages in the state's buffers and
+    allocates only its result, read-only. Without a state, the step makes
+    one of its own and holds np.errstate itself.
 
     Raises StepFailureError, naming f or g and a node, if f or g loses
     positivity at any stage or is not finite and positive in the result;
@@ -420,11 +417,12 @@ def step(
             return step(profile, kind, epsilon, dt, _StepState.started(profile, kind, epsilon))
     t, k0, k, stages = profile.t, state.k0, state.k, state.stages
     if profile.f is state.f and profile.g is state.g:
-        y0 = state.y0  # the last step's result, checked by its final check
+        y0 = state.y1  # the last step's result, checked by its final check
     else:
         y0 = np.array((profile.f, profile.g))
         if np.minimum.reduce(y0, axis=None) <= 0.0:
             raise _failure(y0, t, dt, "positivity lost at an internal stage")
+    state.y0 = y0  # the start of the interpolants of the records that the step passes over
     mu_1, rows = _rkl2_coefficients(_stages(dt, state.bound))
     last = len(rows) - 1
     y_prev2, y_prev = y0, np.multiply(k0, mu_1 * dt, out=stages[0])  # Y_1
@@ -452,7 +450,7 @@ def step(
     if not (low[0] > 0.0 and low[1] > 0.0 and np.maximum.reduce(y_prev, axis=None) < math.inf):
         raise _failure(y_prev, t, dt, "positivity lost")
     y_prev.flags.writeable = False  # a sink that writes into a landed profile raises
-    state.y0, state.f, state.g, state.f_min = y_prev, y_prev[0], y_prev[1], float(low[0])
+    state.y1, state.f, state.g, state.f_min = y_prev, y_prev[0], y_prev[1], float(low[0])
     return MetricProfile._trusted(profile.n, profile.period, t + dt, state.f, state.g)
 
 
@@ -635,17 +633,15 @@ def evolve(
     t_end, every = config.t_end, config.record_every
     kind, epsilon, cap = config.kind, config.epsilon, _span(_MAX_STAGES)
     gaps = landing_gaps if landing_gaps == math.inf else int(landing_gaps)
-    kept = gaps > 1 and landed is None  # L at a step's two ends outlives the records after it
     arena = work = None  # the step state's own buffers when the records are made elsewhere
     if landed is None:  # one arena for the steps and, between them, the records
-        size = max(_STATE_ROWS, WORK_SLOTS * _batch_rows(profile.n, stop_when))  # rows of n
-        if kept:  # l0 and k0 come first, out of the records' slots; at least one record's remain
-            records = max(1, (size - _KEPT_ROWS) // WORK_SLOTS)
-            # the state's rows after k0 lie among the records' slots
-            size = _KEPT_ROWS + max(_STATE_ROWS - 2, WORK_SLOTS * records)
-        arena = np.empty(size * profile.n)
-        work = arena[_KEPT_ROWS * profile.n:] if kept else arena  # its size sets a batch's records
-    state = _StepState(profile, kind, epsilon, arena, kept)  # this call's kernel: runs share none
+        # rows of n: a dense run's records skip l0 and k0, which outlive them, and make one
+        # record fewer per batch, but at least one; the state's rows lie among their slots
+        head = _KEPT_ROWS if gaps > 1 else 0
+        records = max(1, (WORK_SLOTS * _batch_rows(profile.n, stop_when) - head) // WORK_SLOTS)
+        arena = np.empty(max(_STATE_ROWS, head + WORK_SLOTS * records) * profile.n)
+        work = arena[head * profile.n:]  # its size sets a batch's records
+    state = _StepState(profile, kind, epsilon, arena)  # this call's kernel: runs share none
 
     def landings() -> Iterator[MetricProfile]:
         """The start profile, then the profile of each record time in order, and t_end's."""
@@ -662,8 +658,6 @@ def evolve(
                 if not begun:
                     state.begin(profile)
                     state.bound = stable_dt(profile, kind, epsilon, state)
-                own = profile.f is state.f and profile.g is state.g  # the state's last result
-                y0 = state.y0 if own else None
                 dt = min(target - profile.t, cap * state.bound)
                 for attempt in range(MAX_STEP_RETRIES + 1):
                     try:
@@ -688,20 +682,14 @@ def evolve(
                        and not _reached(passed * every, target)):
                     passed += 1
                 begun = passed > k  # their interpolants need L at the step's end
-                if begun:  # which the next step starts from: the start's L moves out first
-                    if kept:
-                        np.copyto(state.l0, state.k0)
-                    else:
-                        state.l0 = state.k0.copy()
+                if begun:  # which the next step starts from: the start's L moves to l0 first
+                    np.copyto(state.l0, state.k0)
                     state.begin(advanced)
                     state.bound = stable_dt(advanced, kind, epsilon, state)
             if begun:
-                if y0 is None:  # a start that no step of this state made
-                    y0 = np.array((profile.f, profile.g))
-                y1 = state.y0 if advanced.f is state.f else np.array((advanced.f, advanced.g))
-                for j in range(k, passed):  # the records made here write over the state's head
+                for j in range(k, passed):  # the records made here write over the state
                     theta = (j * every - profile.t) / dt
-                    y = _hermite(y0, y1, state.l0, state.k0, theta, dt, state.k)
+                    y = _hermite(state.y0, state.y1, state.l0, state.k0, theta, dt, state.k)
                     # a cubic between two positive ends can undershoot where f or g falls fast
                     if not np.minimum.reduce(y, axis=None) > 0.0:  # NaN fails too
                         raise _failure(y, profile.t, dt, f"interpolant at t={j * every!r} "
@@ -717,7 +705,7 @@ def evolve(
                     advanced.n, advanced.period, target, advanced.f, advanced.g
                 )
                 k += 1
-                yield profile  # the records made here write over the state's head
+                yield profile  # the records made here write over the state
             else:
                 profile = advanced
 

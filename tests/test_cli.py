@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -559,6 +560,15 @@ class TestEpsilonSweepLanes:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("epsilons", ["", ","])
+    def test_empty_epsilon_list_exits_2_before_any_output(self, tmp_path, capsys, epsilons):
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
+        assert main(["eps-sweep", "--config", str(path), "--epsilons", epsilons]) == 2
+        assert capsys.readouterr().err == (
+            "error: epsilons must list at least one epsilon, got []\n")
+        assert not (tmp_path / "out").exists()
+
 
 DENSE_SWEEP_GAPS = cli._SWEEP_LANDING_GAPS
 
@@ -729,18 +739,19 @@ class TestRunScenarioLanes:
     @pytest.mark.parametrize("f_bad, message", [
         (1e-120, "non-finite record field E2 (t=0.02)"),
         (None, "failed: still failing after 10 halvings; last good t=0.05"),
-    ], ids=["record-overflows", "step-fails"])
+        (None, None),
+    ], ids=["record-overflows", "step-fails", "interrupted"])
     def test_failure_gives_the_same_outputs_on_both_paths(self, tmp_path, monkeypatch, capsys,
                                                           f_bad, message):
         # every step lands on the next record time, as snapshot_every is not a whole number
         # of record gaps; the one onto t = 0.02 collapses f, so the third record overflows,
-        # or the step from t = 0.05 fails
+        # or the step from t = 0.05 fails or is interrupted, which main does not report
         good = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
 
         def fake_step(profile, kind, epsilon, dt, start=None):
             t = profile.t + dt
             if f_bad is None and profile.t >= 0.05:
-                raise StepFailureError(profile.t, dt, "collapsed")
+                raise StepFailureError(profile.t, dt, "collapsed") if message else KeyboardInterrupt
             f = np.full(256, f_bad) if f_bad and t == pytest.approx(0.02) else good.f
             return MetricProfile(256, TWO_PI, t, f, good.g)
 
@@ -752,9 +763,15 @@ class TestRunScenarioLanes:
             path = tmp_path / f"cpus{count}.txt"
             path.write_text(config_text(tmp_path / f"cpus{count}", bundle="torus", t_end="0.2",
                                         record_every="0.01", **{"output.snapshot_every": "0.105"}))
-            assert main(["run", "--config", str(path)]) == 2
+            if message is None:
+                with pytest.raises(KeyboardInterrupt):
+                    main(["run", "--config", str(path)])
+            else:
+                assert main(["run", "--config", str(path)]) == 2
             outcomes.append((capsys.readouterr().err, files(tmp_path / f"cpus{count}")))
-        assert outcomes[0][0].startswith("error: ") and outcomes[0][0].endswith(f"{message}\n")
+        err = outcomes[0][0]
+        assert err == "" if message is None else (
+            err.startswith("error: ") and err.endswith(f"{message}\n"))
         rows = [line.split(",", 1)[0] for line in
                 outcomes[0][1][Path("series.csv")].decode().splitlines()[1:]]
         assert rows == (["0.0", "0.01"] if f_bad else ["0.0", "0.01", "0.02", "0.03", "0.04", "0.05"])
@@ -789,6 +806,17 @@ class TestRunScenarioLanes:
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "error: the record process ended without reporting\n"
         assert not (tmp_path / "out" / "claims.txt").exists()
+        assert_no_child_left()
+
+    def test_workers_ignore_sigint(self):
+        # a terminal's Ctrl-C reaches the whole process group: it interrupts xcf alone,
+        # which finishes its records or reaps its workers
+        with cli._Workers() as workers:
+            report, _ = workers.fork(lambda report: report.write(
+                b"1" if signal.getsignal(signal.SIGINT) is signal.SIG_IGN else b"0"))
+            with report:
+                assert report.read() == b"1"
+        assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
         assert_no_child_left()
 
     @pytest.mark.parametrize("count", [1, 2])
@@ -1249,6 +1277,7 @@ class TestEpsilonSweepValidation:
         [
             ([1e-2, -1e-3], "epsilon must be >= 0, got -0.001"),
             ([float("nan")], "epsilon must be >= 0, got nan"),
+            ([], r"epsilons must list at least one epsilon, got \[\]"),
         ],
     )
     def test_rejected_before_any_member_runs(self, tmp_path, epsilons, message):

@@ -1034,9 +1034,9 @@ class TestArena:
         # arena is no larger
         init, arenas, sizes = flow_mod._StepState.__init__, [], []
 
-        def spy_init(state, profile, kind, epsilon, arena=None, kept=False):
+        def spy_init(state, profile, kind, epsilon, arena=None):
             arenas.append(arena.size)
-            init(state, profile, kind, epsilon, arena, kept)
+            init(state, profile, kind, epsilon, arena)
 
         def counted(profiles, kind, work=None):
             sizes[-1].append(len(profiles))
@@ -1145,6 +1145,26 @@ class TestDenseOutput:
         for a, b in zip(by_sink, by_landed):
             assert a.f.tobytes() == b.f.tobytes() and a.g.tobytes() == b.g.tobytes()
         assert final_s.g.tobytes() == final_l.g.tobytes()
+
+    @pytest.mark.parametrize("landed", [False, True], ids=["sink", "landed"])
+    def test_every_interpolant_takes_l0_from_one_buffer(self, monkeypatch, landed):
+        # L at the start of a step that passes over records moves into the state's l0 in
+        # place, on both paths: a run makes no copy of it per step
+        hermite, slopes = flow_mod._hermite, []
+
+        def spy(y0, y1, l0, *args):
+            slopes.append(l0)  # held: a fresh copy per step could not take a freed one's id
+            return hermite(y0, y1, l0, *args)
+
+        monkeypatch.setattr(flow_mod, "_hermite", spy)
+        p = sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1)
+        cfg = FlowConfig(kind=TORUS, t_end=0.5, record_every=0.002)
+        if landed:
+            _, summary = evolve(p, cfg, landed=lambda prof: None, landing_gaps=50)
+        else:
+            _, summary = evolve(p, cfg, sink=lambda rec, prof: None, landing_gaps=50)
+        assert (summary.steps, len(slopes)) == (5, 245)
+        assert all(l0 is slopes[0] for l0 in slopes)
 
     def test_reruns_and_resumes_are_bit_identical(self, tmp_path):
         p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
