@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from xcflow import (
     evolve,
     sinusoid_profile,
 )
+from xcflow.cli import _claim_line
 from xcflow.claims import _max, _rate_residual_ratio
 
 TORUS = BundleKind.TORUS
@@ -325,6 +327,52 @@ def test_nan_extremum_fails_squeeze_claim():
 def test_nan_growth_fails_log_slope_claim(kind, claim_id):
     v = verdict(stream(sup_gss=lambda k: math.nan if k == 2 else 0.1), kind, claim_id)
     assert v.status == "fail" and math.isnan(v.measured)
+
+
+def pinned_tables():
+    """Crafted record streams whose claim lines tests/claim_lines.txt holds: a torus and a
+    sphere stream, a constant-g one (T-L2 and T-T6 vacuous) and one with a NaN sup|g_ss|."""
+    torus = stream(
+        n=6, dt=0.25,
+        L=lambda k: 6.28 + 0.03 * k + (0.002 if k == 3 else 0.0),
+        dL_dt_formula=[0.12, 0.12, 0.121, 0.12, 0.119, 0.12],
+        V=lambda k: 25.0 + 0.2 * k - (0.05 if k == 4 else 0.0),
+        g_max=lambda k: 2.1 + 1e-5 * k, g_min=[1.9, 1.9, 1.9, 1.9, 1.9, 1.90003],
+        sup_gs=[0.1, 0.099, 0.1005, 0.098, 0.097, 0.096],
+        sup_gss=lambda k: 0.1 * math.exp(0.3 * k),
+        zero_count=[2, 2, 2, 2, 4, 2],
+    )
+    sphere = stream(
+        n=6, dt=0.25,
+        g_max=[2.1, 2.06, 2.03, 2.012, 2.004, 2.001],
+        g_min=[1.9, 1.94, 1.97, 1.988, 1.996, 1.9985],
+        L=lambda k: 6.28 - 0.01 * k, dL_dt_formula=[-0.04, -0.04, -0.04, -0.0401, -0.04, -0.04],
+        sup_gs=[0.1, 0.08, 0.06, 0.05, 0.04, 0.03],
+        sup_gss=lambda k: 0.1 * math.exp(-0.5 * k),
+        l2_gss=[0.03, 0.015, 0.008, 0.004, 0.002, 0.001],
+        l2_gsss=[0.03, 0.02, 0.015, 0.01, 0.008, 0.006],
+        K12_sup=[0.05, 0.02, 0.01, 0.005, 0.003, 0.002],
+        K23_mean=[0.25] * 6, K23_spread=[0.004] * 6, R_mean=[0.5004] * 6,
+    )
+    constant = stream(g_max=[2.0] * 5, g_min=[2.0] * 5, L=[6.28] * 5)
+    nan_growth = stream(sup_gss=lambda k: math.nan if k == 2 else 0.1 + 0.01 * k)
+    return {"torus": torus, "sphere": sphere, "constant-g": constant, "nan-sup_gss": nan_growth}
+
+
+def pinned_claim_lines():
+    """Every claim line of every pinned table, in both kinds, under a `# table kind` header."""
+    lines = []
+    for name, records in pinned_tables().items():
+        for kind in (TORUS, SPHERE):
+            lines.append(f"# {name} {kind.value}")
+            lines.extend(map(_claim_line, evaluate_claims(records, kind)))
+    return "\n".join(lines) + "\n"
+
+
+def test_claim_lines_pinned():
+    # crafted tables, not flow runs: the text depends on the claims alone
+    want = (Path(__file__).parent / "claim_lines.txt").read_text(encoding="utf-8")
+    assert pinned_claim_lines() == want
 
 
 def _rate_residual_loop(t, values, formula, tol):
