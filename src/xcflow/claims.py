@@ -29,6 +29,11 @@ Sphere-family claims:
          constant, R_mean close to 2 K23_mean and K23_mean close to
          1/alpha_hat^2
 
+The two families share two claims, each computed once: T-L4 and S-L10
+are one growth bound, and T-L5 and S-L12 one length claim. L moves with
+the flow's sign (`BundleKind.flow_sign`), so the length claim's
+monotonicity violation is the worst rise of -flow_sign * L.
+
 Simple claims report a raw worst violation against a raw threshold.
 Compound claims (several conditions under one id) report the largest
 violation-to-tolerance ratio of their components against a tolerance of
@@ -136,24 +141,30 @@ def _max(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _worst_increase(values: np.ndarray) -> float:
+def _worst_rise(values: np.ndarray) -> float:
+    """Largest rise between consecutive values, 0 when none; a fall of v is a rise of -v."""
     return _max(0.0, float(np.max(np.diff(values))))
 
 
-def _worst_decrease(values: np.ndarray) -> float:
-    return _max(0.0, float(-np.min(np.diff(values))))
-
-
 def _max_log_slope(t: np.ndarray, values: np.ndarray) -> float:
-    """Largest forward slope of log(values); -inf when never defined."""
+    """Largest forward slope of log(values) between consecutive positive values.
+
+    NaN slopes (inf - inf) are skipped; -inf when no slope is left, NaN
+    when a value is NaN. Each log is `math.log`'s, and of equal largest
+    slopes the first counts, which gives a zero its sign.
+    """
     if np.isnan(values).any():
         return math.nan
-    worst = -math.inf
-    for k in range(len(values) - 1):
-        a, b = values[k], values[k + 1]
-        if a > 0.0 and b > 0.0:
-            worst = max(worst, (math.log(b) - math.log(a)) / (t[k + 1] - t[k]))
-    return worst
+    positive = values > 0.0
+    logs = np.zeros(len(values))
+    logs[positive] = [math.log(v) for v in values[positive].tolist()]
+    pair = positive[:-1] & positive[1:]
+    slopes = np.diff(logs)[pair] / np.diff(t)[pair]
+    slopes = slopes[~np.isnan(slopes)]
+    if not slopes.size:
+        return -math.inf
+    worst = float(np.max(slopes))
+    return worst if worst != 0.0 else float(slopes[slopes == 0.0][0])
 
 
 def _rate_residual_ratio(
@@ -194,8 +205,10 @@ def evaluate_claims(
     verdicts. Claims of the other bundle family are reported
     not-applicable, as is T-L2/T-T6 when the initial fibre size is
     constant (the flow is then stationary and the statements are
-    vacuous). Requires at least 3 records at strictly increasing times.
+    vacuous). Requires at least 3 records at strictly increasing finite
+    times, and a BundleKind: a string such as "torus" is rejected.
     """
+    require(isinstance(kind, BundleKind), "kind", "be a BundleKind", kind)
     tol = tolerances if tolerances is not None else ClaimTolerances()
     table = records if isinstance(records, np.ndarray) else _series_table(_packed_rows(records))
     if table.ndim != 2 or table.shape[1] != len(SERIES_FIELDS):
@@ -211,135 +224,82 @@ def evaluate_claims(
         for name in ("t", "L", "V", "g_max", "g_min", "sup_gs", "sup_gss",
                      "l2_gss", "l2_gsss", "zero_count", "dL_dt_formula")
     )
-    if not np.all(np.diff(t) > 0.0):
-        raise ValueError("records must be ordered by strictly increasing t")
+    if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
+        raise ValueError("records must be ordered by strictly increasing finite t")
 
     gap0 = g_max[0] - g_min[0]
     constant_initial = gap0 <= 1e-12 * max(1.0, abs(g_max[0]))
-    alpha_hat = float(0.5 * (g_max[-1] + g_min[-1]))
+    vacuous = "initial fibre size is constant; {} is vacuous"
 
-    out: list[ClaimVerdict] = []  # in ALL_CLAIMS order: the torus family, then the sphere's
-
-    # --- torus family ---
+    # each claim is (measured, tolerance, note), or the note of a vacuous claim
+    growth = (_max_log_slope(t, sup_gss), tol.growth_cap,
+              "largest log-slope of sup|g_ss| (exponential bound proxy)")
+    l_against_flow = _worst_rise(-kind.flow_sign * L)  # L rises on the torus, falls on the sphere
+    length = (_max(_ratio(l_against_flow, tol.mono_tol(np.max(L))),
+                   _rate_residual_ratio(t, L, dL_formula, tol)),
+              1.0, "max of L-monotonicity and dL/dt rate-identity violation ratios")
     if kind is BundleKind.TORUS:
-        if constant_initial:
-            out.append(_na("T-L2", "initial fibre size is constant; extrema claim is vacuous"))
-        else:
-            drift = _max(
-                float(np.max(np.abs(g_max - g_max[0]))),
-                float(np.max(np.abs(g_min - g_min[0]))),
-            )
-            out.append(_verdict(
-                "T-L2", drift, tol.extrema_drift,
-                "worst drift of g_max/g_min from their start values",
-            ))
-
-        out.append(_verdict(
-            "T-L3", _worst_increase(sup_gs), tol.mono_tol(np.max(sup_gs)),
-            "worst per-record increase of sup|g_s|",
-        ))
-
-        out.append(_verdict(
-            "T-L4", _max_log_slope(t, sup_gss), tol.growth_cap,
-            "largest log-slope of sup|g_ss| (exponential bound proxy)",
-        ))
-
-        mono = _ratio(_worst_decrease(L), tol.mono_tol(np.max(L)))
-        resid = _rate_residual_ratio(t, L, dL_formula, tol)
-        out.append(_verdict(
-            "T-L5", _max(mono, resid), 1.0,
-            "max of L-monotonicity and dL/dt rate-identity violation ratios",
-        ))
-
-        if constant_initial:
-            out.append(_na("T-T6", "initial fibre size is constant; growth proxy is vacuous"))
-        else:
+        other = "sphere"
+        growth_proxy = vacuous.format("growth proxy")
+        if not constant_initial:
             delta = float(tol.delta_l_frac * L[0])
             shortfall = (L[0] + delta) - L[-1]
             # any positive shortfall against the required gain must fail
-            growth = 0.0 if shortfall <= 0.0 else 1.0 + _ratio(shortfall, delta)
+            gain = 0.0 if shortfall <= 0.0 else 1.0 + _ratio(shortfall, delta)
             tail = dL_formula[t >= t[0] + 0.75 * (t[-1] - t[0])]
             min_rate = float(np.min(tail)) if tail.size else math.nan
             positive = 0.0 if min_rate > 0.0 else 2.0 + _ratio(-min_rate, tol.rate_abs)
-            out.append(_verdict(
-                "T-T6", _max(growth, positive), 1.0,
-                f"finite-horizon growth proxy (delta_L={delta!r}, final-quarter min dL/dt={min_rate!r})",
-            ))
-
-        v_mono = _ratio(_worst_decrease(V), tol.mono_tol(np.max(V)))
-        v_bound = _ratio(g_min[0] ** 2 * L[-1] - V[-1], tol.mono_tol(np.max(V)))
-        out.append(_verdict(
-            "T-C7", _max(v_mono, v_bound), 1.0,
-            "V must not decrease and must end at or above g_min(0)^2 L(end)",
-        ))
-
-        zc_drift = float(np.max(np.abs(zc - zc[0])))
-        out.append(_verdict(
-            "T-R", zc_drift, 0.0,
-            "sign-change count of g_s must stay constant",
-        ))
+            growth_proxy = (_max(gain, positive), 1.0, "finite-horizon growth proxy "
+                            f"(delta_L={delta!r}, final-quarter min dL/dt={min_rate!r})")
+        drift = _max(float(np.max(np.abs(g_max - g_max[0]))),
+                     float(np.max(np.abs(g_min - g_min[0]))))
+        v_tol = tol.mono_tol(np.max(V))
+        v_bound = _ratio(g_min[0] ** 2 * L[-1] - V[-1], v_tol)
+        claims = {
+            "T-L2": vacuous.format("extrema claim") if constant_initial else (
+                drift, tol.extrema_drift, "worst drift of g_max/g_min from their start values"),
+            "T-L3": (_worst_rise(sup_gs), tol.mono_tol(np.max(sup_gs)),
+                     "worst per-record increase of sup|g_s|"),
+            "T-L4": growth,
+            "T-L5": length,
+            "T-T6": growth_proxy,
+            "T-C7": (_max(_ratio(_worst_rise(-V), v_tol), v_bound), 1.0,
+                     "V must not decrease and must end at or above g_min(0)^2 L(end)"),
+            "T-R": (float(np.max(np.abs(zc - zc[0]))), 0.0,
+                    "sign-change count of g_s must stay constant"),
+        }
     else:
-        out.extend(_na(cid, "applies to torus runs only") for cid in TORUS_CLAIMS)
-
-    # --- sphere family ---
-    if kind is BundleKind.SPHERE:
-        up = _ratio(_worst_increase(g_max), tol.mono_tol(np.max(g_max)))
-        down = _ratio(_worst_decrease(g_min), tol.mono_tol(np.max(g_max)))
-        out.append(_verdict(
-            "S-L8", _max(up, down), 1.0,
-            "g_max must not increase and g_min must not decrease",
-        ))
-
-        out.append(_verdict(
-            "S-L9", float(np.max(sup_gs)), SLOPE_BOUND,
-            "sup|g_s| must stay within the initial slope bound",
-        ))
-
-        out.append(_verdict(
-            "S-L10", _max_log_slope(t, sup_gss), tol.growth_cap,
-            "largest log-slope of sup|g_ss| (exponential bound proxy)",
-        ))
-
-        mono = _ratio(_worst_increase(L), tol.mono_tol(np.max(L)))
-        resid = _rate_residual_ratio(t, L, dL_formula, tol)
-        out.append(_verdict(
-            "S-L12", _max(mono, resid), 1.0,
-            "max of L-monotonicity and dL/dt rate-identity violation ratios",
-        ))
-
-        out.append(_verdict(
-            "S-L13", float(l2_gss[-1]), tol.theta * float(l2_gss[0]),
-            "final l2 norm of g_ss against theta times its start value",
-        ))
-
-        flat = _ratio(float(g_max[-1] - g_min[-1]), tol.theta * gap0)
-        slack = tol.mono_tol(g_max[0])
-        sandwich = _ratio(_max(g_min[0] - alpha_hat, alpha_hat - g_max[0]), slack)
-        out.append(_verdict(
-            "S-T14", _max(flat, sandwich), 1.0,
-            f"fibre size flattens toward alpha_hat={alpha_hat!r} inside the initial extrema",
-        ))
-
-        out.append(_verdict(
-            "S-L15", float(l2_gsss[-1]), tol.theta * float(l2_gsss[0]),
-            "final l2 norm of g_sss against theta times its start value",
-        ))
-
+        other = "torus"
+        alpha_hat = float(0.5 * (g_max[-1] + g_min[-1]))
+        g_tol = tol.mono_tol(np.max(g_max))
+        sandwich = _max(g_min[0] - alpha_hat, alpha_hat - g_max[0])
         k12_sup, k23_mean, k23_spread, r_mean = (
             float(table[-1, SERIES_FIELDS.index(name)])
             for name in ("K12_sup", "K23_mean", "K23_spread", "R_mean")
         )
-        parts = (
-            _ratio(k12_sup, tol.tol_k),
-            _ratio(k23_spread, tol.tol_k),
-            _ratio(abs(r_mean - 2.0 * k23_mean), tol.tol_r_pair),
-            _ratio(abs(k23_mean - 1.0 / alpha_hat**2), tol.tol_alpha_k23),
-        )
-        out.append(_verdict(
-            "S-K", _max(*parts), 1.0,
-            "end-state curvature limits; the limit of K23 is read as 1/alpha_hat^2 "
-            "(the flat-fibre-size reading of the limit constant)",
-        ))
-    else:
-        out.extend(_na(cid, "applies to sphere runs only") for cid in SPHERE_CLAIMS)
+        claims = {
+            "S-L8": (_max(_ratio(_worst_rise(g_max), g_tol), _ratio(_worst_rise(-g_min), g_tol)),
+                     1.0, "g_max must not increase and g_min must not decrease"),
+            "S-L9": (float(np.max(sup_gs)), SLOPE_BOUND,
+                     "sup|g_s| must stay within the initial slope bound"),
+            "S-L10": growth,
+            "S-L12": length,
+            "S-L13": (float(l2_gss[-1]), tol.theta * float(l2_gss[0]),
+                      "final l2 norm of g_ss against theta times its start value"),
+            "S-T14": (_max(_ratio(float(g_max[-1] - g_min[-1]), tol.theta * gap0),
+                           _ratio(sandwich, tol.mono_tol(g_max[0]))), 1.0,
+                      f"fibre size flattens toward alpha_hat={alpha_hat!r} "
+                      "inside the initial extrema"),
+            "S-L15": (float(l2_gsss[-1]), tol.theta * float(l2_gsss[0]),
+                      "final l2 norm of g_sss against theta times its start value"),
+            "S-K": (_max(_ratio(k12_sup, tol.tol_k), _ratio(k23_spread, tol.tol_k),
+                         _ratio(abs(r_mean - 2.0 * k23_mean), tol.tol_r_pair),
+                         _ratio(abs(k23_mean - 1.0 / alpha_hat**2), tol.tol_alpha_k23)),
+                    1.0, "end-state curvature limits; the limit of K23 is read as 1/alpha_hat^2 "
+                    "(the flat-fibre-size reading of the limit constant)"),
+        }
+    out = []
+    for cid in ALL_CLAIMS:
+        claim = claims.get(cid, f"applies to {other} runs only")
+        out.append(_na(cid, claim) if isinstance(claim, str) else _verdict(cid, *claim))
     return out

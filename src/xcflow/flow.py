@@ -169,6 +169,7 @@ class FlowConfig:
     tolerances: ClaimTolerances = field(default_factory=ClaimTolerances)
 
     def __post_init__(self):
+        require(isinstance(self.kind, BundleKind), "kind", "be a BundleKind", self.kind)
         require(self.epsilon >= 0.0, "epsilon", "be >= 0", self.epsilon)
         require(self.t_end > 0.0, "t_end", "be positive", self.t_end)
         if self.record_every is None:
@@ -194,6 +195,7 @@ def validate_initial(profile: MetricProfile, kind: BundleKind) -> MetricProfile:
     pass, but constant g is flagged with a StationaryFlowWarning since
     the flow then never moves.
     """
+    require(isinstance(kind, BundleKind), "kind", "be a BundleKind", kind)
     w = s_derivative(profile, profile.g)
     sup = float(np.max(np.abs(w)))
     if kind is BundleKind.SPHERE and sup > SLOPE_BOUND:
@@ -350,6 +352,7 @@ class _StepState:
 
     def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float,
                  arena: np.ndarray | None = None):
+        require(isinstance(kind, BundleKind), "kind", "be a BundleKind", kind)
         self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
         shift = -1.0 if self.sphere else epsilon
         self.shift = np.array(shift) if shift != 0.0 else None  # only read

@@ -21,7 +21,7 @@ from xcflow import (
     sinusoid_profile,
 )
 from xcflow.cli import _claim_line
-from xcflow.claims import _max, _rate_residual_ratio
+from xcflow.claims import _max, _max_log_slope, _rate_residual_ratio
 
 TORUS = BundleKind.TORUS
 SPHERE = BundleKind.SPHERE
@@ -300,9 +300,12 @@ def test_tolerance_bounds():
         ClaimTolerances(theta=5)
 
 
-def test_nan_time_rejected():
+@pytest.mark.parametrize("at, t", [(2, math.nan), (-1, math.inf), (0, -math.inf)],
+                         ids=["nan", "last-inf", "first-minus-inf"])
+def test_nan_time_rejected(at, t):
+    # an infinite end time is in order, yet no claim reads it
     records = stream(n=4)
-    records[2] = dataclasses.replace(records[2], t=math.nan)
+    records[at] = dataclasses.replace(records[at], t=t)
     with pytest.raises(ValueError, match="ordered"):
         evaluate_claims(records, TORUS)
 
@@ -401,6 +404,42 @@ def test_rate_residual_ratio_matches_loop(nan_at):
         want = _rate_residual_loop(t, values, formula, tol)
         assert got == want or (math.isnan(got) and math.isnan(want))
         assert math.isnan(got) == (nan_at is not None)
+
+
+def _max_log_slope_loop(t, values):
+    """Reference: the per-record loop that `_max_log_slope` does as arrays."""
+    if np.isnan(values).any():
+        return math.nan
+    worst = -math.inf
+    for k in range(len(values) - 1):
+        a, b = values[k], values[k + 1]
+        if a > 0.0 and b > 0.0:
+            worst = max(worst, (math.log(b) - math.log(a)) / (t[k + 1] - t[k]))
+    return worst
+
+
+@pytest.mark.parametrize("cells", ["positive", "falling", "zeros", "negatives", "inf", "all-zero",
+                                   "nan"])
+def test_max_log_slope_matches_loop(cells):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        size = int(rng.integers(2, 30))
+        # the time step across 0 may overflow to inf, which gives a slope of +0 or -0
+        t = np.sort(rng.choice([-1.0, 1.0], size) * rng.uniform(0.6, 1.0, size))
+        t *= rng.choice([1.0, 1.7e308])
+        values = np.exp(rng.normal(0.0, 1.0, size)) * rng.choice([1.0, 1e300], size)
+        values[rng.random(size) < 0.3] = values[0]  # equal neighbours: slopes of +0
+        if cells == "falling":  # the largest slope is 0, often both +0 and -0: the first counts
+            values = np.sort(values)[::-1].copy()
+        chosen = rng.random(size) < (1.0 if cells == "all-zero" else 0.3)
+        if cells == "negatives":
+            values[chosen] *= -1.0
+        elif cells not in ("positive", "falling"):
+            values[chosen] = {"zeros": 0.0, "inf": math.inf, "all-zero": 0.0, "nan": math.nan}[cells]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = _max_log_slope(t, values), _max_log_slope_loop(t, values)
+        assert (math.isnan(got) and math.isnan(want)) or (
+            got == want and math.copysign(1.0, got) == math.copysign(1.0, want))
 
 
 def sphere_length_verdict():

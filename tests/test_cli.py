@@ -1350,6 +1350,18 @@ class TestMalformedInputs:
         assert main(["check", "--series", str(series), "--kind", "torus"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("times", [("0.0", "0.5", "inf"), ("-inf", "0.0", "0.5")],
+                             ids=["last-inf", "first-minus-inf"])
+    def test_infinite_time_exits_2(self, tmp_path, capsys, times):
+        # in order, yet no claim can read it; MetricProfile rejects such a t, so only a
+        # hand-made series carries one
+        series = tmp_path / "series.csv"
+        series.write_text("\n".join([SERIES_HEADER, *(series_row(t=t) for t in times)]) + "\n")
+        assert main(["check", "--series", str(series), "--kind", "torus"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == "error: records must be ordered by strictly increasing finite t\n"
+
     def test_snapshot_without_field_exits_2(self, tmp_path, capsys):
         snap = tmp_path / "snap.json"
         save_snapshot(sinusoid_profile(16, TWO_PI, 2.0, 0.1, 1), snap)

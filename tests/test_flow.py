@@ -10,6 +10,7 @@ from xcflow.diagnostics import _series_values
 from xcflow import (
     SERIES_FIELDS,
     BundleKind,
+    FieldError,
     FlowConfig,
     MetricProfile,
     NumericOverflowError,
@@ -17,6 +18,7 @@ from xcflow import (
     StationaryFlowWarning,
     StepFailureError,
     curvature_field,
+    evaluate_claims,
     evolve,
     functionals,
     load_snapshot,
@@ -98,6 +100,21 @@ class TestFlowConfig:
         # the step is set by the stencil's bound and the record gap alone
         names = [f.name for f in dataclasses.fields(FlowConfig)]
         assert names == ["kind", "t_end", "epsilon", "record_every", "tolerances"]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p: FlowConfig(kind="sphere", t_end=1.0),
+    lambda p: validate_initial(p, "sphere"),
+    lambda p: rhs(p, "sphere"),
+    lambda p: stable_dt(p, "sphere"),
+    lambda p: step(p, "sphere", 0.0, 1e-3),
+    lambda p: evaluate_claims(np.arange(3.0)[:, None] * np.ones(len(SERIES_FIELDS)), "sphere"),
+], ids=["FlowConfig", "validate_initial", "rhs", "stable_dt", "step", "evaluate_claims"])
+def test_kind_must_be_a_bundle_kind(entry):
+    # a string is not converted: "sphere" once ran the torus flow and its claims
+    with pytest.raises(FieldError, match="^kind must be a BundleKind, got 'sphere'$") as err:
+        entry(steep_profile())  # sup|g_s| > 1/4, which a sphere run must reject
+    assert err.value.keys == ("kind",)
 
 
 class TestValidateInitial:
