@@ -157,7 +157,8 @@ def _max_log_slope(t: np.ndarray, values: np.ndarray) -> float:
         return math.nan
     positive = values > 0.0
     logs = np.zeros(len(values))
-    logs[positive] = [math.log(v) for v in values[positive].tolist()]
+    # one value at a time: a list of them all would raise a run's peak memory
+    logs[positive] = np.fromiter(map(math.log, values[positive]), float)
     pair = positive[:-1] & positive[1:]
     slopes = np.diff(logs)[pair] / np.diff(t)[pair]
     slopes = slopes[~np.isnan(slopes)]
