@@ -157,8 +157,10 @@ def _max_log_slope(t: np.ndarray, values: np.ndarray) -> float:
         return math.nan
     positive = values > 0.0
     logs = np.zeros(len(values))
-    # one value at a time: a list of them all would raise a run's peak memory
-    logs[positive] = np.fromiter(map(math.log, values[positive]), float)
+    # one value at a time into an array of the right size: a list of them, or an
+    # array that grows as it fills, fragments the heap and raises a run's peak memory
+    logs[positive] = np.fromiter(map(math.log, values[positive]), float,
+                                 np.count_nonzero(positive))
     pair = positive[:-1] & positive[1:]
     slopes = np.diff(logs)[pair] / np.diff(t)[pair]
     slopes = slopes[~np.isnan(slopes)]
