@@ -141,9 +141,12 @@ def _max(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _worst_rise(values: np.ndarray) -> float:
-    """Largest rise between consecutive values, 0 when none; a fall of v is a rise of -v."""
-    return _max(0.0, float(np.max(np.diff(values))))
+def _worst_rise(values: np.ndarray, sign: float = 1.0) -> float:
+    """Largest rise of sign * values between consecutive values, 0 when none: a
+    fall of v is a rise of -v."""
+    rises = np.diff(values)
+    rises *= sign  # on the differences: no array of sign * values
+    return _max(0.0, float(np.max(rises)))
 
 
 def _max_log_slope(t: np.ndarray, values: np.ndarray) -> float:
@@ -161,9 +164,9 @@ def _max_log_slope(t: np.ndarray, values: np.ndarray) -> float:
     # array that grows as it fills, fragments the heap and raises a run's peak memory
     logs[positive] = np.fromiter(map(math.log, values[positive]), float,
                                  np.count_nonzero(positive))
-    pair = positive[:-1] & positive[1:]
-    slopes = np.diff(logs)[pair] / np.diff(t)[pair]
-    slopes = slopes[~np.isnan(slopes)]
+    slopes = np.diff(logs)
+    slopes /= np.diff(t)
+    slopes = slopes[positive[:-1] & positive[1:] & ~np.isnan(slopes)]
     if not slopes.size:
         return -math.inf
     worst = float(np.max(slopes))
@@ -237,7 +240,7 @@ def evaluate_claims(
     # each claim is (measured, tolerance, note), or the note of a vacuous claim
     growth = (_max_log_slope(t, sup_gss), tol.growth_cap,
               "largest log-slope of sup|g_ss| (exponential bound proxy)")
-    l_against_flow = _worst_rise(-kind.flow_sign * L)  # L rises on the torus, falls on the sphere
+    l_against_flow = _worst_rise(L, -kind.flow_sign)  # L rises on the torus, falls on the sphere
     length = (_max(_ratio(l_against_flow, tol.mono_tol(np.max(L))),
                    _rate_residual_ratio(t, L, dL_formula, tol)),
               1.0, "max of L-monotonicity and dL/dt rate-identity violation ratios")
@@ -266,7 +269,7 @@ def evaluate_claims(
             "T-L4": growth,
             "T-L5": length,
             "T-T6": growth_proxy,
-            "T-C7": (_max(_ratio(_worst_rise(-V), v_tol), v_bound), 1.0,
+            "T-C7": (_max(_ratio(_worst_rise(V, -1.0), v_tol), v_bound), 1.0,
                      "V must not decrease and must end at or above g_min(0)^2 L(end)"),
             "T-R": (float(np.max(np.abs(zc - zc[0]))), 0.0,
                     "sign-change count of g_s must stay constant"),
@@ -281,7 +284,7 @@ def evaluate_claims(
             for name in ("K12_sup", "K23_mean", "K23_spread", "R_mean")
         )
         claims = {
-            "S-L8": (_max(_ratio(_worst_rise(g_max), g_tol), _ratio(_worst_rise(-g_min), g_tol)),
+            "S-L8": (_max(_ratio(_worst_rise(g_max), g_tol), _ratio(_worst_rise(g_min, -1.0), g_tol)),
                      1.0, "g_max must not increase and g_min must not decrease"),
             "S-L9": (float(np.max(sup_gs)), SLOPE_BOUND,
                      "sup|g_s| must stay within the initial slope bound"),
