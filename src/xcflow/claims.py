@@ -32,7 +32,8 @@ Sphere-family claims:
 The two families share two claims, each computed once: T-L4 and S-L10
 are one growth bound, and T-L5 and S-L12 one length claim. L moves with
 the flow's sign (`BundleKind.flow_sign`), so the length claim's
-monotonicity violation is the worst rise of -flow_sign * L.
+monotonicity violation is the worst rise of -flow_sign * L: the sign is
+an argument of the one worst-rise helper.
 
 Simple claims report a raw worst violation against a raw threshold.
 Compound claims (several conditions under one id) report the largest
@@ -142,10 +143,14 @@ def _max(*values: float) -> float:
 
 
 def _worst_rise(values: np.ndarray, sign: float = 1.0) -> float:
-    """Largest rise of sign * values between consecutive values, 0 when none: a
-    fall of v is a rise of -v."""
+    """Largest rise of sign * values between consecutive values, 0 when none.
+
+    A fall of v is a rise of -v. The sign scales the differences in place:
+    the result is that of sign * values, with no array of sign * values
+    (such arrays raised a run's peak memory).
+    """
     rises = np.diff(values)
-    rises *= sign  # on the differences: no array of sign * values
+    rises *= sign
     return _max(0.0, float(np.max(rises)))
 
 
@@ -284,7 +289,8 @@ def evaluate_claims(
             for name in ("K12_sup", "K23_mean", "K23_spread", "R_mean")
         )
         claims = {
-            "S-L8": (_max(_ratio(_worst_rise(g_max), g_tol), _ratio(_worst_rise(g_min, -1.0), g_tol)),
+            "S-L8": (_max(_ratio(_worst_rise(g_max), g_tol),
+                          _ratio(_worst_rise(g_min, -1.0), g_tol)),
                      1.0, "g_max must not increase and g_min must not decrease"),
             "S-L9": (float(np.max(sup_gs)), SLOPE_BOUND,
                      "sup|g_s| must stay within the initial slope bound"),
