@@ -25,14 +25,18 @@ Steps are s-stage RKL2 super-steps (Meyer, Balsara & Aslam 2014,
 J. Comput. Phys. 257, 594-626): second order in time, and stable for
 dt * rho <= (s^2 + s - 2)/2, where `stable_dt` derives why 1 / stable_dt
 bounds the spectral radius rho for this stencil. A step spans
-dt = min(time to the next landing, 20 stable_dt) and takes the fewest
-stages s >= 2 that cover it. The cap of S = 6 stages,
-(S^2 + S - 2)/2 = 20, is the largest that keeps the sphere run's time
-error within 5% of its grid difference at n = 256 (TestStageCap in
-tests/test_flow.py); at a fixed cap the time error falls as dx^4
-against the grid's dx^2. The step's
-first RHS evaluation also gives D_max, so w is formed once per step,
-and s and dt depend only on the state at the step's start.
+dt = min(time to the next landing, 20 stable_dt, 0.75 / R), with R the
+largest relative rate |L(y)| / y of f or g at its start, and takes the
+fewest stages s >= 2 that cover its dt in units of stable_dt. The
+third term keeps every stage positive (`stable_dt` derives why): the
+continuous flow keeps f and g positive, so no step is repaired
+afterwards, and one that still loses positivity fails the run. The
+cap of S = 6 stages, (S^2 + S - 2)/2 = 20, is the largest that keeps
+the sphere run's time error within 5% of its grid difference at
+n = 256 (TestStageCap in tests/test_flow.py); at a fixed cap the time
+error falls as dx^4 against the grid's dx^2. The step's first RHS
+evaluation also gives D_max and R, so w is formed once per step, and s
+and dt depend only on the state at the step's start.
 
 Landings: `evolve` lands on every K-th record time (K = 1 by default)
 and on t_end. A step that passes over record times gives each the cubic
@@ -50,12 +54,12 @@ step kernel, which binds the run's dx and the flow's sign and shift. Its
 buffers are 16 rows of n floats in one layout: L at a step's start
 (l0), the start (L(Y_0) in k0 and the diffusion coefficient), the RHS
 scratch rows, k and the stages. `evolve` keeps one per call and enters
-one np.errstate block per step, around its start, the step and its
-retries, and the step's end. When it makes the records itself, the state
-is the head of its one arena per call, and `record_landings` evaluates
-each batch of records in it while the landings wait at a yield between
-two steps. With K = 1 the records start at row 0 and the next step
-makes its start again; with K > 1 they skip l0 and k0, which keep L at
+one np.errstate block per step, around its start, the step and the
+step's end. When it makes the records itself, the state is the head of
+its one arena per call, and `record_landings` evaluates each batch of
+records in it while the landings wait at a yield between two steps.
+With K = 1 the records start at row 0 and the next step makes its
+start again; with K > 1 they skip l0 and k0, which keep L at
 a step's two ends, so such a run evaluates one record fewer per batch
 (one at n = 2048) and its arena is no larger than a record-bound run's.
 With `landed`, and in the public `rhs`, `stable_dt` and `step`, which
@@ -108,10 +112,12 @@ __all__ = [
     "evolve",
 ]
 
-MAX_STEP_RETRIES = 10
 # RKL2 stage cap S: a step spans at most (S^2 + S - 2)/2 = 20 units of
 # stable_dt. TestStageCap in tests/test_flow.py pins it against the grid error.
 _MAX_STAGES = 6
+# a step spans at most this many units of 1 / R, R the largest relative rate |L(y)| / y at
+# its start: the least z* of stable_dt's positivity derivation, 0.752 at s = 6
+_RATE_SPAN = 0.75
 _RECORD_NODES = 4096  # evolve evaluates up to this many grid nodes of records per batch
 _STATE_ROWS = 16  # rows of n floats in a step state: l0 2, start 3, scratch 3, k 2, stages 3 x 2
 # rows of n floats at a state's head that a dense run's records do not write, taken from
@@ -140,7 +146,12 @@ class SlopeConditionError(ValueError):
 
 
 class StepFailureError(RuntimeError):
-    """A time step lost positivity of f or g."""
+    """A time step lost positivity of f or g, or its result is not finite.
+
+    The continuous flow keeps f and g positive, so this is the scheme's
+    fault; `evolve` raises the failing step's own error, once, naming the
+    field and node where the check found them and the step's start time.
+    """
 
     field = node = None  # "f" or "g" and the node where, when a positivity check found it
 
@@ -183,7 +194,6 @@ class FlowConfig:
 @dataclass
 class RunSummary:
     steps: int = 0
-    retries: int = 0
     records: int = 0
     t_final: float = math.nan
 
@@ -263,9 +273,9 @@ def stable_dt(
     max(flow_sign (w^2 + c), 0) / g^2 over the grid, c as in `_rhs_arrays`
     (the sphere's turns negative where |w| > 1); inf when it vanishes
     everywhere, as on a constant torus profile. state, if given, is a
-    `_StepState` begun at this profile: it holds that coefficient, and
-    min f when the profile is its last result. Otherwise one RHS
-    evaluation, in a state of its own, forms the coefficient here.
+    `_StepState` begun at this profile: it holds that coefficient's
+    maximum and gives min f. Otherwise one RHS evaluation, in a state of
+    its own, forms the coefficient here.
 
     Why this is the unit: linearised, the flow is g_t = D g_ss with g_ss
     the centred difference applied twice, a 2dx-wide stencil
@@ -277,16 +287,39 @@ def stable_dt(
     polynomial there at every step evolve picks). This holds for this
     stencil only: a compact second difference has a 4x larger radius,
     and the bound must be derived again for it.
+
+    Why a step also spans at most 0.75 / R (`_rate_dt`), R the largest
+    relative rate |L(y)| / y of f or g at its start: take, per node, a
+    row that grows there, z = dt L(Y_0) / Y_0 > 0, and set its rates at
+    the internal stages to zero. That is the worst case, as every mu~_j
+    is positive and every gamma~_j negative (`_rkl2_coefficients`): the
+    stages keep only the pull of gamma~_j dt L(Y_0). They are linear in z
+    and stay positive up to z* = 2.000, 0.923, 0.787, 0.755 and 0.752 for
+    s = 2 ... 6, so 0.75 covers every s. A decaying row, its rate frozen
+    at the start (L = -r y), follows the stability polynomial's stages
+    a_j + b_j P_j with b_j < 1/2, which stay positive over the whole
+    stable span, >= 2 for every s.
     """
     if state is None:
         return _StepState.started(profile, kind, epsilon).bound
-    d_max = max(float(np.maximum.reduce(state.coeff)), 0.0)  # clipping the max clips every node
+    d_max = max(state.start_max[2], 0.0)  # clipping the max clips every node
     if d_max == 0.0:
         return math.inf
-    # a minimum is exact: the one the last step's final check took is this profile's
-    f_min = state.f_min if profile.f is state.f else float(np.minimum.reduce(profile.f))
-    ds_min = f_min * state.dx
+    ds_min = state.minima(profile)[0] * state.dx
     return ds_min * ds_min / d_max
+
+
+def _rate_dt(profile: MetricProfile, state: _StepState) -> float:
+    """_RATE_SPAN / R, R = max |L| / min y of each row at the state's start; inf if L is 0.
+
+    That R bounds the largest |L(y)| / y from above. It takes the extremes
+    of L(Y_0) and the minima of f and g from the state, begun at this
+    profile.
+    """
+    f_min, g_min = state.minima(profile)
+    (f_top, g_top, _), (f_low, g_low) = state.start_max, state.start_min
+    rate = max(max(f_top, -f_low) / f_min, max(g_top, -g_low) / g_min)
+    return _RATE_SPAN / rate if rate > 0.0 else math.inf
 
 
 @functools.cache
@@ -336,19 +369,22 @@ class _StepState:
     of its own, in one layout. l0 holds L at the start of a step whose
     interpolants are made after it, copied there from k0. `begin`
     evaluates a step's start into start: L(Y0) in k0 and the diffusion
-    coefficient in coeff; bound is its stable_dt, which the caller sets.
+    coefficient in coeff, with the maximum of each of those three rows
+    in start_max and the minima of k0's in start_min, which `stable_dt`
+    and `_rate_dt` read; bound is its stable_dt, which the caller sets.
     scratch holds `_rhs_arrays`' rows for w, D w and the denominator, k
     the stage scratch, and stages Y_1 ... Y_{s-1} in rotation. l0 and k0,
     the first _KEPT_ROWS rows, outlive the records that a dense `evolve`
     makes beyond them between steps; nothing else outlives a step: those
     records write over it, coeff included. y0 is the Y0 that the last step
     read, y1 its read-only (2, n) result, whose rows f and g it returned,
-    and f_min the minimum of f that its final check took: the next step
-    from it reads Y0 and `stable_dt` min f from there without a scan.
+    and y_min the minima of f and g that its final check took: the next
+    step from it reads Y0, and `minima` those minima, from there without
+    a scan.
     """
 
     __slots__ = ("n", "dx", "sphere", "shift", "bound", "l0", "start", "k0", "coeff", "scratch",
-                 "k", "stages", "y0", "y1", "f", "g", "f_min")
+                 "k", "stages", "start_max", "start_min", "y0", "y1", "f", "g", "y_min")
 
     def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float,
                  arena: np.ndarray | None = None):
@@ -356,7 +392,7 @@ class _StepState:
         self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
         shift = -1.0 if self.sphere else epsilon
         self.shift = np.array(shift) if shift != 0.0 else None  # only read
-        self.bound = self.y0 = self.y1 = self.f = self.g = self.f_min = None
+        self.bound = self.y0 = self.y1 = self.f = self.g = self.y_min = None
         size = _STATE_ROWS * self.n
         rows = (np.empty(size) if arena is None else arena[:size]).reshape(_STATE_ROWS, self.n)
         self.l0, self.start, self.k = rows[:2], rows[2:5], rows[8:10]
@@ -365,8 +401,16 @@ class _StepState:
         self.stages = rows[10:12], rows[12:14], rows[14:16]
 
     def begin(self, profile: MetricProfile) -> None:
-        """Evaluate a step's start at the profile; under np.errstate."""
+        """Evaluate a step's start at the profile, and its extremes; under np.errstate."""
         _rhs_arrays(self, profile.f, profile.g, profile.t, self.start)
+        self.start_max = np.maximum.reduce(self.start, axis=1).tolist()
+        self.start_min = np.minimum.reduce(self.k0, axis=1).tolist()
+
+    def minima(self, profile: MetricProfile) -> list[float]:
+        """[min f, min g] of the profile: those its final check took if it is the last result."""
+        if profile.f is self.f and profile.g is self.g:  # a minimum is exact
+            return self.y_min
+        return [float(np.minimum.reduce(profile.f)), float(np.minimum.reduce(profile.g))]
 
     @classmethod
     def started(cls, profile: MetricProfile, kind: BundleKind, epsilon: float) -> _StepState:
@@ -404,15 +448,13 @@ def step(
     past that cap's span is not stable. state, if given, is the
     `_StepState` begun at this profile, with its bound set, and the caller
     holds np.errstate; kind and epsilon are then the state's. L(Y0) is read
-    and never written: evolve forms it once per step and reuses it on a
-    retry. Y0 is the state's y1 when the profile holds its last result;
-    the step leaves Y0 in y0, runs its stages in the state's buffers and
-    allocates only its result, read-only. Without a state, the step makes
-    one of its own and holds np.errstate itself.
+    and never written. Y0 is the state's y1 when the profile holds its last
+    result; the step leaves Y0 in y0, runs its stages in the state's
+    buffers and allocates only its result, read-only. Without a state,
+    the step makes one of its own and holds np.errstate itself.
 
     Raises StepFailureError, naming f or g and a node, if f or g loses
-    positivity at any stage or is not finite and positive in the result;
-    the caller may retry with a smaller dt.
+    positivity at any stage or is not finite and positive in the result.
     """
     require(0.0 < dt < math.inf, "dt", "be finite and positive", dt)
     if state is None:  # a step of its own: its own state, under its own np.errstate
@@ -453,7 +495,7 @@ def step(
     if not (low[0] > 0.0 and low[1] > 0.0 and np.maximum.reduce(y_prev, axis=None) < math.inf):
         raise _failure(y_prev, t, dt, "positivity lost")
     y_prev.flags.writeable = False  # a sink that writes into a landed profile raises
-    state.y1, state.f, state.g, state.f_min = y_prev, y_prev[0], y_prev[1], float(low[0])
+    state.y1, state.f, state.g, state.y_min = y_prev, y_prev[0], y_prev[1], low.tolist()
     return MetricProfile._trusted(profile.n, profile.period, t + dt, state.f, state.g)
 
 
@@ -620,10 +662,11 @@ def evolve(
     elsewhere passes the profiles on to `record_landings`. summary.records
     counts records either way, not landings.
 
-    Steps that lose positivity are retried with halved dt up to 10
-    times; the final failure propagates with the last good time in the
-    message, the last attempt's error as its cause, and that error's
-    field and node, once the sink has seen every record made before it.
+    A step spans dt = min(time to its landing, 20 stable_dt, 0.75 / R),
+    R the largest relative rate of f or g at its start (`_rate_dt`), and
+    is not retried: a step that loses positivity raises its own
+    StepFailureError, naming the field, the node and the time it started
+    from, once the sink has seen every record made before it.
     """
     if landed is not None and (sink is not None or stop_when is not None):
         raise TypeError("landed takes the place of sink and stop_when")
@@ -655,30 +698,14 @@ def evolve(
         while not _reached(profile.t, t_end):
             landing = _next_landing(k, gaps)  # a record index
             target = min(landing * every, t_end)
-            # one block for the start, the step and its retries, and the step's end:
-            # overflow is detected in _rhs_arrays and reported with the node; silence numpy
+            # one block for the start, the step and the step's end: overflow is
+            # detected in _rhs_arrays and reported with the node; silence numpy
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 if not begun:
                     state.begin(profile)
                     state.bound = stable_dt(profile, kind, epsilon, state)
-                dt = min(target - profile.t, cap * state.bound)
-                for attempt in range(MAX_STEP_RETRIES + 1):
-                    try:
-                        advanced = step(profile, kind, epsilon, dt, state)
-                        break
-                    except StepFailureError as exc:
-                        summary.retries += 1
-                        if attempt == MAX_STEP_RETRIES:  # the last attempt's error is its cause
-                            # and names its field and node, where that attempt knew them
-                            where = "" if exc.field is None else f": {exc.field} at node {exc.node}"
-                            failure = StepFailureError(
-                                profile.t, dt,
-                                f"still failing after {MAX_STEP_RETRIES} halvings; "
-                                f"last good t={profile.t!r}{where}",
-                            )
-                            failure.field, failure.node = exc.field, exc.node
-                            raise failure from exc
-                        dt *= 0.5
+                dt = min(target - profile.t, cap * state.bound, _rate_dt(profile, state))
+                advanced = step(profile, kind, epsilon, dt, state)
                 summary.steps += 1
                 passed = k  # record times before the target that the step has reached
                 while (passed < landing and _reached(advanced.t, passed * every)
@@ -700,7 +727,7 @@ def evolve(
                     yield MetricProfile._trusted(profile.n, profile.period, j * every, y[0], y[1])
                     del y  # else it would outlive its record while the next one is made
                 k = passed
-            # a step that the bound or a retry shortened can still land
+            # a step that a bound shortened can still land
             if _reached(advanced.t, target):
                 # assign the landing time exactly so record times stay on the
                 # global grid regardless of floating-point accumulation

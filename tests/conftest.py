@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xcflow import BundleKind, MetricProfile, sinusoid_profile
+from xcflow import BundleKind, FlowConfig, MetricProfile, sinusoid_profile
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,6 +29,24 @@ def random_trig_profile(rng, n=None, base_f=1.5, base_g=2.0, amp=0.1, modes=3):
         return v
 
     return MetricProfile(n=n, period=TWO_PI, t=0.0, f=series(base_f), g=series(base_g))
+
+
+def torus_fuzz_case(rng, sizes=(32, 64, 128)):
+    """(profile, FlowConfig) of one harsh torus draw, the rng's calls in this order: n from
+    sizes; g of five sine modes of random amplitude and phase, shifted to a minimum in
+    [0.01, 0.5); f = 1 + a cos(kx), k in 1..3; eps in {0, 1e-3, 1e-1}; t_end in [0.05, 1)
+    with ten record gaps."""
+    n = int(rng.choice(sizes))
+    x = np.arange(n) * (TWO_PI / n)
+    g = np.zeros(n)
+    for k in range(1, 6):
+        g += rng.normal() * np.sin(k * x + rng.uniform(0.0, TWO_PI)) / k
+    g += rng.uniform(0.01, 0.5) - g.min()
+    f = 1.0 + rng.uniform(0.0, 0.5) * np.cos(rng.integers(1, 4) * x)
+    eps = float(rng.choice([0.0, 1e-3, 1e-1]))
+    t_end = float(rng.uniform(0.05, 1.0))
+    cfg = FlowConfig(kind=BundleKind.TORUS, t_end=t_end, epsilon=eps, record_every=t_end / 10)
+    return MetricProfile(n=n, period=TWO_PI, t=0.0, f=f, g=g), cfg
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,21 @@ def test_tolerance_fields_checked(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be") as err:
         ClaimTolerances(**{name: value})
     assert err.value.keys == (name,)
+
+
+@pytest.mark.parametrize("value", ["0.1", True, None], ids=["str", "bool", "none"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ClaimTolerances)])
+def test_tolerance_fields_must_be_numbers(name, value):
+    # float() takes "0.1" and True, which the field would then keep as given
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")) as err:
+        ClaimTolerances(**{name: value})
+    assert err.value.keys == (name,)
+
+
+def test_tolerance_fields_are_stored_as_floats():
+    tol = ClaimTolerances(growth_cap=10, theta=np.float64(0.5), dx=1)
+    assert all(type(getattr(tol, f.name)) is float for f in dataclasses.fields(tol))
+    assert (tol.growth_cap, tol.theta, tol.dx) == (10.0, 0.5, 1.0)
 
 
 def test_tolerance_bounds():

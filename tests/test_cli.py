@@ -738,7 +738,7 @@ class TestRunScenarioLanes:
 
     @pytest.mark.parametrize("f_bad, message", [
         (1e-120, "non-finite record field E2 (t=0.02)"),
-        (None, "failed: still failing after 10 halvings; last good t=0.05"),
+        (None, "from t=0.05 failed: collapsed"),
         (None, None),
     ], ids=["record-overflows", "step-fails", "interrupted"])
     def test_failure_gives_the_same_outputs_on_both_paths(self, tmp_path, monkeypatch, capsys,
@@ -970,7 +970,7 @@ class TestDenseRun:
         if failing == "step-fails":
             monkeypatch.setattr(flow_mod, "step", failing_step)
             monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: 0.0015)
-            message, last = "last good t=0.16", 0.16
+            message, last = "from t=0.16 failed: collapsed", 0.16
         else:
             monkeypatch.setattr(flow_mod, "_hermite", collapsing)
             message, last = {

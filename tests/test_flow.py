@@ -32,7 +32,7 @@ from xcflow import (
 )
 
 import metric_oracle
-from conftest import TWO_PI, make_profile, random_trig_profile
+from conftest import TWO_PI, make_profile, random_trig_profile, torus_fuzz_case
 from records_reference import reference_records
 from rk4_reference import rk4_run, rk4_step
 
@@ -401,7 +401,6 @@ class TestEvolve:
         p = sinusoid_profile(128, TWO_PI, 2.0, 0.1, 1)
         records = []
         _, summary = evolve(p, cfg, sink=lambda r, _: records.append(r))
-        assert summary.retries == 0
         assert len(records) == 101
         time_ref, _, rk4_steps = rk4_run(p, cfg)
         grid_ref, _, _ = rk4_run(sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1), cfg)
@@ -559,48 +558,33 @@ class TestEvolve:
         assert final.t == pytest.approx(records[-1].t)
         assert records[-1].t == pytest.approx(0.3, abs=1e-9)
 
-    def test_retry_then_succeed(self, profile_a, monkeypatch):
-        real_step = flow_mod.step
-        fails = {"left": 2}
+    def test_failing_step_reports_its_start_time(self, profile_a, monkeypatch):
+        # no step is retried: the first step's own error leaves evolve, and the run stops
+        real_step, steps = flow_mod.step, []
 
-        def flaky(profile, kind, epsilon, dt, start=None):
-            if fails["left"] > 0:
-                fails["left"] -= 1
-                raise StepFailureError(profile.t, dt)
-            return real_step(profile, kind, epsilon, dt, start)
+        def counted(*args):
+            steps.append(args[0].t)
+            return real_step(*args)
 
-        monkeypatch.setattr(flow_mod, "step", flaky)
-        cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.1)
-        _, summary = evolve(profile_a, cfg)
-        assert summary.retries == 2
-        assert summary.t_final == pytest.approx(0.1)
-
-    def test_retry_exhaustion_reports_last_good_time(self, profile_a, monkeypatch):
-        def always_fail(profile, kind, epsilon, dt, start=None):
-            raise StepFailureError(profile.t, dt)
-
-        monkeypatch.setattr(flow_mod, "step", always_fail)
-        cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.1)
-        with pytest.raises(StepFailureError, match="last good t=0.0"):
+        monkeypatch.setattr(flow_mod, "step", counted)
+        monkeypatch.setattr(flow_mod, "_rhs_arrays", sinking_stage(0))
+        cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.05)
+        with pytest.raises(StepFailureError, match=r"from t=0\.0 failed") as caught:
             evolve(profile_a, cfg)
+        assert steps == [0.0]
+        assert caught.value.t == 0.0 and caught.value.__cause__ is None
 
-    def test_retry_exhaustion_names_field_and_node(self, profile_a, monkeypatch):
-        real = flow_mod._rhs_arrays
-
-        def sinking(state, f, g, t, out):
-            real(state, f, g, t, out)
-            out[1, 5] = -1e10  # g at node 5 turns negative in any step past ~1e-9
-
-        monkeypatch.setattr(flow_mod, "_rhs_arrays", sinking)
+    def test_failing_step_names_field_and_node(self, profile_a, monkeypatch):
+        # a 4-stage step (dt = 8 stable_dt) whose second stage slope sinks g at node 5:
+        # the check of the stage that slope makes finds it
+        monkeypatch.setattr(flow_mod, "stable_dt", lambda *args: 0.1 / 8)
+        monkeypatch.setattr(flow_mod, "_rhs_arrays", sinking_stage(1))
         cfg = FlowConfig(kind=TORUS, t_end=0.1, record_every=0.1)
-        with pytest.raises(StepFailureError, match="last good t=0.0") as caught:
+        with pytest.raises(StepFailureError) as caught:
             evolve(profile_a, cfg)
-        assert str(caught.value.__cause__).endswith(
-            "failed: positivity lost at an internal stage: g at node 5")
-        # its message names them as a single failed step's does
         assert str(caught.value).endswith(
-            "failed: still failing after 10 halvings; last good t=0.0: g at node 5")
-        # kept on the error itself, as pickling, which drops __cause__, needs them
+            "from t=0.0 failed: positivity lost at an internal stage: g at node 5")
+        # kept on the error itself for a caller and for pickling
         assert (caught.value.field, caught.value.node) == ("g", 5)
 
     def test_commutator_identity_per_step(self, profile_a, kind):
@@ -678,8 +662,7 @@ class TestStageCap:
         grid_g, grid_L = np.max(np.abs(g256[::2] - g128)), abs(L256 - L128)
 
         def ratios():
-            final, summary = evolve(sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1), cfg)
-            assert summary.retries == 0
+            final, _ = evolve(sinusoid_profile(256, TWO_PI, 2.0, 0.1, 1), cfg)
             g, L = end_state(final)
             return np.max(np.abs(g - g256)) / grid_g, abs(L - L256) / grid_L
 
@@ -814,25 +797,28 @@ class TestRecordBatches:
             outcomes.append((seen, str(caught.value)))
         assert outcomes[0] == outcomes[1]
         assert len(outcomes[0][0]) == 51  # t = 0, 0.01, ..., 0.5: three past the last full batch
-        assert "last good t=0.5" in outcomes[0][1]
+        assert "from t=0.5 failed" in outcomes[0][1]
+
+
+def rate_dt(profile, kind, eps):
+    """`flow._rate_dt` spelled with the public `rhs`: the rate span over the largest
+    max |L| / min y of the two rows, or inf where L vanishes."""
+    rate = max(np.max(np.abs(slope)) / np.min(y)
+               for slope, y in zip(rhs(profile, kind, eps), (profile.f, profile.g)))
+    return flow_mod._RATE_SPAN / rate if rate > 0.0 else math.inf
 
 
 def public_steps(profile, cfg):
     """(record reprs, final profile, RunSummary) of `evolve`'s loop spelled with the
-    public `stable_dt` and `step`, which take no step state and allocate every buffer."""
+    public `rhs`, `stable_dt` and `step`, which take no step state and allocate every buffer."""
     kind, eps, every, t_end = cfg.kind, cfg.epsilon, cfg.record_every, cfg.t_end
     landed, summary = [profile], flow_mod.RunSummary()
     k, span = flow_mod.next_record_index(profile.t, every), flow_mod._span(flow_mod._MAX_STAGES)
     while not flow_mod._reached(profile.t, t_end):
         target = min(k * every, t_end)
-        dt = min(target - profile.t, span * stable_dt(profile, kind, eps))
-        while True:
-            try:
-                advanced = step(profile, kind, eps, dt)
-                break
-            except StepFailureError:
-                summary.retries += 1
-                dt *= 0.5
+        dt = min(target - profile.t, span * stable_dt(profile, kind, eps),
+                 rate_dt(profile, kind, eps))
+        advanced = step(profile, kind, eps, dt)
         summary.steps += 1
         if flow_mod._reached(advanced.t, target):
             profile = MetricProfile._trusted(advanced.n, advanced.period, target,
@@ -845,16 +831,20 @@ def public_steps(profile, cfg):
     return [repr(rec) for rec in functionals(landed, kind)], profile, summary
 
 
-def failing_once(after_t):
-    """An `_rhs_arrays` that spoils the first stage slope of the first step from a
-    time past after_t, so that the step loses positivity and is retried at half dt."""
-    real, fired = flow_mod._rhs_arrays, []
+def sinking_stage(at):
+    """An `_rhs_arrays` that sinks g at node 5 in the at-th stage slope of every step, so
+    that a step past ~1e-9 loses positivity there. The start's slope, whose out has 3 rows,
+    stays true: spoilt, it would shrink the step's rate bound to ~1e-10."""
+    real, stage = flow_mod._rhs_arrays, []
 
     def rhs_arrays(state, f, g, t, out):
         real(state, f, g, t, out)
-        if len(out) == 2 and t > after_t and not fired:  # a stage's out; a start's has 3 rows
-            fired.append(t)
-            out *= -1e6
+        if len(out) == 3:
+            stage.clear()
+            return
+        stage.append(t)
+        if len(stage) - 1 == at:
+            out[1, 5] = -1e10
 
     return rhs_arrays
 
@@ -874,19 +864,17 @@ class TestStepState:
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("kind, eps, gaps, units", STATE_CASES, ids=STATE_IDS)
-    def test_evolve_is_a_loop_of_public_steps(self, monkeypatch, n, kind, eps, gaps, units):
+    def test_evolve_is_a_loop_of_public_steps(self, n, kind, eps, gaps, units):
         p = sinusoid_profile(n, TWO_PI, 2.0, 0.1, 1)
         every = 0.01 if units is None else units * stable_dt(p, kind, eps)
         cfg = FlowConfig(kind=kind, t_end=gaps * every, epsilon=eps, record_every=every)
         seen = []
-        monkeypatch.setattr(flow_mod, "_rhs_arrays", failing_once(0.5 * every))
         final, summary = evolve(p, cfg, sink=lambda rec, _: seen.append(repr(rec)))
-        monkeypatch.setattr(flow_mod, "_rhs_arrays", failing_once(0.5 * every))
         want, want_final, want_summary = public_steps(p, cfg)
         assert summary == want_summary
-        assert (summary.retries, summary.records) == (1, gaps + 1)
+        assert summary.records == gaps + 1
         if units is None:
-            assert summary.steps <= gaps + 1  # the halved step and the rest of its gap
+            assert summary.steps == gaps  # one step per record gap
         else:
             assert summary.steps >= 2 * gaps  # the bound, not the gap, sets dt
         assert seen == want
@@ -997,7 +985,7 @@ class TestStepState:
         monkeypatch.setattr(flow_mod, "stable_dt", counting("stable_dt"))
         monkeypatch.setattr(flow_mod, "_stages", stages_spy)
         _, summary = evolve(p, cfg, landing_gaps=gaps)
-        assert summary.retries == 0 and summary.steps >= 10
+        assert summary.steps >= 10
         assert len(calls["step"]) == summary.steps and all(calls["step"])
         assert calls["stable_dt"] == summary.steps + last_end
         stages = calls["_stages"]
@@ -1008,6 +996,82 @@ class TestStepState:
             assert calls["_rhs_arrays"] == 2 * summary.steps + last_end
         else:
             assert max(stages) > 2
+
+
+def stage_values(s, z, slope):
+    """The values of s-stage RKL2's stages Y_1 ... Y_s at Y_0 = 1 and dt L(Y_0) = z, with
+    slope(y) the stages' own dt L(y) / z."""
+    mu_1, rows = flow_mod._rkl2_coefficients(s)
+    prev2, prev = 1.0, 1.0 + mu_1 * z
+    values = [prev]
+    for mu, nu, c0, mu_w, gamma_w in rows:
+        y = (float(mu) * prev + float(nu) * prev2 + (0.0 if c0 is None else float(c0))
+             + mu_w * z * slope(prev) + gamma_w * z)
+        prev2, prev = prev, y
+        values.append(y)
+    return np.array(values)
+
+
+class TestRateBound:
+    """A step spans at most _RATE_SPAN / R, R the largest relative rate of f or g at its
+    start, so that its stages keep f and g positive without a retry."""
+
+    def test_rate_span_is_below_every_stage_limit(self):
+        # stable_dt's derivation: a growing row whose stage rates are zero stays positive up
+        # to z = dt L(Y_0) / Y_0 = z*(s); the stages are linear in z, so z* is a root
+        limits = []
+        for s in range(2, flow_mod._MAX_STAGES + 1):
+            at_one = stage_values(s, 1.0, lambda y: 0.0) - 1.0  # each stage's slope in z
+            limits.append(min(-1.0 / d for d in at_one if d < 0.0))
+        assert limits == pytest.approx([2.0, 0.923, 0.787, 0.755, 0.752], abs=5e-4)
+        assert flow_mod._RATE_SPAN <= min(limits)
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_decaying_row_stays_positive_over_the_stable_span(self, s):
+        # a row that decays at its start rate, L = -y: every stage stays positive for dt r
+        # up to the span, >= 2, above the rate span
+        spans = np.linspace(0.0, flow_mod._span(s), 201)
+        assert min(stage_values(s, -z, lambda y: y).min() for z in spans) > 0.0
+
+    def test_fixed_case_that_lost_positivity(self, monkeypatch):
+        # draw 197 of seed 12 of the torus fuzz (n = 64, eps 1e-3, min g 0.054): steps of up
+        # to 20 stable_dt drove g negative, and halving them failed from t = 3.4e-5 on, at
+        # node 9 with dt down to 2.4e-14. The rate bound sets the first step's dt, and the
+        # run reaches t_end without a failure
+        rng = np.random.default_rng(12)
+        for _ in range(197):
+            torus_fuzz_case(rng)
+        p, cfg = torus_fuzz_case(rng)
+        assert (p.n, cfg.epsilon) == (64, 1e-3)
+        rates, steps = [], []
+        real_rate, real_step = flow_mod._rate_dt, flow_mod.step
+
+        def rate_spy(*args):
+            rates.append(real_rate(*args))
+            return rates[-1]
+
+        def step_spy(*args):
+            steps.append(args[3])
+            return real_step(*args)
+
+        monkeypatch.setattr(flow_mod, "_rate_dt", rate_spy)
+        monkeypatch.setattr(flow_mod, "step", step_spy)
+        seen = []
+        final, summary = evolve(p, cfg, sink=lambda rec, _: seen.append(repr(rec)))
+        assert flow_mod._reached(final.t, cfg.t_end) and summary.records == 11
+        assert steps[0] == rates[0] < 20 * stable_dt(p, TORUS, cfg.epsilon)
+        monkeypatch.undo()
+        want, want_final, want_summary = public_steps(p, cfg)  # the rate term spelled apart
+        assert (seen, summary) == (want, want_summary)
+        assert final.g.tobytes() == want_final.g.tobytes()
+
+    def test_torus_fuzz_keeps_positivity(self):
+        # 150 harsh torus draws; no step may fail
+        rng = np.random.default_rng(27)
+        for _ in range(150):
+            p, cfg = torus_fuzz_case(rng, sizes=(32, 64))
+            final, _ = evolve(p, cfg)
+            assert flow_mod._reached(final.t, cfg.t_end)
 
 
 class TestArena:
