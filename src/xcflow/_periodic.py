@@ -1,4 +1,11 @@
-"""The centred periodic difference and the non-finite scan that every layer shares."""
+"""The centred periodic difference, the slope kernel and the non-finite scan that every
+layer shares.
+
+`slope` is the one spelling of w = g_s = (ddx g) / f and of D w = ddx w:
+the flow's right-hand side reads both, and geometry's curvature kernel,
+which `curvature_field` and the records evaluate, forms w_s = D w / f
+from them. A different second difference is a change to it alone.
+"""
 
 from __future__ import annotations
 
@@ -26,6 +33,14 @@ def ddx(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndar
     o[-1] = v[0] - v[-2]
     out /= 2.0 * dx
     return out
+
+
+def slope(f: np.ndarray, g: np.ndarray, dx: float, w: np.ndarray, dxw: np.ndarray) -> None:
+    """w = (ddx g) / f and D w = ddx w into w and dxw, arrays of g's shape that overlap
+    neither f nor g nor each other; call under np.errstate."""
+    ddx(g, dx, w)
+    w /= f
+    ddx(w, dx, dxw)
 
 
 def first_nonfinite(arr: np.ndarray) -> int | None:

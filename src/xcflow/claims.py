@@ -49,14 +49,13 @@ spatial truncation error perturbs extrema on coarse grids.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _packed_rows, _series_table
-from .geometry import BundleKind, FieldError, require  # noqa: F401 (xcflow.claims.FieldError)
+from .geometry import BundleKind, FieldError, number, require  # noqa: F401 (re-exported)
 
 __all__ = [
     "ClaimTolerances",
@@ -89,10 +88,10 @@ class ClaimTolerances:
 
     dx is the spatial grid spacing of the run that produced the records;
     it enters the monotonicity slack (mono_base + mono_dx2 * dx^2).
-    Every field is a real number, not a str or a bool (float() would take
-    either), and is stored as a float. Every field is finite and >= 0; dx
-    and rate_abs are divisors and must be positive, and theta lies in
-    (0, 1]. NaN fails every check.
+    Every field passes `geometry.number`, the one number rule (a real
+    number, not a str or a bool), and is stored as a float. Every field
+    is finite and >= 0; dx and rate_abs are divisors and must be
+    positive, and theta lies in (0, 1]. NaN fails every check.
     """
 
     dx: float = 2.0 * math.pi / 256.0
@@ -110,10 +109,7 @@ class ClaimTolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            require(isinstance(value, numbers.Real) and not isinstance(value, bool),
-                    f.name, "be a number", value)
-            value = float(value)
+            value = number(getattr(self, f.name), f.name)
             object.__setattr__(self, f.name, value)
             if f.name == "theta":
                 require(0.0 < value <= 1.0, f.name, "be in (0, 1]", value)

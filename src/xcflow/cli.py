@@ -274,16 +274,16 @@ def load_snapshot(path: str | Path) -> MetricProfile:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("snapshot is not a JSON object")
-        return MetricProfile(
-            n=data["n"],  # as it is: MetricProfile's integer rule rejects 16.7
-            period=float(data["period"]),
-            t=float(data["t"]),
-            f=data["f"],  # MetricProfile converts the samples to float arrays
-            g=data["g"],
-        )
+        n, period, t, f, g = (data[key] for key in ("n", "period", "t", "f", "g"))  # in order
+        samples = [v for values in (f, g) if isinstance(values, list) for v in values]
+        # float() would take a string or a boolean, and numpy a sample of either
+        if not {type(period), type(t)} <= {int, float} or {str, bool} & set(map(type, samples)):
+            raise TypeError("period and t must be numbers, and f and g lists of numbers")
+        # n as it is: MetricProfile's integer rule rejects 16.7; it makes f and g float arrays
+        return MetricProfile(n=n, period=period, t=t, f=f, g=g)
     except KeyError as exc:
         raise ValueError(f"{path}: snapshot has no field {exc.args[0]!r}") from None
-    except TypeError as exc:  # such as "t": null, "f": {...} or "n": [16]
+    except TypeError as exc:  # such as "t": null or "6.28", "f": {...} or [true] or "n": [16]
         raise ValueError(f"{path}: snapshot has a field of the wrong type: {exc}") from None
     except ValueError as exc:  # text that is not UTF-8 or not JSON, or a value that
         # MetricProfile rejects, such as "n": 16.7 or "f": "abc"

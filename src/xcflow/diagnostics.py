@@ -4,11 +4,13 @@ Integrals over the base circle are taken against arc length, ds = f dx,
 by the periodic trapezoid rule (node weights f[i] * dx; midpoint and
 trapezoid coincide on a uniform periodic grid). Higher arc-length
 derivatives are built by repeated application of the first-derivative
-stencil. `functionals` evaluates a stack of records in one pass on
-(records, n) arrays; every sum and extremum runs along the contiguous
-last axis, so each row is bit-identical to a one-record call. The
-closed-form rates are written once, in `rate_formulas`, and
-`functionals` is its only caller.
+stencil. w, g_ss and the sectional curvatures come from geometry's
+`curvature_arrays`, the kernel that `curvature_field` evaluates too, so
+a record reduces the bits of the `xcf curvature` table. `functionals`
+evaluates a stack of records in one pass on (records, n) arrays; every
+sum and extremum runs along the contiguous last axis, so each row is
+bit-identical to a one-record call. The closed-form rates are written
+once, in `rate_formulas`, and `functionals` is its only caller.
 
 Workspace: every (records, n) array of that pass is one of WORK_SLOTS
 slots of a float64 workspace that the caller may hand in, as `evolve`
@@ -35,7 +37,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._periodic import ddx
-from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_field
+from .geometry import BundleKind, MetricProfile, NumericOverflowError, curvature_arrays
+from .geometry import curvature_field
 from .geometry import s_derivative  # noqa: F401  perfbench/tracer.py wraps it
 
 __all__ = [
@@ -221,17 +224,8 @@ def functionals(
         f[row], g[row] = p.f, p.g
     # a non-finite row is reported below by name; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the curvature of `_curvature`, in place: w = g_s, gss = w_s = g_ss, K12, K23
-        ddx(g, dx, w)
-        w /= f
-        ddx(w, dx, gss)
-        gss /= f
-        np.multiply(g, g, out=g2)
         k12, k23, scratch = spare
-        np.divide(np.negative(gss, out=k12), g, out=k12)
-        np.multiply(w, w, out=k23)
-        k23 -= kind.kappa
-        np.divide(np.negative(k23, out=k23), g2, out=k23)
+        curvature_arrays(f, g, dx, kind.kappa, w, gss, k12, k23, g2)  # gss = w_s = g_ss
         # reductions throughout; a mean is add.reduce / n, the bits of np.mean
         columns = dict(  # by field name; the record's field order is the only order
             t=[p.t for p in profiles],

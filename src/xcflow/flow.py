@@ -45,10 +45,11 @@ Wanner, Solving ODEs I, section II.6), so a record-bound run takes one
 step per landing gap instead of one per record gap. L at the step's
 end is the next step's start, kept with its bound and evaluated once.
 
-Derivatives use the periodic operator of `_periodic` that geometry and
-diagnostics share. `step` is one fused kernel: stage combinations summed
-in place in rotating buffers, positivity checked by reductions, and the
-result built by the trusted `MetricProfile._trusted`.
+w and D w come from `_periodic.slope`, the slope kernel that geometry's
+curvature kernel, and so the records, read too. `step` is one fused
+kernel: stage combinations summed in place in rotating buffers,
+positivity checked by reductions, and the result built by the trusted
+`MetricProfile._trusted`.
 Buffers: every RHS evaluation and step runs in a `_StepState`, the
 step kernel, which binds the run's dx and the flow's sign and shift. Its
 buffers are 16 rows of n floats in one layout: L at a step's start
@@ -93,9 +94,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .claims import ClaimTolerances, SLOPE_BOUND
-from ._periodic import ddx, first_nonfinite
+from ._periodic import first_nonfinite, slope
 from .diagnostics import WORK_SLOTS, DiagnosticsRecord, functionals
-from .geometry import BundleKind, MetricProfile, NumericOverflowError, require, s_derivative
+from .geometry import BundleKind, MetricProfile, NumericOverflowError, number, require, s_derivative
 
 __all__ = [
     "FlowConfig",
@@ -169,8 +170,10 @@ class StepFailureError(RuntimeError):
 class FlowConfig:
     """Run parameters for `evolve`.
 
-    record_every defaults to 0.01 * t_end. t_end is an absolute flow
-    time, so resumed runs evolve from the profile's stored t to t_end.
+    t_end, epsilon and record_every pass `geometry.number` (a real number,
+    not a bool or a str) and are stored as floats; record_every defaults
+    to 0.01 * t_end. t_end is an absolute flow time, so resumed runs
+    evolve from the profile's stored t to t_end.
     """
 
     kind: BundleKind
@@ -181,10 +184,12 @@ class FlowConfig:
 
     def __post_init__(self):
         require(isinstance(self.kind, BundleKind), "kind", "be a BundleKind", self.kind)
+        t_end = number(self.t_end, "t_end")
+        every = 0.01 * t_end if self.record_every is None else self.record_every
+        vars(self).update(t_end=t_end, epsilon=number(self.epsilon, "epsilon"),
+                          record_every=number(every, "record_every"))  # frozen: not setattr
         require(self.epsilon >= 0.0, "epsilon", "be >= 0", self.epsilon)
         require(self.t_end > 0.0, "t_end", "be positive", self.t_end)
-        if self.record_every is None:
-            object.__setattr__(self, "record_every", 0.01 * self.t_end)
         require(self.record_every > 0.0, "record_every", "be positive", self.record_every)
         # inf would fail later, far from its key
         for name in ("t_end", "epsilon", "record_every"):
@@ -223,14 +228,13 @@ def _rhs_arrays(state: _StepState, f: np.ndarray, g: np.ndarray, t: float, out: 
     """(df/dt, dg/dt) per node into the first two rows of out; call under np.errstate.
 
     The state gives dx, the flow's sign and shift c (eps on the torus, -1
-    on the sphere) and its scratch rows for w, D w and the denominator. A
-    (3, n) out also gets the diffusion coefficient flow_sign (w^2 + c) / g^2
-    in its last row, which `stable_dt` reduces.
+    on the sphere) and its scratch rows for w and D w, which
+    `_periodic.slope` writes, and the denominator. A (3, n) out also gets
+    the diffusion coefficient flow_sign (w^2 + c) / g^2 in its last row,
+    which `stable_dt` reduces.
     """
-    dx, (w, dxw, den), f_t, g_t = state.dx, state.scratch, out[0], out[1]
-    ddx(g, dx, w)
-    w /= f
-    ddx(w, dx, dxw)
+    (w, dxw, den), f_t, g_t = state.scratch, out[0], out[1]
+    slope(f, g, state.dx, w, dxw)
     np.multiply(f, g, out=den)  # flow_sign f g^2; the sign is exact
     den *= g
     if state.sphere:
@@ -285,8 +289,9 @@ def stable_dt(
     Jacobian of the full (f, g) system dt * |lambda| measures at most
     0.99 at n = 64 and 128 (tests/test_flow.py checks RKL2's stability
     polynomial there at every step evolve picks). This holds for this
-    stencil only: a compact second difference has a 4x larger radius,
-    and the bound must be derived again for it.
+    stencil only: a compact second difference, which would replace D w in
+    `_periodic.slope` and so reach the records too, has a 4x larger
+    radius, and the bound must be derived again for it.
 
     Why a step also spans at most 0.75 / R (`_rate_dt`), R the largest
     relative rate |L(y)| / y of f or g at its start: take, per node, a

@@ -34,7 +34,11 @@ with sympy, independently of this module.
 
 Profiles are sampled on the uniform periodic grid x_i = i * period / n;
 all index arithmetic is modulo n. Derivatives use the centred
-second-order difference of `_periodic`, which flow and diagnostics share.
+second-order difference of `_periodic`, which flow and diagnostics share;
+w and D w come from its slope kernel, which the flow's right-hand side
+reads too, and `curvature_arrays` here is the one spelling of
+w_s = D w / f, K12 and K23: `curvature_field` evaluates it on fresh
+arrays and `diagnostics.functionals` in its workspace.
 `MetricProfile(...)` copies and validates its samples at the API edges;
 the stepper, which has checked its fresh result arrays already, builds
 profiles through the trusted `MetricProfile._trusted` instead. No buffer
@@ -44,12 +48,13 @@ is shared: the package never writes an array that a profile holds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._periodic import ddx, first_nonfinite
+from ._periodic import ddx, first_nonfinite, slope
 
 __all__ = [
     "BundleKind",
@@ -100,6 +105,13 @@ def require(ok: bool, key: str, rule: str, value: object) -> None:
         raise FieldError(f"{key} must {rule}, got {value!r}", key)
 
 
+def number(value: object, key: str) -> float:
+    """The one number rule of the API's real-valued inputs: value as a float if it is a
+    real number, not a bool or a str (float() takes either); else FieldError naming key."""
+    require(isinstance(value, numbers.Real) and type(value) is not bool, key, "be a number", value)
+    return float(value)
+
+
 class NumericOverflowError(ArithmeticError):
     """A pointwise expression produced a non-finite value at a grid node.
 
@@ -138,8 +150,9 @@ class MetricProfile:
 
     def __post_init__(self):
         require(int(self.n) == self.n >= MIN_N, "n", f"be an integer >= {MIN_N}", self.n)
-        require(0.0 < self.period < math.inf, "period", "be finite and positive", self.period)
-        require(-math.inf < self.t < math.inf, "flow time", "be finite", self.t)
+        period, t = number(self.period, "period"), number(self.t, "flow time")
+        require(0.0 < period < math.inf, "period", "be finite and positive", period)
+        require(-math.inf < t < math.inf, "flow time", "be finite", t)
         f = np.array(self.f, dtype=float)
         g = np.array(self.g, dtype=float)
         for name, arr in (("f", f), ("g", g)):
@@ -148,9 +161,7 @@ class MetricProfile:
                 raise ValueError(f"{name} contains non-finite samples")
             if np.any(arr <= 0.0):
                 raise ValueError(f"{name} must be strictly positive everywhere")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
+        vars(self).update(n=int(self.n), period=period, t=t, f=f, g=g)  # frozen: not setattr
 
     @classmethod
     def _trusted(
@@ -206,32 +217,36 @@ def s_derivative(profile: MetricProfile, values: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (profile.n,):
-        raise ValueError(
-            f"expected {profile.n} periodic samples, got shape {v.shape}"
-        )
+        raise ValueError(f"expected {profile.n} periodic samples, got shape {v.shape}")
     return ddx(v, profile.dx) / profile.f
 
 
-def _curvature(f: np.ndarray, g: np.ndarray, dx: float, kappa: float) -> CurvatureField:
-    """The field of (..., n) stacks of f and g samples, unchecked; call under np.errstate."""
-    w = ddx(g, dx) / f
-    w_s = ddx(w, dx) / f
-    return CurvatureField(w, w_s, -w_s / g, -(w * w - kappa) / (g * g), f, g)
+def curvature_arrays(f, g, dx, kappa, w, w_s, k12, k23, g2) -> None:
+    """w = g_s, w_s = g_ss, K12, K23 and g^2 of (..., n) stacks of f and g samples into
+    w, w_s, k12, k23 and g2, arrays of g's shape that overlap no other argument; unchecked,
+    call under np.errstate. The module table's one spelling of w_s, K12 and K23."""
+    slope(f, g, dx, w, w_s)  # w and D w; w_s = D w / f
+    w_s /= f
+    np.divide(np.negative(w_s, out=k12), g, out=k12)
+    np.subtract(np.multiply(w, w, out=k23), kappa, out=k23)  # K23 = -(w^2 - kappa) / g^2
+    np.divide(np.negative(k23, out=k23), np.multiply(g, g, out=g2), out=k23)
 
 
 def curvature_field(profile: MetricProfile, kind: BundleKind) -> CurvatureField:
-    """Evaluate w, w_s and the sectional curvatures node-wise.
+    """Evaluate w, w_s and the sectional curvatures node-wise, by `curvature_arrays`.
 
     Raises NumericOverflowError naming the first offending node if any
     of the four stored arrays fails to be finite. The derived properties
     are not scanned: a product such as h11 = K12^2 can still overflow,
     and a caller that writes them out checks them itself.
     """
+    rows = np.empty((5, profile.n))  # w, w_s, K12, K23 and g^2, which the field does not keep
     # overflow is detected below and reported with the node; silence numpy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        field = _curvature(profile.f, profile.g, profile.dx, kind.kappa)
-        for name in ("w", "w_s", "K12", "K23"):
-            node = first_nonfinite(getattr(field, name))
-            if node is not None:
-                raise NumericOverflowError(f"curvature component {name}", node, profile.t)
-    return field
+        curvature_arrays(profile.f, profile.g, profile.dx, kind.kappa, *rows)
+        bad = first_nonfinite(rows[:4])  # one scan; the fields' rows in field order
+    if bad is not None:
+        row, node = divmod(bad, profile.n)
+        name = ("w", "w_s", "K12", "K23")[row]
+        raise NumericOverflowError(f"curvature component {name}", node, profile.t)
+    return CurvatureField(*rows[:4], profile.f, profile.g)

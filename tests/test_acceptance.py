@@ -182,6 +182,7 @@ def test_criterion_5_sphere_convergence_suite(sphere_run):
            f"gap_ratio={gap_ratio:.3f} runtime={elapsed:.1f}s")
 
 
+@pytest.mark.one_cpu
 def test_criterion_6_epsilon_consistency(tmp_path):
     start = time.time()
     cfg = load_config(
@@ -237,6 +238,7 @@ def test_criterion_8_commutator_and_rate_identities(torus_run, sphere_run):
            f"sphere(logf {s_logf:.2e}, dE2 {s_e2:.2e})")
 
 
+@pytest.mark.one_cpu
 def test_criterion_9_determinism_and_resume(tmp_path):
     def scenario(out_dir):
         return load_config(

@@ -176,6 +176,7 @@ def test_series_header_is_the_record_schema():
     assert SERIES_HEADER.split(",") == [name for name in names if name != "E2_rate_formula"]
 
 
+@pytest.mark.one_cpu
 class TestRunScenario:
     def test_stationary_run(self, tmp_path):
         cfg = load_config(config_text(
@@ -357,6 +358,7 @@ class TestCurvatureDump:
         assert float(row[h11]) == pytest.approx(2.26757e-3, abs=1e-5)
 
 
+@pytest.mark.one_cpu
 class TestEpsilonSweep:
     def test_zero_only(self, tmp_path):
         cfg = load_config(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
@@ -422,6 +424,7 @@ class SetupDone(Exception):
     """Raised at the first call into evolve, as the benchmark's setup probe does."""
 
 
+@pytest.mark.one_cpu
 class TestEpsilonSweepLanes:
     def test_lane_count_does_not_change_outputs(self, tmp_path, monkeypatch):
         trees = []
@@ -617,6 +620,7 @@ def record_bound_states(profile, cfg, times):
     return states
 
 
+@pytest.mark.one_cpu
 class TestEpsilonSweepDense:
     """Sweep members land on every 10th record time; the records between are interpolated."""
 
@@ -715,6 +719,7 @@ class TestEpsilonSweepDense:
         assert dense <= bound
 
 
+@pytest.mark.one_cpu
 class TestRunScenarioLanes:
     """`xcf run` on two CPUs makes its records in one forked process; on one, in its own."""
 
@@ -923,6 +928,7 @@ def assert_each_snapshot_is_reached_from_the_last(root, gaps):
     return [p.t for p in snaps]
 
 
+@pytest.mark.one_cpu
 class TestDenseRun:
     """`xcf run` steps on its snapshot grid and interpolates the records between."""
 
@@ -1059,6 +1065,7 @@ def keep_tables(monkeypatch):
     return tables
 
 
+@pytest.mark.one_cpu
 class TestCheckSeries:
     def test_reproduces_run_verdicts(self, tmp_path, capsys, monkeypatch):
         tables = keep_tables(monkeypatch)
@@ -1101,6 +1108,7 @@ class TestCheckSeries:
             assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+@pytest.mark.one_cpu
 class TestMain:
     def test_run_command(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -1271,6 +1279,7 @@ class TestConfigValidation:
             load_config(f"bundle = torus\nt_end = 1.0\ngrid.n = {value}\n")
 
 
+@pytest.mark.one_cpu
 class TestEpsilonSweepValidation:
     @pytest.mark.parametrize(
         "epsilons, message",
@@ -1384,8 +1393,16 @@ class TestMalformedInputs:
         ("g", [2.0] * 15 + [0.0], "snap.json: g must be strictly positive everywhere"),
         ("f", [1.0] * 15 + [math.inf], "snap.json: f contains non-finite samples"),
         ("f", "abc", "snap.json: could not convert string to float: 'abc'"),
+        # JSON strings and booleans, which float() and numpy once took as numbers
+        ("t", True, "snap.json: snapshot has a field of the wrong type"),
+        ("t", "2.0", "snap.json: snapshot has a field of the wrong type"),
+        ("period", "6.28", "snap.json: snapshot has a field of the wrong type"),
+        ("period", False, "snap.json: snapshot has a field of the wrong type"),
+        ("f", [1.0] * 15 + ["1.0"], "snap.json: snapshot has a field of the wrong type"),
+        ("g", [2.0] * 15 + [True], "snap.json: snapshot has a field of the wrong type"),
     ], ids=["t-null", "f-object", "n-list", "n-fraction", "n-fraction-path", "f-short",
-            "g-zero", "f-inf", "f-string"])
+            "g-zero", "f-inf", "f-string", "t-bool", "t-string", "period-string",
+            "period-bool", "f-sample-string", "g-sample-bool"])
     def test_snapshot_field_of_wrong_type_exits_2(self, tmp_path, capsys, field, value, message):
         snap = tmp_path / "snap.json"
         save_snapshot(sinusoid_profile(16, TWO_PI, 2.0, 0.1, 1), snap)

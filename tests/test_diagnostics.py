@@ -11,6 +11,7 @@ from xcflow import (
     DiagnosticsRecord,
     FlowConfig,
     count_sign_changes,
+    curvature_field,
     evolve,
     functionals,
     s_derivative,
@@ -18,6 +19,7 @@ from xcflow import (
 )
 
 from xcflow.diagnostics import WORK_SLOTS
+from xcflow.flow import record_landings
 
 from conftest import TWO_PI, make_profile, random_trig_profile
 from records_reference import reference_records
@@ -257,6 +259,7 @@ def landed_profiles(kind, n, count):
     return landed
 
 
+@pytest.mark.one_cpu
 class TestWorkspace:
     """`functionals` in a workspace: every record that of the expression form, bit for bit."""
 
@@ -277,3 +280,20 @@ class TestWorkspace:
         work = np.empty(WORK_SLOTS * rows * n)
         functionals(profiles, kind, work)  # one-time allocations of numpy and the interpreter
         assert traced_peak(lambda: functionals(profiles, kind, work)) < rows * n * 8
+
+
+def test_records_reduce_the_curvature_table(kind):
+    # the records and `xcf curvature` evaluate one curvature kernel: each record's curvature
+    # columns are reductions of `curvature_field`'s arrays at its profile, bit for bit
+    profiles, seen = landed_profiles(kind, 64, 6), []
+    work = np.empty(WORK_SLOTS * 3 * 64)  # three records to a batch
+    assert record_landings(profiles, kind, lambda rec, prof: seen.append((rec, prof)),
+                           work=work) == 6
+    assert [prof for _, prof in seen] == profiles
+    for rec, prof in seen:
+        field = curvature_field(prof, kind)
+        assert rec.sup_gs == np.max(np.abs(field.w))
+        assert rec.sup_gss == np.max(np.abs(field.w_s))
+        assert rec.K12_sup == np.max(np.abs(field.K12))
+        assert rec.K23_mean == np.mean(field.K23)
+        assert rec.K23_spread == np.max(field.K23) - np.min(field.K23)

@@ -96,6 +96,22 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             FlowConfig(kind=TORUS, t_end=0.0)
 
+    @pytest.mark.parametrize("name, value", [  # None is record_every's default, 0.01 * t_end
+        (name, value) for name in ("t_end", "epsilon", "record_every")
+        for value in (True, "1.0", None) if (name, value) != ("record_every", None)
+    ])
+    def test_fields_must_be_numbers(self, name, value):
+        # True once stayed a bool and "1.0" raised a bare TypeError from a comparison
+        with pytest.raises(FieldError) as err:
+            FlowConfig(**{"kind": TORUS, "t_end": 1.0, name: value})
+        assert str(err.value) == f"{name} must be a number, got {value!r}"
+        assert err.value.keys == (name,)
+
+    def test_numbers_stored_as_floats(self):
+        cfg = FlowConfig(kind=TORUS, t_end=2, epsilon=0, record_every=np.float32(0.5))
+        assert [type(v) for v in (cfg.t_end, cfg.epsilon, cfg.record_every)] == [float] * 3
+        assert FlowConfig(kind=TORUS, t_end=2).record_every == 0.02
+
     def test_fields(self):
         # the step is set by the stencil's bound and the record gap alone
         names = [f.name for f in dataclasses.fields(FlowConfig)]
@@ -209,7 +225,7 @@ class TestRhs:
         (9, 2, "df/dt", 9),  # df/dt's row is named first, at its own node
     ], ids=["df-only", "dg-only", "both"])
     def test_overflow_names_field_and_node(self, monkeypatch, df_node, dg_node, what, node):
-        # w and D w as the two derivatives; at f = 1, g = 2, eps = 0:
+        # w and D w from the slope kernel; at f = 1, g = 2, eps = 0:
         # df/dt = (D w)^2 / 4 and dg/dt = w^2 D w / 4
         n = 16
         w, dxw = np.zeros(n), np.ones(n)
@@ -217,9 +233,8 @@ class TestRhs:
             dxw[df_node] = 1e200  # (D w)^2 overflows; w^2 D w = 0 there
         if dg_node is not None:
             w[dg_node] = 1e200  # w^2 overflows; D w = 1 keeps df/dt finite
-        derivatives = iter((w, dxw))
-        monkeypatch.setattr(flow_mod, "ddx",
-                            lambda values, dx, out: np.copyto(out, next(derivatives)))
+        monkeypatch.setattr(flow_mod, "slope", lambda f, g, dx, w_out, dxw_out: (
+            np.copyto(w_out, w), np.copyto(dxw_out, dxw)))
         p = make_profile(n=n, f=1.0, g=2.0, t=1.5)
         with pytest.raises(NumericOverflowError) as caught:
             rhs(p, TORUS, 0.0)
@@ -948,9 +963,11 @@ class TestStepState:
         assert [c0 is None for _, _, c0, _, _ in rows] == [True] + [False] * (s - 2)
         assert all(float(row[2]) == w for row, w in zip(rows[1:], weights[1:]))
 
-    @pytest.mark.parametrize("kind, units, gaps", [(TORUS, None, 1), (SPHERE, 2.5, 1),
-                                                   (TORUS, None, 50)],
-                             ids=["torus-record-bound", "sphere-capped", "torus-dense"])
+    @pytest.mark.parametrize("kind, units, gaps", [
+        pytest.param(TORUS, None, 1, id="torus-record-bound"),
+        pytest.param(SPHERE, 2.5, 1, id="sphere-capped"),
+        pytest.param(TORUS, None, 50, id="torus-dense", marks=pytest.mark.one_cpu),
+    ])
     def test_evolve_calls_each_traced_name(self, monkeypatch, kind, units, gaps):
         # the benchmark's tracer wraps step, _rhs_arrays and stable_dt by name and reads
         # dt as step's 4th positional argument: evolve must call each of them per step
@@ -1074,6 +1091,7 @@ class TestRateBound:
             assert flow_mod._reached(final.t, cfg.t_end)
 
 
+@pytest.mark.one_cpu
 class TestArena:
     """`evolve` makes its records in the arena of its steps, between them."""
 
@@ -1149,6 +1167,7 @@ def torus_cli_run(n, gaps):
     return series_array(records), summary
 
 
+@pytest.mark.one_cpu
 class TestDenseOutput:
     """Steps land every K record gaps; the records between are interpolated by cubic Hermite."""
 

@@ -6,6 +6,7 @@ import pytest
 from xcflow import (
     BundleKind,
     CurvatureField,
+    FieldError,
     MetricProfile,
     NumericOverflowError,
     curvature_field,
@@ -56,6 +57,19 @@ class TestMetricProfile:
         with pytest.raises(ValueError) as err:
             make_profile(n=16, t=float("nan"))
         assert str(err.value) == "flow time must be finite, got nan"
+
+    @pytest.mark.parametrize("value", [True, "1.0", None], ids=["bool", "str", "none"])
+    @pytest.mark.parametrize("name, key", [("period", "period"), ("t", "flow time")])
+    def test_period_and_time_must_be_numbers(self, name, key, value):
+        # True once stayed a bool and "1.0" raised a bare TypeError from a comparison
+        with pytest.raises(FieldError) as err:
+            make_profile(n=16, **{name: value})
+        assert str(err.value) == f"{key} must be a number, got {value!r}"
+        assert err.value.keys == (key,)
+
+    def test_numbers_stored_as_floats(self):
+        p = MetricProfile(n=16, period=np.float32(2.0), t=3, f=np.ones(16), g=np.ones(16))
+        assert (type(p.period), type(p.t)) == (float, float)
 
     def test_grid_properties(self):
         p = make_profile(n=64, period=TWO_PI)

@@ -28,6 +28,7 @@ def table_keys():
                       flags=re.MULTILINE)
 
 
+@pytest.mark.one_cpu
 def test_quick_start_commands_exit_0(tmp_path, monkeypatch):
     config, commands = code_blocks(section("Quick start"))
     name = config.splitlines()[0].lstrip("# ").strip()  # the block opens with `# torus.cfg`
