@@ -54,8 +54,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, _packed_rows, _series_table
-from .geometry import BundleKind, FieldError, number, require  # noqa: F401 (re-exported)
+from .diagnostics import SERIES_FIELDS, DiagnosticsRecord, series_table
+from .geometry import BundleKind, number, require
 
 __all__ = [
     "ClaimTolerances",
@@ -224,7 +224,7 @@ def evaluate_claims(
     """
     require(isinstance(kind, BundleKind), "kind", "be a BundleKind", kind)
     tol = tolerances if tolerances is not None else ClaimTolerances()
-    table = records if isinstance(records, np.ndarray) else _series_table(_packed_rows(records))
+    table = records if isinstance(records, np.ndarray) else series_table(records)
     if table.ndim != 2 or table.shape[1] != len(SERIES_FIELDS):
         raise ValueError(
             f"a series table has {len(SERIES_FIELDS)} columns, got shape {table.shape}"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import json
@@ -39,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .claims import ClaimTolerances, ClaimVerdict, NOT_APPLICABLE, evaluate_claims
-from .diagnostics import SERIES_FIELDS, SERIES_HEADER, _SERIES_ROW, _SERIES_TYPES, DiagnosticsRecord
-from .diagnostics import _series_row, _series_table, _series_values
+from .diagnostics import SERIES_HEADER, DiagnosticsRecord, read_series, series_table
+from .diagnostics import write_series_row
 from ._periodic import first_nonfinite
 from .flow import FlowConfig, _lands, _reached, evolve, next_record_index, record_landings
 from .flow import validate_initial
@@ -238,14 +237,21 @@ def load_config(text: str) -> ScenarioConfig:
 def sinusoid_profile(
     n: int, period: float, base: float, amplitude: float, wavenumber: int
 ) -> MetricProfile:
-    """g = base + amplitude * sin(wavenumber * x), f = 1, at t = 0."""
+    """g = base + amplitude * sin(wavenumber * (2 pi / period) * x), f = 1, at t = 0.
+
+    The sine makes wavenumber whole turns around the circle, so g is
+    periodic at any period; at period 2 pi the factor 2 pi / period is
+    exactly 1.0 and the samples are those of sin(wavenumber * x). period
+    is checked first, by MetricProfile's rule, as the sine divides by it.
+    """
+    require(0.0 < period < math.inf, "period", "be finite and positive", period)
     x = np.arange(n) * (period / n)
     return MetricProfile(
         n=n,
         period=period,
         t=0.0,
         f=np.ones(n),
-        g=base + amplitude * np.sin(wavenumber * x),
+        g=base + amplitude * np.sin(wavenumber * (2.0 * math.pi / period) * x),
     )
 
 
@@ -288,40 +294,6 @@ def load_snapshot(path: str | Path) -> MetricProfile:
     except ValueError as exc:  # text that is not UTF-8 or not JSON, or a value that
         # MetricProfile rejects, such as "n": 16.7 or "f": "abc"
         raise ValueError(f"{path}: {exc}") from None
-
-
-def read_series(path: str | Path) -> np.ndarray:
-    """Load a series CSV into a series table.
-
-    The table is a float64 view of shape (rows, len(SERIES_FIELDS)) of the
-    file's packed rows, its columns in SERIES_FIELDS order whatever the
-    file's column order; each cell parses as its field's declared type
-    (zero_count as an int). A malformed row or cell is a ValueError naming
-    the file, its line and, for a cell, its column.
-    """
-    rows = bytearray()
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [name for name in SERIES_FIELDS if name not in header]
-        if missing:
-            raise ValueError(f"{path}: series has no column {missing[0]!r}")
-        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        columns = [(name, at[name], parse) for name, parse in _SERIES_TYPES.items()]  # field order
-        for row in filter(None, reader):  # blank lines skipped
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: row has {len(row)} cells, "
-                                 f"header has {len(header)}")
-            cells = []
-            for name, i, parse in columns:
-                try:
-                    cells.append(float(parse(row[i])))
-                except (ValueError, OverflowError) as exc:  # OverflowError: a huge integer
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: column {name!r}: {exc}"
-                    ) from None
-            rows += _SERIES_ROW.pack(*cells)
-    return _series_table(rows)
 
 
 def _out_dir(config: ScenarioConfig) -> Path:
@@ -460,9 +432,7 @@ def _recording(out: Path, config: ScenarioConfig, gaps: float, rows: bytearray):
 
         def sink(rec: DiagnosticsRecord, prof: MetricProfile) -> None:
             nonlocal last, saved, saved_k
-            values = _series_values(rec)
-            rows.extend(_SERIES_ROW.pack(*values))  # not +=, which would make rows local
-            series.write(_series_row(values) + "\n")
+            write_series_row(series, rec, rows)
             if not (saved is None or _lands(prof.t, every, gaps, t_end)):
                 return  # an interpolated profile
             k = next_record_index(prof.t, config.snapshot_every)
@@ -584,7 +554,7 @@ def run_scenario(config: ScenarioConfig, resume: str | Path | None = None) -> in
             evolve(profile, config.flow, sink=sink, landing_gaps=gaps)
 
     tolerances = dataclasses.replace(config.flow.tolerances, dx=profile.dx)
-    verdicts = evaluate_claims(_series_table(rows), config.flow.kind, tolerances)
+    verdicts = evaluate_claims(series_table(rows), config.flow.kind, tolerances)
     _write_claims(out / "claims.txt", verdicts)
     return _claims_exit_status(verdicts)
 
@@ -649,8 +619,8 @@ def epsilon_sweep(config: ScenarioConfig, epsilons: list[float]) -> int:
             try:
                 with open(sub / "series.csv", "w", encoding="utf-8") as series:
                     series.write(SERIES_HEADER + "\n")
-                    final, _ = evolve(initial, flows[eps], sink=lambda rec, prof: series.write(
-                        _series_row(_series_values(rec)) + "\n"), landing_gaps=_SWEEP_LANDING_GAPS)
+                    final, _ = evolve(initial, flows[eps], sink=lambda rec, prof: write_series_row(
+                        series, rec), landing_gaps=_SWEEP_LANDING_GAPS)
             except Exception as exc:
                 return exc
             finals[eps] = final.g

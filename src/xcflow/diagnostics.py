@@ -22,17 +22,21 @@ ds-integrands sit side by side and are summed in one reduction.
 less the in-memory `E2_rate_formula`, are the `series.csv` columns
 (`SERIES_FIELDS`), each of its field's declared type. The series codec
 after it is the one place of the series format: the header line, each
-column's cell type, a row's text, a row's packed float64 cells, and the
-float64 table view of packed rows, of shape (rows, len(SERIES_FIELDS)).
+column's cell type, a row's text and its packed float64 cells, which the
+writer `write_series_row` makes; `series_table`, the float64 table view
+of packed rows or of records, of shape (rows, len(SERIES_FIELDS)); and
+the reader `read_series`, which loads a series.csv as such a table.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import operator
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -55,8 +59,8 @@ class DiagnosticsRecord:
 
     dV_dt_formula is NaN for sphere runs (no closed-form volume rate is
     available for that family). E2_rate_formula is carried in memory but
-    is not part of the CSV row schema: the series table that `read_series`
-    loads has no column for it.
+    is not part of the CSV row schema: the series table has no column for
+    it.
     """
 
     t: float
@@ -98,20 +102,56 @@ _series_values = operator.attrgetter(*SERIES_FIELDS)  # one record's series valu
 _SERIES_ROW = struct.Struct(f"{len(SERIES_FIELDS)}d")  # one row's cells, packed float64
 
 
-def _series_row(values: tuple) -> str:
-    """One record's series values as a series.csv row; `functionals` gives builtin
-    floats and ints, whose repr is already the shortest round-trip form."""
-    return ",".join(map(repr, values))
+def write_series_row(series, rec: DiagnosticsRecord, rows: bytearray | None = None) -> None:
+    """Write the record's series.csv row, a line, to series, a text file, and, if rows is
+    given, append its packed cells there. `functionals` gives builtin floats and ints,
+    whose repr is already the shortest round-trip form."""
+    values = _series_values(rec)
+    if rows is not None:
+        rows.extend(_SERIES_ROW.pack(*values))
+    series.write(",".join(map(repr, values)) + "\n")
 
 
-def _packed_rows(records: Sequence[DiagnosticsRecord]) -> bytes:
-    """The records' series values as packed rows."""
-    return b"".join(_SERIES_ROW.pack(*_series_values(rec)) for rec in records)
-
-
-def _series_table(rows) -> np.ndarray:
-    """Packed rows as the series table: a (rows, len(SERIES_FIELDS)) float64 view."""
+def series_table(rows) -> np.ndarray:
+    """The series table of packed rows (a bytes-like object) or of a sequence of records:
+    a (rows, len(SERIES_FIELDS)) float64 array, a view of packed rows."""
+    if not isinstance(rows, (bytes, bytearray, memoryview)):
+        rows = b"".join(_SERIES_ROW.pack(*_series_values(rec)) for rec in rows)
     return np.frombuffer(rows, dtype=float).reshape(-1, len(SERIES_FIELDS))
+
+
+def read_series(path: str | Path) -> np.ndarray:
+    """Load a series CSV into a series table.
+
+    The table is a float64 view of shape (rows, len(SERIES_FIELDS)) of the
+    file's packed rows, its columns in SERIES_FIELDS order whatever the
+    file's column order; each cell parses as its field's declared type
+    (zero_count as an int). A malformed row or cell is a ValueError naming
+    the file, its line and, for a cell, its column.
+    """
+    rows = bytearray()
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [name for name in SERIES_FIELDS if name not in header]
+        if missing:
+            raise ValueError(f"{path}: series has no column {missing[0]!r}")
+        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        columns = [(name, at[name], parse) for name, parse in _SERIES_TYPES.items()]  # field order
+        for row in filter(None, reader):  # blank lines skipped
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: row has {len(row)} cells, "
+                                 f"header has {len(header)}")
+            cells = []
+            for name, i, parse in columns:
+                try:
+                    cells.append(float(parse(row[i])))
+                except (ValueError, OverflowError) as exc:  # OverflowError: a huge integer
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: column {name!r}: {exc}"
+                    ) from None
+            rows += _SERIES_ROW.pack(*cells)
+    return series_table(rows)
 
 
 def count_sign_changes(values: np.ndarray) -> int:

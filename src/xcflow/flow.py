@@ -43,7 +43,7 @@ and on t_end. A step that passes over record times gives each the cubic
 Hermite interpolant of (y, L(y)) at its two ends (Hairer, Norsett &
 Wanner, Solving ODEs I, section II.6), so a record-bound run takes one
 step per landing gap instead of one per record gap. L at the step's
-end is the next step's start, kept with its bound and evaluated once.
+end is the next step's start, begun there once.
 
 w and D w come from `_periodic.slope`, the slope kernel that geometry's
 curvature kernel, and so the records, read too. `step` is one fused
@@ -51,7 +51,8 @@ kernel: stage combinations summed in place in rotating buffers,
 positivity checked by reductions, and the result built by the trusted
 `MetricProfile._trusted`.
 Buffers: every RHS evaluation and step runs in a `_StepState`, the
-step kernel, which binds the run's dx and the flow's sign and shift. Its
+step kernel, which binds the run's dx and the flow's sign and shift, and
+whose `begin` sets a step's bound and span at its start. Its
 buffers are 16 rows of n floats in one layout: L at a step's start
 (l0), the start (L(Y_0) in k0 and the diffusion coefficient), the RHS
 scratch rows, k and the stages. `evolve` keeps one per call and enters
@@ -71,9 +72,9 @@ once, and a step no more than its result and its interpolants. A step
 reads its start and Y_0 without writing them, leaves the Y_0 it read in
 the state, and allocates only its result, which it makes read-only and
 whose rows it returns. When the next step starts from that result, Y_0
-is that array, taken without stacking or checking it again, and min f
-is the one its final check took; a profile that the state did not make
-is stacked and checked. No array
+is that array, taken without stacking or checking it again, and the
+minima of f and g are the ones its final check took; a profile that the
+state did not make is stacked and checked. No array
 handed to a profile or a sink is written again, and a sink that tries
 raises, so distinct runs share no state and may run in parallel, as
 `cli.epsilon_sweep`'s members do, and a landed profile can be recorded
@@ -277,9 +278,9 @@ def stable_dt(
     max(flow_sign (w^2 + c), 0) / g^2 over the grid, c as in `_rhs_arrays`
     (the sphere's turns negative where |w| > 1); inf when it vanishes
     everywhere, as on a constant torus profile. state, if given, is a
-    `_StepState` begun at this profile: it holds that coefficient's
-    maximum and gives min f. Otherwise one RHS evaluation, in a state of
-    its own, forms the coefficient here.
+    `_StepState` whose `begin` at this profile calls here: it holds that
+    coefficient's maximum and min f. Otherwise one RHS evaluation, in a
+    state of its own, forms the coefficient here.
 
     Why this is the unit: linearised, the flow is g_t = D g_ss with g_ss
     the centred difference applied twice, a 2dx-wide stencil
@@ -293,10 +294,10 @@ def stable_dt(
     `_periodic.slope` and so reach the records too, has a 4x larger
     radius, and the bound must be derived again for it.
 
-    Why a step also spans at most 0.75 / R (`_rate_dt`), R the largest
-    relative rate |L(y)| / y of f or g at its start: take, per node, a
-    row that grows there, z = dt L(Y_0) / Y_0 > 0, and set its rates at
-    the internal stages to zero. That is the worst case, as every mu~_j
+    Why a step also spans at most 0.75 / R (`_StepState.begin`), R the
+    largest relative rate |L(y)| / y of f or g at its start: take, per
+    node, a row that grows there, z = dt L(Y_0) / Y_0 > 0, and set its
+    rates at the internal stages to zero. That is the worst case, as every mu~_j
     is positive and every gamma~_j negative (`_rkl2_coefficients`): the
     stages keep only the pull of gamma~_j dt L(Y_0). They are linear in z
     and stay positive up to z* = 2.000, 0.923, 0.787, 0.755 and 0.752 for
@@ -310,21 +311,8 @@ def stable_dt(
     d_max = max(state.start_max[2], 0.0)  # clipping the max clips every node
     if d_max == 0.0:
         return math.inf
-    ds_min = state.minima(profile)[0] * state.dx
+    ds_min = state.y0_min[0] * state.dx
     return ds_min * ds_min / d_max
-
-
-def _rate_dt(profile: MetricProfile, state: _StepState) -> float:
-    """_RATE_SPAN / R, R = max |L| / min y of each row at the state's start; inf if L is 0.
-
-    That R bounds the largest |L(y)| / y from above. It takes the extremes
-    of L(Y_0) and the minima of f and g from the state, begun at this
-    profile.
-    """
-    f_min, g_min = state.minima(profile)
-    (f_top, g_top, _), (f_low, g_low) = state.start_max, state.start_min
-    rate = max(max(f_top, -f_low) / f_min, max(g_top, -g_low) / g_min)
-    return _RATE_SPAN / rate if rate > 0.0 else math.inf
 
 
 @functools.cache
@@ -368,36 +356,39 @@ def _stages(dt: float, bound: float) -> int:
 class _StepState:
     """The step kernel of one `evolve` call, or of one public call: constants and buffers.
 
-    It binds the run's n, dx, the flow's sign and its shift c of
-    `_rhs_arrays` (a 0-d array, None when c is 0). Its buffers are
-    _STATE_ROWS rows of n floats, at the head of the arena it is given or
-    of its own, in one layout. l0 holds L at the start of a step whose
-    interpolants are made after it, copied there from k0. `begin`
-    evaluates a step's start into start: L(Y0) in k0 and the diffusion
-    coefficient in coeff, with the maximum of each of those three rows
-    in start_max and the minima of k0's in start_min, which `stable_dt`
-    and `_rate_dt` read; bound is its stable_dt, which the caller sets.
-    scratch holds `_rhs_arrays`' rows for w, D w and the denominator, k
-    the stage scratch, and stages Y_1 ... Y_{s-1} in rotation. l0 and k0,
-    the first _KEPT_ROWS rows, outlive the records that a dense `evolve`
-    makes beyond them between steps; nothing else outlives a step: those
-    records write over it, coeff included. y0 is the Y0 that the last step
-    read, y1 its read-only (2, n) result, whose rows f and g it returned,
-    and y_min the minima of f and g that its final check took: the next
-    step from it reads Y0, and `minima` those minima, from there without
-    a scan.
+    It binds the run's kind and epsilon, which it checks, n, dx, the
+    flow's sign and its shift c of `_rhs_arrays` (a 0-d array, None when c
+    is 0). Its buffers are _STATE_ROWS rows of n floats, at the head of
+    the arena it is given or of its own, in one layout. l0 holds L at the
+    start of a step whose interpolants are made after it, copied there
+    from k0. `begin` evaluates a step's start into start: L(Y0) in k0 and
+    the diffusion coefficient in coeff, with the maximum of each of those
+    three rows in start_max and the minima of f and g in y0_min, which
+    `stable_dt` reads; bound is that step's stable_dt and span the most
+    it may span. scratch holds `_rhs_arrays`' rows for w, D w and the
+    denominator, k the stage scratch, and stages Y_1 ... Y_{s-1} in
+    rotation. l0 and k0, the first _KEPT_ROWS rows, outlive the records
+    that a dense `evolve` makes beyond them between steps; nothing else
+    outlives a step: those records write over it, coeff included. y0 is
+    the Y0 that the last step read, y1 its read-only (2, n) result, whose
+    rows f and g it returned, and y_min the minima of f and g that its
+    final check took: the next step from it reads Y0, and `begin` those
+    minima, from there without a scan.
     """
 
-    __slots__ = ("n", "dx", "sphere", "shift", "bound", "l0", "start", "k0", "coeff", "scratch",
-                 "k", "stages", "start_max", "start_min", "y0", "y1", "f", "g", "y_min")
+    __slots__ = ("kind", "epsilon", "n", "dx", "sphere", "shift", "bound", "span", "l0", "start",
+                 "k0", "coeff", "scratch", "k", "stages", "start_max", "y0_min", "y0", "y1", "f",
+                 "g", "y_min")
 
     def __init__(self, profile: MetricProfile, kind: BundleKind, epsilon: float,
                  arena: np.ndarray | None = None):
         require(isinstance(kind, BundleKind), "kind", "be a BundleKind", kind)
+        self.kind, self.epsilon = kind, number(epsilon, "epsilon")
+        require(0.0 <= self.epsilon < math.inf, "epsilon", "be finite and >= 0", self.epsilon)
         self.n, self.dx, self.sphere = profile.n, profile.dx, kind is BundleKind.SPHERE
-        shift = -1.0 if self.sphere else epsilon
+        shift = -1.0 if self.sphere else self.epsilon
         self.shift = np.array(shift) if shift != 0.0 else None  # only read
-        self.bound = self.y0 = self.y1 = self.f = self.g = self.y_min = None
+        self.y0 = self.y1 = self.f = self.g = self.y_min = None
         size = _STATE_ROWS * self.n
         rows = (np.empty(size) if arena is None else arena[:size]).reshape(_STATE_ROWS, self.n)
         self.l0, self.start, self.k = rows[:2], rows[2:5], rows[8:10]
@@ -406,25 +397,34 @@ class _StepState:
         self.stages = rows[10:12], rows[12:14], rows[14:16]
 
     def begin(self, profile: MetricProfile) -> None:
-        """Evaluate a step's start at the profile, and its extremes; under np.errstate."""
+        """Begin a step at the profile: all that its start needs; under np.errstate.
+
+        It evaluates the start and its extremes and takes the minima of f
+        and g, those the last step's final check took when the profile is
+        that step's result. bound is then `stable_dt`, and span
+        min(20 bound, _RATE_SPAN / R), R = max |L| / min y of each row,
+        which bounds the largest relative rate |L(y)| / y from above; the
+        rate term is inf where L vanishes.
+        """
         _rhs_arrays(self, profile.f, profile.g, profile.t, self.start)
         self.start_max = np.maximum.reduce(self.start, axis=1).tolist()
-        self.start_min = np.minimum.reduce(self.k0, axis=1).tolist()
-
-    def minima(self, profile: MetricProfile) -> list[float]:
-        """[min f, min g] of the profile: those its final check took if it is the last result."""
-        if profile.f is self.f and profile.g is self.g:  # a minimum is exact
-            return self.y_min
-        return [float(np.minimum.reduce(profile.f)), float(np.minimum.reduce(profile.g))]
+        # those of the last step's final check if the profile is its result: a minimum is exact
+        self.y0_min = (self.y_min if profile.f is self.f and profile.g is self.g
+                       else [float(np.minimum.reduce(y)) for y in (profile.f, profile.g)])
+        self.bound = stable_dt(profile, self.kind, self.epsilon, self)
+        (f_top, g_top, _), (f_min, g_min) = self.start_max, self.y0_min
+        f_low, g_low = np.minimum.reduce(self.k0, axis=1).tolist()
+        rate = max(max(f_top, -f_low) / f_min, max(g_top, -g_low) / g_min)
+        cap = _span(_MAX_STAGES) * self.bound
+        self.span = min(cap, _RATE_SPAN / rate) if rate > 0.0 else cap
 
     @classmethod
     def started(cls, profile: MetricProfile, kind: BundleKind, epsilon: float) -> _StepState:
-        """A state of its own for a public call, begun at the profile with its bound set."""
+        """A state of its own for a public call, begun at the profile."""
         state = cls(profile, kind, epsilon)
         # overflow is detected in _rhs_arrays and reported with the node; silence numpy
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             state.begin(profile)
-            state.bound = stable_dt(profile, kind, epsilon, state)
         return state
 
 
@@ -451,9 +451,9 @@ def step(
     It takes s stages, the fewest s >= 2 whose stable span
     (s^2 + s - 2)/2 * stable_dt covers dt, and at most _MAX_STAGES: a dt
     past that cap's span is not stable. state, if given, is the
-    `_StepState` begun at this profile, with its bound set, and the caller
-    holds np.errstate; kind and epsilon are then the state's. L(Y0) is read
-    and never written. Y0 is the state's y1 when the profile holds its last
+    `_StepState` begun at this profile, and the caller holds np.errstate;
+    kind and epsilon are then the state's. L(Y0) is read and never
+    written. Y0 is the state's y1 when the profile holds its last
     result; the step leaves Y0 in y0, runs its stages in the state's
     buffers and allocates only its result, read-only. Without a state,
     the step makes one of its own and holds np.errstate itself.
@@ -461,6 +461,7 @@ def step(
     Raises StepFailureError, naming f or g and a node, if f or g loses
     positivity at any stage or is not finite and positive in the result.
     """
+    dt = number(dt, "dt")
     require(0.0 < dt < math.inf, "dt", "be finite and positive", dt)
     if state is None:  # a step of its own: its own state, under its own np.errstate
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -668,21 +669,22 @@ def evolve(
     counts records either way, not landings.
 
     A step spans dt = min(time to its landing, 20 stable_dt, 0.75 / R),
-    R the largest relative rate of f or g at its start (`_rate_dt`), and
-    is not retried: a step that loses positivity raises its own
+    R the largest relative rate of f or g at its start; the last two
+    terms are the span that `_StepState.begin` sets. It is not retried:
+    a step that loses positivity raises its own
     StepFailureError, naming the field, the node and the time it started
     from, once the sink has seen every record made before it.
     """
     if landed is not None and (sink is not None or stop_when is not None):
         raise TypeError("landed takes the place of sink and stop_when")
+    landing_gaps = number(landing_gaps, "landing_gaps")
     if stop_when is not None and landing_gaps != 1:
         raise TypeError("stop_when needs a landing at every record time: landing_gaps = 1")
-    require(landing_gaps == math.inf or (landing_gaps >= 1 and float(landing_gaps).is_integer()),
+    require(landing_gaps == math.inf or (landing_gaps >= 1 and landing_gaps.is_integer()),
             "landing_gaps", "be a whole number >= 1 or inf", landing_gaps)
     validate_initial(profile, config.kind)
     summary = RunSummary()
     t_end, every = config.t_end, config.record_every
-    kind, epsilon, cap = config.kind, config.epsilon, _span(_MAX_STAGES)
     gaps = landing_gaps if landing_gaps == math.inf else int(landing_gaps)
     arena = work = None  # the step state's own buffers when the records are made elsewhere
     if landed is None:  # one arena for the steps and, between them, the records
@@ -692,7 +694,7 @@ def evolve(
         records = max(1, (WORK_SLOTS * _batch_rows(profile.n, stop_when) - head) // WORK_SLOTS)
         arena = np.empty(max(_STATE_ROWS, head + WORK_SLOTS * records) * profile.n)
         work = arena[head * profile.n:]  # its size sets a batch's records
-    state = _StepState(profile, kind, epsilon, arena)  # this call's kernel: runs share none
+    state = _StepState(profile, config.kind, config.epsilon, arena)  # runs share no kernel
 
     def landings() -> Iterator[MetricProfile]:
         """The start profile, then the profile of each record time in order, and t_end's."""
@@ -708,9 +710,8 @@ def evolve(
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 if not begun:
                     state.begin(profile)
-                    state.bound = stable_dt(profile, kind, epsilon, state)
-                dt = min(target - profile.t, cap * state.bound, _rate_dt(profile, state))
-                advanced = step(profile, kind, epsilon, dt, state)
+                dt = min(target - profile.t, state.span)
+                advanced = step(profile, state.kind, state.epsilon, dt, state)
                 summary.steps += 1
                 passed = k  # record times before the target that the step has reached
                 while (passed < landing and _reached(advanced.t, passed * every)
@@ -720,7 +721,6 @@ def evolve(
                 if begun:  # which the next step starts from: the start's L moves to l0 first
                     np.copyto(state.l0, state.k0)
                     state.begin(advanced)
-                    state.bound = stable_dt(advanced, kind, epsilon, state)
             if begun:
                 for j in range(k, passed):  # the records made here write over the state
                     theta = (j * every - profile.t) / dt
@@ -745,7 +745,7 @@ def evolve(
                 profile = advanced
 
     if landed is None:
-        summary.records = record_landings(landings(), kind, sink, stop_when, work)
+        summary.records = record_landings(landings(), config.kind, sink, stop_when, work)
     else:
         for prof in landings():
             landed(prof)

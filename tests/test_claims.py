@@ -21,6 +21,7 @@ from xcflow import (
     evolve,
     sinusoid_profile,
 )
+from xcflow._periodic import ddx
 from xcflow.cli import _claim_line
 from xcflow.claims import _max, _max_log_slope, _rate_residual_ratio
 
@@ -467,9 +468,21 @@ def sphere_length_verdict():
     return verdict(records, SPHERE, "S-L12", ClaimTolerances(dx=p.dx))
 
 
+def torus_length_verdict(epsilon):
+    """T-L5 of a torus run at n=64 from g = 2 + 0.1 sin x, f = 1, to t=1 at record gap 0.02."""
+    p = sinusoid_profile(64, 2.0 * math.pi, 2.0, 0.1, 1)
+    records = []
+    evolve(p, FlowConfig(kind=TORUS, t_end=1.0, epsilon=epsilon, record_every=0.02),
+           sink=lambda rec, _: records.append(rec))
+    return verdict(records, TORUS, "T-L5", ClaimTolerances(dx=p.dx))
+
+
+# Mutants of the flow's right-hand side, each called as mutant(real, state, f, g, t, out)
+# around the real `_rhs_arrays`. A mutant that changes the diffusion scales a (3, n) out's
+# diffusion coefficient, its row 2, as well, so that stable_dt bounds the mutant's own step
+
 def rows_scaled(factor):
-    """A sphere flow run at factor times the speed: every row of out scales, a (3, n) out's
-    diffusion coefficient too, so that stable_dt bounds the mutant's own step."""
+    """A flow run at factor times the speed: every row of out scales."""
     def mutant(real, state, f, g, t, out):
         real(state, f, g, t, out)
         out *= factor
@@ -481,12 +494,63 @@ def f_frozen(real, state, f, g, t, out):
     out[0] = 0.0
 
 
-@pytest.mark.parametrize("mutant", [rows_scaled(0.5), rows_scaled(2.0), f_frozen],
-                         ids=["time-x0.5", "time-x2", "f-frozen"])
+def f_flipped(real, state, f, g, t, out):
+    real(state, f, g, t, out)
+    np.negative(out[0], out=out[0])
+
+
+def diffusion_plus(real, state, f, g, t, out):
+    """The sphere flow with diffusion (1 + w^2) / g^2 in place of (1 - w^2) / g^2."""
+    real(state, f, g, t, out)
+    w2 = np.square(ddx(g, state.dx) / f)
+    out[1:] *= (1.0 + w2) / (1.0 - w2)
+
+
+def eps_dropped(real, state, f, g, t, out):
+    """The torus flow at eps = 0, whatever the run's eps: its diffusion is w^2 / g^2."""
+    shift, state.shift = state.shift, None
+    try:
+        real(state, f, g, t, out)
+    finally:
+        state.shift = shift
+
+
+def missed(item):
+    """The mark of a mutant that the claims do not catch yet, until the ROADMAP item closes
+    the gap."""
+    return pytest.mark.xfail(strict=True, reason=f"no claim catches it yet: ROADMAP {item}")
+
+
+@pytest.mark.parametrize("mutant", [
+    pytest.param(rows_scaled(0.5), id="time-x0.5"),
+    pytest.param(rows_scaled(2.0), id="time-x2"),
+    pytest.param(f_frozen, id="f-frozen"),
+    pytest.param(f_flipped, id="f-flipped"),
+    # S-L8, S-L9 and S-L10 pass as well, as under the correct flow
+    pytest.param(diffusion_plus, id="diffusion-1+w2",
+                 marks=missed("item 1, the dE2/dt identity")),
+])
 def test_wrong_sphere_flows_fail_the_length_claim(monkeypatch, mutant):
     # L alone never increases under these flows; its rate identity catches them
     assert sphere_length_verdict().status == "pass"
     real = flow_mod._rhs_arrays
     monkeypatch.setattr(flow_mod, "_rhs_arrays", lambda *args: mutant(real, *args))
     v = sphere_length_verdict()
+    assert v.status == "fail" and v.measured > 100.0
+
+
+@pytest.mark.parametrize("mutant, epsilon", [
+    pytest.param(rows_scaled(0.5), 0.0, id="time-x0.5"),
+    pytest.param(rows_scaled(2.0), 0.0, id="time-x2"),
+    pytest.param(f_frozen, 0.0, id="f-frozen"),
+    pytest.param(f_flipped, 0.0, id="f-flipped"),
+    # f_t does not depend on eps, so L and its rate identity hold without it
+    pytest.param(eps_dropped, 1e-2, id="eps-dropped", marks=missed("item 7, the rate claim")),
+])
+def test_wrong_torus_flows_fail_the_length_claim(monkeypatch, mutant, epsilon):
+    # L alone never decreases under these flows; its rate identity catches them
+    assert torus_length_verdict(epsilon).status == "pass"
+    real = flow_mod._rhs_arrays
+    monkeypatch.setattr(flow_mod, "_rhs_arrays", lambda *args: mutant(real, *args))
+    v = torus_length_verdict(epsilon)
     assert v.status == "fail" and v.measured > 100.0

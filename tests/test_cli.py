@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from xcflow import (
     ClaimTolerances,
     ConfigError,
     DiagnosticsRecord,
+    FieldError,
     FlowConfig,
     MetricProfile,
     NotApplicableError,
@@ -38,7 +40,7 @@ from xcflow import (
 )
 from xcflow import cli
 from xcflow import flow as flow_mod
-from xcflow.cli import SERIES_HEADER
+from xcflow.diagnostics import SERIES_HEADER, write_series_row
 
 from conftest import TWO_PI
 from records_reference import reference_records
@@ -53,6 +55,14 @@ def config_text(out_dir, **keys):
 def series_row(**cells):
     """One series.csv row: "0" in every column that `cells` does not name."""
     return ",".join(cells.get(name, "0") for name in SERIES_FIELDS)
+
+
+def series_lines(records):
+    """The records' series.csv rows, as `write_series_row` writes them."""
+    series = io.StringIO()
+    for rec in records:
+        write_series_row(series, rec)
+    return series.getvalue().splitlines()
 
 
 class TestLoadConfig:
@@ -149,6 +159,33 @@ class TestLoadConfig:
         profile = build_profile(cfg)
         assert profile.n == 64
         assert profile.g.max() == pytest.approx(3.5, abs=1e-6)
+
+
+class TestSinusoidProfile:
+    @pytest.mark.parametrize("period", [1.0, 5.0])
+    def test_periodic_at_any_period(self, period):
+        # g once sampled sin(k x) on [0, period): off 2 pi it jumped at the seam, by
+        # g[0] - g[-1] = -0.083 at period 1, and curvature_field's max|w| read 2.64 there
+        for k in (1, 3):
+            g = sinusoid_profile(64, period, 2.0, 0.1, k).g
+            want = sinusoid_profile(64, TWO_PI, 2.0, 0.1, k).g  # the same phases
+            # the steps around the circle, the seam's g[0] - g[-1] last
+            steps, want_steps = (np.diff(v, append=v[0]) for v in (g, want))
+            assert np.allclose(steps, want_steps, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+    def test_period_out_of_range(self, period):
+        # MetricProfile's error, raised before the sine divides by the period
+        with pytest.raises(FieldError, match=f"^period must be finite and positive, got {period}$"):
+            sinusoid_profile(64, period, 2.0, 0.1, 1)
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 2048])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_period_two_pi_samples_unchanged(self, n, k):
+        # there 2 pi / period is exactly 1.0: the samples of sin(k x), bit for bit
+        x = np.arange(n) * (TWO_PI / n)
+        assert sinusoid_profile(n, TWO_PI, 2.0, 0.1, k).g.tobytes() == (
+            2.0 + 0.1 * np.sin(k * x)).tobytes()
 
 
 class TestSnapshots:
@@ -797,14 +834,14 @@ class TestRunScenarioLanes:
         assert_no_child_left()
 
     def test_record_process_that_dies_is_an_error(self, tmp_path, monkeypatch, capsys):
-        series_row, parent = cli._series_row, os.getpid()
+        parent = os.getpid()
 
-        def dying_row(values):
+        def dying_row(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return series_row(values)
+            return write_series_row(*args)
 
-        monkeypatch.setattr(cli, "_series_row", dying_row)
+        monkeypatch.setattr(cli, "write_series_row", dying_row)
         cpus(monkeypatch, 2)
         path = tmp_path / "cfg.txt"
         path.write_text(config_text(tmp_path / "out", bundle="torus", t_end="0.2"))
@@ -857,8 +894,7 @@ class TestRunScenarioLanes:
                                              **{"grid.n": "64", "output.snapshot_every": "0.004"})))
         profiles = sorted(map(load_snapshot, out.glob("snap_*.json")), key=lambda p: p.t)
         assert len(profiles) == 101  # a batch of 64 and a partial one
-        want = [cli._series_row(cli._series_values(rec))
-                for rec in reference_records(profiles, BundleKind.TORUS)]
+        want = series_lines(reference_records(profiles, BundleKind.TORUS))
         assert (out / "series.csv").read_text().splitlines()[1:] == want
         assert_no_child_left()
 
@@ -1016,7 +1052,7 @@ class TestDenseRun:
         run_scenario(cfg)
         records = []
         evolve(build_profile(cfg), cfg.flow, sink=lambda rec, prof: records.append(rec))
-        want = [cli._series_row(cli._series_values(rec)) for rec in records]
+        want = series_lines(records)
         assert (tmp_path / "odd" / "series.csv").read_text().splitlines()[1:] == want
         assert assert_each_snapshot_is_reached_from_the_last(tmp_path / "odd", 1) == [
             0.0, 27 * 0.004, 53 * 0.004, 79 * 0.004, 0.4]
@@ -1048,7 +1084,7 @@ class TestDenseRun:
         run_scenario(cfg)
         records = []
         evolve(build_profile(cfg), cfg.flow, sink=lambda rec, prof: records.append(rec))
-        want = [cli._series_row(cli._series_values(rec)) for rec in records]
+        want = series_lines(records)
         assert (tmp_path / "out" / "series.csv").read_text().splitlines()[1:] == want
         assert_no_child_left()
 

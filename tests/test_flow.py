@@ -133,6 +133,34 @@ def test_kind_must_be_a_bundle_kind(entry):
     assert err.value.keys == ("kind",)
 
 
+@pytest.mark.parametrize("kind", [TORUS, SPHERE])
+@pytest.mark.parametrize("entry", [
+    lambda p, kind, eps: rhs(p, kind, eps),
+    lambda p, kind, eps: stable_dt(p, kind, eps),
+    lambda p, kind, eps: step(p, kind, eps, 1e-3),
+], ids=["rhs", "stable_dt", "step"])
+@pytest.mark.parametrize("epsilon, rule", [
+    (-1.0, "be finite and >= 0"), (math.nan, "be finite and >= 0"),
+    (math.inf, "be finite and >= 0"), (True, "be a number"), ("0.1", "be a number"),
+])
+def test_kernel_epsilon_follows_the_number_rule(entry, kind, epsilon, rule):
+    # as FlowConfig's: -1.0 once ran an anti-diffusive torus flow, True the flow at 1.0,
+    # NaN and inf read as a non-finite dg/dt at node 0, and "0.1" raised a bare TypeError
+    with pytest.raises(FieldError) as err:
+        entry(sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1), kind, epsilon)
+    assert str(err.value) == f"epsilon must {rule}, got {epsilon!r}"
+    assert err.value.keys == ("epsilon",)
+
+
+@pytest.mark.parametrize("dt", [True, "1e-3", None])
+def test_step_dt_must_be_a_number(dt):
+    # True once took a step of 1.0
+    with pytest.raises(FieldError) as err:
+        step(sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1), TORUS, 0.0, dt)
+    assert str(err.value) == f"dt must be a number, got {dt!r}"
+    assert err.value.keys == ("dt",)
+
+
 class TestValidateInitial:
     def test_sphere_accepts_small_slope(self, profile_b):
         assert validate_initial(profile_b, SPHERE) is profile_b
@@ -816,7 +844,7 @@ class TestRecordBatches:
 
 
 def rate_dt(profile, kind, eps):
-    """`flow._rate_dt` spelled with the public `rhs`: the rate span over the largest
+    """The rate term of a step's span spelled with the public `rhs`: the rate span over the largest
     max |L| / min y of the two rows, or inf where L vanishes."""
     rate = max(np.max(np.abs(slope)) / np.min(y)
                for slope, y in zip(rhs(profile, kind, eps), (profile.f, profile.g)))
@@ -1053,30 +1081,30 @@ class TestRateBound:
     def test_fixed_case_that_lost_positivity(self, monkeypatch):
         # draw 197 of seed 12 of the torus fuzz (n = 64, eps 1e-3, min g 0.054): steps of up
         # to 20 stable_dt drove g negative, and halving them failed from t = 3.4e-5 on, at
-        # node 9 with dt down to 2.4e-14. The rate bound sets the first step's dt, and the
-        # run reaches t_end without a failure
+        # node 9 with dt down to 2.4e-14. The rate bound sets the first step's span, below
+        # 20 stable_dt, and so its dt, and the run reaches t_end without a failure
         rng = np.random.default_rng(12)
         for _ in range(197):
             torus_fuzz_case(rng)
         p, cfg = torus_fuzz_case(rng)
         assert (p.n, cfg.epsilon) == (64, 1e-3)
-        rates, steps = [], []
-        real_rate, real_step = flow_mod._rate_dt, flow_mod.step
+        spans, steps = [], []
+        real_begin, real_step = flow_mod._StepState.begin, flow_mod.step
 
-        def rate_spy(*args):
-            rates.append(real_rate(*args))
-            return rates[-1]
+        def begin_spy(state, profile):
+            real_begin(state, profile)
+            spans.append(state.span)
 
         def step_spy(*args):
             steps.append(args[3])
             return real_step(*args)
 
-        monkeypatch.setattr(flow_mod, "_rate_dt", rate_spy)
+        monkeypatch.setattr(flow_mod._StepState, "begin", begin_spy)
         monkeypatch.setattr(flow_mod, "step", step_spy)
         seen = []
         final, summary = evolve(p, cfg, sink=lambda rec, _: seen.append(repr(rec)))
         assert flow_mod._reached(final.t, cfg.t_end) and summary.records == 11
-        assert steps[0] == rates[0] < 20 * stable_dt(p, TORUS, cfg.epsilon)
+        assert steps[0] == spans[0] < 20 * stable_dt(p, TORUS, cfg.epsilon)
         monkeypatch.undo()
         want, want_final, want_summary = public_steps(p, cfg)  # the rate term spelled apart
         assert (seen, summary) == (want, want_summary)
@@ -1087,6 +1115,17 @@ class TestRateBound:
         rng = np.random.default_rng(27)
         for _ in range(150):
             p, cfg = torus_fuzz_case(rng, sizes=(32, 64))
+            final, _ = evolve(p, cfg)
+            assert flow_mod._reached(final.t, cfg.t_end)
+
+    @pytest.mark.fuzz
+    @pytest.mark.parametrize("seed", [5, 12])
+    def test_torus_fuzz_reaches_t_end(self, seed):
+        # 2,000 harsh torus draws per seed, seed 12 the one of the fixed case above (7-9 s
+        # per seed on a 2-vCPU VM); out of the default run, as `pytest -m fuzz`
+        rng = np.random.default_rng(seed)
+        for _ in range(2000):
+            p, cfg = torus_fuzz_case(rng)
             final, _ = evolve(p, cfg)
             assert flow_mod._reached(final.t, cfg.t_end)
 
@@ -1358,3 +1397,12 @@ class TestDenseOutput:
         for gaps in (0, 2.5, -1, math.nan):
             with pytest.raises(ValueError, match="landing_gaps must be a whole number"):
                 evolve(p, cfg, landing_gaps=gaps)
+
+    @pytest.mark.parametrize("gaps", [True, "2", None])
+    def test_landing_gaps_must_be_a_number(self, gaps):
+        # True once ran as 1, and "2" raised a bare TypeError from a comparison
+        p = sinusoid_profile(64, TWO_PI, 2.0, 0.1, 1)
+        with pytest.raises(FieldError) as err:
+            evolve(p, FlowConfig(kind=TORUS, t_end=0.1, record_every=0.01), landing_gaps=gaps)
+        assert str(err.value) == f"landing_gaps must be a number, got {gaps!r}"
+        assert err.value.keys == ("landing_gaps",)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -63,6 +64,45 @@ def test_benchmark_tracer_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module}.{attr}"
+
+
+def imported_names(tree):
+    """(name, line) of each name that a module's imports bind, less __future__ and star
+    imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], node.lineno)
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, node.lineno)
+                        for alias in node.names if alias.name != "*")
+
+
+def exported_names(tree):
+    """The string entries of a module's `__all__` list."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name) and target.id == "__all__"
+            for elt in node.value.elts if isinstance(elt, ast.Constant)}
+
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "xcflow").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_uses_every_name_it_imports(path):
+    # a name listed in __all__ is re-exported, and one that the benchmark's tracer wraps
+    # in this module (tracer.TARGETS, read as above) is looked up there at call time
+    tracer_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    module = f"xcflow.{path.stem}"
+    wrapped = {attr.split(".")[0] for owner, attr, _ in tracer.TARGETS if owner == module}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept = used | exported_names(tree) | wrapped
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in kept]
+    assert unused == [], f"{path.name} imports names it never uses"
 
 
 @pytest.mark.parametrize("error", [

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from xcflow import ConfigError, FlowConfig, load_config, main
-from xcflow.cli import CURVATURE_HEADER, SERIES_HEADER
+from xcflow.cli import CURVATURE_HEADER
+from xcflow.diagnostics import SERIES_HEADER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
